@@ -1,8 +1,8 @@
 """Zero-divisor cup-lengths of cartesian powers of real projective spaces.
 
-Exact computation of zcl_s(RP^m) in mod-2 cohomology -- by certified
-combinatorial search cross-checked against dense GF(2) ring arithmetic --
-plus explicit lower-bound witnesses, structural verifications, and bound
+Exact computation of zcl_s(RP^m) in mod-2 cohomology -- by a residue
+knapsack DP whose witnesses are cross-checked against dense GF(2) ring
+arithmetic -- plus explicit lower-bound witnesses, structural verifications, and bound
 tables for the higher topological complexity TC_s(RP^m).
 """
 
@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from ._kernels import BACKEND_NAME
 from .bounds import (BoundsRow, CacheEntry, ENGINE_VERSION, build_row,
                      build_table, cache_get, cache_put, emit, known_tc)
-from .cuplength import (DEFAULT_SEARCH_BUDGET, GapProbe, GeneratorWord,
-                        Witness, ZclResult, explicit_witness, g_value,
+from .cuplength import (MAX_DP_CELLS, GapProbe, GeneratorWord, Witness,
+                        ZclResult, explicit_witness, g_value,
                         g_stabilization_probe, verify_witness, word_nonzero,
                         zcl_exact)
 from .errors import (InvariantViolationError, SizeLimitError,
@@ -33,9 +33,9 @@ from .zero_divisors import (DegreeCheck, DegreeSlice, SubspaceBasis,
 
 __all__ = [
     "BACKEND_NAME", "BoundsRow", "CacheEntry", "DEFAULT_BIT_LIMIT",
-    "DEFAULT_SEARCH_BUDGET", "DegreeCheck", "DegreeSlice", "ENGINE_VERSION",
-    "GapProbe", "GeneratorWord", "GroupElem", "InvariantViolationError",
-    "JoinPoint", "JoinReport", "Poly", "Ring", "RingSpec", "SizeLimitError",
+    "DegreeCheck", "DegreeSlice", "ENGINE_VERSION", "GapProbe",
+    "GeneratorWord", "GroupElem", "InvariantViolationError", "JoinPoint",
+    "JoinReport", "MAX_DP_CELLS", "Poly", "Ring", "RingSpec", "SizeLimitError",
     "SpecMismatchError", "SubspaceBasis", "TwoAdicProfile", "UndeterminedError",
     "UniPoly", "Witness", "ZclError", "ZclResult", "act", "binom_parity",
     "build_row", "build_table", "cache_get", "cache_put", "component_key",

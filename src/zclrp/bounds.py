@@ -18,8 +18,7 @@ import time
 import warnings
 from dataclasses import dataclass
 
-from .cuplength import (DEFAULT_SEARCH_BUDGET, Witness, zcl_exact,
-                        explicit_witness, verify_witness)
+from .cuplength import Witness, zcl_exact, explicit_witness, verify_witness
 from .errors import InvariantViolationError, SizeLimitError
 from .ring import DEFAULT_BIT_LIMIT, RingSpec, monomial_from_text
 
@@ -172,13 +171,12 @@ def cache_get(path: str, m: int, s: int, *,
 
 def build_row(m: int, s: int, policy: str = "exact", *,
               cache_path: str | None = None,
-              bit_limit: int | None = None,
-              max_candidates: int = DEFAULT_SEARCH_BUDGET) -> BoundsRow:
+              bit_limit: int | None = None) -> BoundsRow:
     """Compute one table row under the given policy.
 
-    policy "exact" runs the certified search (the witness is additionally
-    re-verified through ring arithmetic -- a disagreement would be a bug and
-    raises).  policy "witness_only" uses the closed-form construction when
+    policy "exact" runs the knapsack DP of zcl_exact (the witness is
+    additionally re-verified through ring arithmetic -- a disagreement would
+    be a bug and raises).  policy "witness_only" uses the closed-form construction when
     it applies and otherwise falls back to the generic (s-1)m lower bound.
     Rows whose ring would exceed the basis-size cap raise SizeLimitError.
     """
@@ -198,7 +196,7 @@ def build_row(m: int, s: int, policy: str = "exact", *,
 
     if zcl is None:
         if policy == "exact":
-            result = zcl_exact(m, s, max_candidates=max_candidates)
+            result = zcl_exact(m, s)
             if not verify_witness(result.witness, bit_limit=limit):
                 raise InvariantViolationError(
                     f"criterion and ring disagree on the ({m},{s}) witness; "
@@ -226,7 +224,6 @@ def build_table(m_range: tuple[int, int], s_range: tuple[int, int],
                 policy: str = "exact", *,
                 cache_path: str | None = None,
                 bit_limit: int | None = None,
-                max_candidates: int = DEFAULT_SEARCH_BUDGET,
                 ) -> tuple[list[BoundsRow], list[tuple[int, int, str]]]:
     """All rows over inclusive ranges; rows over a resource cap are skipped
     and reported as (m, s, reason) instead of aborting the table."""
@@ -235,8 +232,7 @@ def build_table(m_range: tuple[int, int], s_range: tuple[int, int],
         for s in range(s_range[0], s_range[1] + 1):
             try:
                 rows.append(build_row(m, s, policy, cache_path=cache_path,
-                                      bit_limit=bit_limit,
-                                      max_candidates=max_candidates))
+                                      bit_limit=bit_limit))
             except SizeLimitError as exc:
                 skipped.append((m, s, str(exc)))
     return rows, skipped

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 invariant violation (an internal certified check
 failed, i.e. a bug), 2 undetermined (a resource cap was hit before the
-answer was certified).
+answer was certified), 64 bad input (an option value out of range, such as
+--m 0; one line on stderr).  Usage errors that click itself reports, such
+as a missing option or a non-integer value, exit 2.
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ import click
 from . import __version__
 from ._kernels import BACKEND_NAME
 from .bounds import build_table, emit
-from .cuplength import (DEFAULT_SEARCH_BUDGET, ZclResult, explicit_witness,
-                        g_stabilization_probe, zcl_exact)
+from .cuplength import (ZclResult, explicit_witness, g_stabilization_probe,
+                        zcl_exact)
 from .errors import InvariantViolationError, SizeLimitError, UndeterminedError
 from .join_model import sample_report
 from .parity import two_adic_profile
 from .ring import DEFAULT_BIT_LIMIT, RingSpec
 from .zero_divisors import verify_generators_lemma
+
+EX_USAGE = 64
 
 
 def _guarded(fn):
@@ -38,6 +42,14 @@ def _guarded(fn):
             click.echo(f"invariant violation: {exc}", err=True)
             sys.exit(1)
     return wrapper
+
+
+def _at_least(option: str, value: int, low: int) -> None:
+    """Exit EX_USAGE with a one-line message when an option is below low."""
+    if value < low:
+        click.echo(f"bad input: {option} must be >= {low}, got {value}",
+                   err=True)
+        sys.exit(EX_USAGE)
 
 
 def _echo_json(payload: dict) -> None:
@@ -75,6 +87,7 @@ def main():
 @_guarded
 def profile(m):
     """Dyadic profile of m: trailing-ones length e, z, and sigma."""
+    _at_least("--m", m, 1)
     _echo_json(two_adic_profile(m).as_dict())
 
 
@@ -86,13 +99,16 @@ def zcl():
 @zcl.command("exact")
 @click.option("--m", type=int, required=True)
 @click.option("--s", type=int, required=True)
-@click.option("--max-candidates", type=int, default=DEFAULT_SEARCH_BUDGET,
-              show_default=True, help="Search budget; exceeding it exits 2.")
 @_guarded
-def zcl_exact_cmd(m, s, max_candidates):
-    """Exact cup-length by certified descending search."""
+def zcl_exact_cmd(m, s):
+    """Exact cup-length by a residue knapsack DP, with a certified witness.
+
+    Shapes whose DP would exceed a fixed cell cap exit 2 before any work.
+    """
+    _at_least("--m", m, 1)
+    _at_least("--s", s, 2)
     t0 = time.perf_counter()
-    result = zcl_exact(m, s, max_candidates=max_candidates)
+    result = zcl_exact(m, s)
     _echo_json(_zcl_payload(result, (time.perf_counter() - t0) * 1000))
 
 
@@ -104,6 +120,8 @@ def zcl_exact_cmd(m, s, max_candidates):
 @_guarded
 def zcl_witness_cmd(m, s, limit_bits):
     """Closed-form lower-bound witness (no search); witness may be null."""
+    _at_least("--m", m, 1)
+    _at_least("--s", s, 2)
     t0 = time.perf_counter()
     w = explicit_witness(m, s, bit_limit=limit_bits)
     elapsed = (time.perf_counter() - t0) * 1000
@@ -119,12 +137,12 @@ def zcl_witness_cmd(m, s, limit_bits):
 @zcl.command("probe")
 @click.option("--m", type=int, required=True)
 @click.option("--s-max", type=int, required=True)
-@click.option("--max-candidates", type=int, default=DEFAULT_SEARCH_BUDGET,
-              show_default=True)
 @_guarded
-def zcl_probe_cmd(m, s_max, max_candidates):
+def zcl_probe_cmd(m, s_max):
     """Gap sequence s*m - zcl over s = 2..s-max, with stabilization flag."""
-    probe = g_stabilization_probe(m, s_max, max_candidates=max_candidates)
+    _at_least("--m", m, 1)
+    _at_least("--s-max", s_max, 2)
+    probe = g_stabilization_probe(m, s_max)
     _echo_json(probe.as_dict())
 
 
@@ -141,6 +159,10 @@ def verify():
 @_guarded
 def verify_generators_cmd(m, s, max_degree, limit_bits):
     """Per degree: substitution kernel == span of (x_i + x_s) multiples."""
+    _at_least("--m", m, 1)
+    _at_least("--s", s, 2)
+    if max_degree is not None:
+        _at_least("--max-degree", max_degree, 1)
     spec = RingSpec(m, s, limit_bits)
     checks = verify_generators_lemma(spec, max_degree)
     for check in checks:
@@ -157,6 +179,9 @@ def verify_generators_cmd(m, s, max_degree, limit_bits):
 @_guarded
 def verify_join_cmd(s, k, samples, seed):
     """Sampled component structure of U_j inside the stage-k join."""
+    _at_least("--s", s, 2)
+    _at_least("--k", k, 0)
+    _at_least("--samples", samples, 1)
     report = sample_report(s, k, samples=samples, seed=seed)
     _echo_json(report.as_dict())
     if not (report.transitive and report.segment_checks_passed == report.samples):
@@ -176,17 +201,16 @@ def verify_join_cmd(s, k, samples, seed):
               default=None, envvar="ZCLRP_CACHE",
               help="Append-only JSONL result cache (default: $ZCLRP_CACHE).")
 @click.option("--limit-bits", type=int, default=DEFAULT_BIT_LIMIT, show_default=True)
-@click.option("--max-candidates", type=int, default=DEFAULT_SEARCH_BUDGET,
-              show_default=True)
 @_guarded
-def report(m_range, s_range, policy, fmt, cache_path, limit_bits, max_candidates):
+def report(m_range, s_range, policy, fmt, cache_path, limit_bits):
     """Bound-table rows s*m >= TC_s >= secat >= zcl over the given ranges.
 
     Rows over the size cap are skipped with a note on stderr and exit code 2.
     """
+    _at_least("--m-range start", m_range[0], 1)
+    _at_least("--s-range start", s_range[0], 2)
     rows, skipped = build_table(m_range, s_range, policy.replace("-", "_"),
-                                cache_path=cache_path, bit_limit=limit_bits,
-                                max_candidates=max_candidates)
+                                cache_path=cache_path, bit_limit=limit_bits)
     click.echo(emit(rows, fmt).decode(), nl=False)
     if skipped:
         for m, s, reason in skipped:

@@ -1,4 +1,4 @@
-"""Zero-divisor cup-length of (RP^m)^s: certified search and explicit witnesses.
+"""Zero-divisor cup-length of (RP^m)^s: exact knapsack DP and explicit witnesses.
 
 The cup-length zcl is the maximal number of zero-divisors with nonzero
 product.  Since the zero-divisor ideal is generated by the degree-1 elements
@@ -20,21 +20,46 @@ every j_i <= m and the residue sum <= m.  By the parity constraint the
 admissible residues b_i - j_i are exactly the binary submasks of b_i, so the
 word is nonzero iff the per-coordinate minimal residues sum to at most m.
 The full ring product is kept as an independent oracle (verify_witness).
+
+Because the criterion is additive, the longest nonzero word is a
+multiple-choice knapsack (Kellerer-Pferschy-Pisinger, Knapsack Problems,
+ch. 11): s-1 positions, each taking an exponent b of weight f(b) (its
+minimal residue) against the capacity m.  zcl_exact solves it by dynamic
+programming over (positions, residue budget) in polynomial time; the DP
+size is capped up front (MAX_DP_CELLS), never part-way through.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InvariantViolationError, UndeterminedError
 from .parity import trailing_ones
 from .ring import get_ring, monomial_to_text, rank
 
-DEFAULT_SEARCH_BUDGET = 5_000_000
-"""Candidate-word cap for one zcl_exact call; exceeding it raises
-UndeterminedError rather than ever returning an uncertified number."""
+MAX_DP_CELLS = 1 << 20
+"""Cap on the DP size of one (m, s): see _check_cells."""
+
+
+def _check_cells(m: int, s: int) -> None:
+    """Raise unless m >= 1, s >= 2 and the DP of (m, s) fits MAX_DP_CELLS.
+
+    The DP size is (s-1) positions x (m+1) residue budgets x a bound on the
+    items: only exponents m <= b < 2^L, L = m.bit_length(), can be items,
+    since a b of 2^L or more needs a residue containing bit L, which
+    exceeds m.  It bounds both the table work and the witness rebuild,
+    which is linear in s, and it is computed from (m, s) alone, so a shape
+    over the cap raises UndeterminedError before any work.
+    """
+    if m < 1 or s < 2:
+        raise ValueError("need m >= 1 and s >= 2")
+    cells = (s - 1) * (m + 1) * ((1 << m.bit_length()) - m)
+    if cells > MAX_DP_CELLS:
+        raise UndeterminedError(
+            f"zcl({m},{s}): the DP needs {cells} cells, over the cap of "
+            f"{MAX_DP_CELLS}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -45,20 +70,54 @@ def _min_residues(m: int) -> tuple[int, ...]:
     the factor's exponent on its own variable, capped at m.  A factor power
     with v > 2m has every admissible residue > m and kills the product,
     hence the 2m cap on word exponents.
+
+    For v > m the answer is the least submask of v that is >= t = v - m:
+    t itself when t is a submask of v.  Otherwise let h be the highest bit
+    t has and v lacks, and i the lowest bit above h that v has and t lacks
+    (one exists because v > t): keep t's bits above i, set bit i and clear
+    the rest.
     """
-    out = []
-    for v in range(2 * m + 1):
-        if v <= m:
-            out.append(0)
+    out = [0] * (m + 1)
+    for v in range(m + 1, 2 * m + 1):
+        t = v - m
+        missing = t & ~v
+        if not missing:
+            out.append(t)
             continue
-        best = v
-        sub = v
-        while sub:
-            sub = (sub - 1) & v
-            if v - sub <= m and sub < best:
-                best = sub
-        out.append(best)
+        free = v & ~t & -(1 << missing.bit_length())
+        low = free & -free
+        out.append((t & -(low << 1)) | low)
     return tuple(out)
+
+
+def _gain_rows(m: int, parts: int) -> list[list[int]]:
+    """Rows H[0], H[1], ... of the knapsack table, each indexed by r = 0..m.
+
+    H[p][r] is the largest sum of b_i - m over p word exponents whose
+    residues sum to at most r.  The items are, per residue value, the
+    largest exponent b > m with that residue, less the ones a larger b of
+    no larger residue beats; the residue-0 item b = m adds nothing, so each
+    row starts as a copy of the one before.  The rows stop at p = parts or
+    at the first row equal to its predecessor: every row comes from the one
+    before by the same step, so from there on they repeat, and H[p] is the
+    last row for every p beyond the list.
+    """
+    f = _min_residues(m)
+    items, least = [], m + 1
+    for b in range(2 * m, m, -1):
+        if f[b] < least:
+            least = f[b]
+            items.append((f[b], b - m))
+    rows = [[0] * (m + 1)]
+    while len(rows) <= parts:
+        prev = rows[-1]
+        row = prev[:]
+        for r, gain in items:
+            row[r:] = map(max, row[r:], [gain + x for x in prev[:m + 1 - r]])
+        if row == prev:
+            break
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -151,8 +210,8 @@ class ZclResult:
     """A zcl value with its provenance and certifying witness.
 
     method "exact" asserts both directions: the witness product is nonzero
-    and the completed search found no longer nonzero word.  A lower-bound
-    method asserts only the witness.
+    and the DP found no longer nonzero word.  A lower-bound method asserts
+    only the witness.
     """
 
     m: int
@@ -175,46 +234,41 @@ class ZclResult:
         return self.method == "exact"
 
 
-def _sorted_words(total: int, parts: int, cap: int,
-                  floor: int = 0) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing tuples with the given sum, entries in [floor, cap],
-    in ascending lexicographic order."""
-    if parts == 1:
-        if floor <= total <= cap:
-            yield (total,)
-        return
-    for v in range(max(floor, total - cap * (parts - 1)), total // parts + 1):
-        for rest in _sorted_words(total - v, parts - 1, cap, v):
-            yield (v,) + rest
+def zcl_exact(m: int, s: int) -> ZclResult:
+    """Exact zero-divisor cup-length by a residue knapsack DP.
 
-
-def zcl_exact(m: int, s: int, *,
-              max_candidates: int = DEFAULT_SEARCH_BUDGET) -> ZclResult:
-    """Exact zero-divisor cup-length by descending certified search.
-
-    Word lengths descend from s*m; within one length the sorted exponent
-    vectors are enumerated lexicographically (the criterion is symmetric in
-    the coordinates, so sorted words lose nothing).  The first nonzero word
-    is returned, making the witness the lexicographically smallest sorted
-    one of maximal length.  Exceeding max_candidates raises
-    UndeterminedError; no best-effort value is ever reported as exact.
+    The value is the longest word: (s-1)*m + H[s-1][m] (see _gain_rows).
+    The witness is rebuilt position by position as the lexicographically
+    smallest sorted word of that length: each position takes the least
+    exponent v that still leaves an optimal completion of the rest, i.e.
+    f(v) fits the residue budget and v plus the best completion equals the
+    length still to place.  Such a v is never below the previous one, since
+    an optimal word with a smaller entry would have put it first.  The
+    certificate comes from one word_nonzero call on the finished word, so
+    the DP is checked against the criterion it optimizes.  A shape over
+    MAX_DP_CELLS raises UndeterminedError before any work.
     """
-    if m < 1 or s < 2:
-        raise ValueError("need m >= 1 and s >= 2")
-    checked = 0
-    for k in range(s * m, -1, -1):
-        for b in _sorted_words(k, s - 1, 2 * m):
-            checked += 1
-            if checked > max_candidates:
-                raise UndeterminedError(
-                    f"zcl({m},{s}): candidate budget {max_candidates} exhausted "
-                    f"at word length {k}")
-            ok, certificate = word_nonzero(m, s, b)
-            if ok:
-                factors = tuple((i + 1, s, e) for i, e in enumerate(b) if e)
-                witness = Witness(m, s, factors, certificate)
-                return ZclResult(m, s, k, "exact", witness)
-    raise InvariantViolationError(f"zcl({m},{s}): no nonzero word found at all")
+    _check_cells(m, s)
+    f = _min_residues(m)
+    rows = _gain_rows(m, s - 1)
+
+    def longest(parts: int, budget: int) -> int:
+        return parts * m + rows[min(parts, len(rows) - 1)][budget]
+
+    value = longest(s - 1, m)
+    word, v, budget, remaining = [], 0, m, value
+    for parts in range(s - 2, -1, -1):
+        while f[v] > budget or v + longest(parts, budget - f[v]) != remaining:
+            v += 1
+        word.append(v)
+        budget -= f[v]
+        remaining -= v
+    ok, certificate = word_nonzero(m, s, word)
+    if not ok:
+        raise InvariantViolationError(
+            f"zcl({m},{s}): the DP word {word} is zero; this is a bug")
+    factors = tuple((i + 1, s, e) for i, e in enumerate(word) if e)
+    return ZclResult(m, s, value, "exact", Witness(m, s, factors, certificate))
 
 
 def verify_witness(w: Witness, *, bit_limit: int | None = None) -> bool:
@@ -312,20 +366,25 @@ class GapProbe:
                 "reached_stable": self.reached_stable}
 
 
-def g_stabilization_probe(m: int, s_max: int, *,
-                          max_candidates: int = DEFAULT_SEARCH_BUDGET) -> GapProbe:
-    """Exact gap sequence over s = 2..s_max with monotonicity asserted."""
+def g_stabilization_probe(m: int, s_max: int) -> GapProbe:
+    """Exact gap sequence over s = 2..s_max from one DP pass, with
+    monotonicity asserted.
+
+    zcl(m, s) = (s-1)*m + H[s-1][m] for every s at once, since the rows of
+    _gain_rows for s_max also serve every smaller s.
+    """
     if s_max < 2:
         raise ValueError("need s_max >= 2")
-    results = [zcl_exact(m, s, max_candidates=max_candidates)
-               for s in range(2, s_max + 1)]
-    gs = tuple(r.g for r in results)
+    _check_cells(m, s_max)
+    rows = _gain_rows(m, s_max - 1)
+    gs = tuple(m - rows[min(s - 1, len(rows) - 1)][m]
+               for s in range(2, s_max + 1))
     for a, b in zip(gs, gs[1:]):
         if b > a:
             raise InvariantViolationError(
                 f"gap sequence for m={m} increased: {gs}; this is a bug")
-    if gs and gs[-1] < 0:
+    if gs[-1] < 0:
         raise InvariantViolationError(f"negative gap for m={m}: {gs}")
     stable = (1 << trailing_ones(m)) - 1
-    return GapProbe(m, s_max, tuple(r.value for r in results), gs,
-                    stable, bool(gs) and gs[-1] == stable)
+    zcls = tuple(s * m - g for s, g in zip(range(2, s_max + 1), gs))
+    return GapProbe(m, s_max, zcls, gs, stable, gs[-1] == stable)

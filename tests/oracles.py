@@ -3,12 +3,16 @@
 Deliberately naive: polynomials are sets of exponent tuples, products are
 formed pairwise with explicit truncation, and the cup-length brute force
 enumerates arbitrary kernel elements.  Nothing here shares code with the
-bit-packed implementation under test.
+bit-packed implementation under test.  The exceptions are the zcl
+enumerator and the textbook knapsack below, which check the knapsack DP
+against the word criterion it optimizes, and the residue table, which
+checks the residue formula against the submask definition.
 """
 
 from __future__ import annotations
 
-from zclrp import RingSpec, get_ring, kernel_basis, rank
+from zclrp import (RingSpec, Witness, ZclResult, get_ring, kernel_basis, rank,
+                   word_nonzero)
 
 
 def poly_to_set(p):
@@ -91,3 +95,52 @@ def brute_force_zcl(m, s):
 
     extend(ring.one, 0, 0)
     return best
+
+
+def min_residues_by_submasks(m):
+    """For v = 0..2m: the least submask r of v with v - r <= m, by trying
+    every submask."""
+    out = []
+    for v in range(2 * m + 1):
+        out.append(min(r for r in range(v + 1)
+                       if r & v == r and v - r <= m))
+    return tuple(out)
+
+
+def _sorted_words(total, parts, cap, floor=0):
+    """Nondecreasing tuples with the given sum, entries in [floor, cap],
+    in ascending lexicographic order."""
+    if parts == 1:
+        if floor <= total <= cap:
+            yield (total,)
+        return
+    for v in range(max(floor, total - cap * (parts - 1)), total // parts + 1):
+        for rest in _sorted_words(total - v, parts - 1, cap, v):
+            yield (v,) + rest
+
+
+def enumerate_zcl(m, s):
+    """zcl by descending search: word lengths from s*m down, sorted words
+    in ascending lexicographic order within a length, first nonzero word
+    wins.  Its witness is the lexicographically smallest sorted word of
+    maximal length.  Exponential in s; for small shapes only."""
+    for k in range(s * m, -1, -1):
+        for b in _sorted_words(k, s - 1, 2 * m):
+            ok, certificate = word_nonzero(m, s, b)
+            if ok:
+                factors = tuple((i + 1, s, e) for i, e in enumerate(b) if e)
+                return ZclResult(m, s, k, "exact",
+                                 Witness(m, s, factors, certificate))
+    raise AssertionError(f"no nonzero word at ({m},{s})")
+
+
+def knapsack_zcl(m, s):
+    """zcl by the textbook knapsack table: best[r] over every exponent
+    0..2m at each of the s-1 positions, with no item pruning, no early
+    stop and no shift by m."""
+    f = min_residues_by_submasks(m)
+    best = [0] * (m + 1)
+    for _ in range(s - 1):
+        best = [max(v + best[r - f[v]] for v in range(2 * m + 1) if f[v] <= r)
+                for r in range(m + 1)]
+    return best[m]

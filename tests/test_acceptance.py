@@ -11,8 +11,8 @@ from click.testing import CliRunner
 
 from zclrp import (RingSpec, build_row, explicit_witness,
                    g_stabilization_probe, get_ring, rank, sample_report,
-                   trailing_ones, verify_generators_lemma, verify_witness,
-                   word_nonzero, zcl_exact)
+                   sigma_of, trailing_ones, verify_generators_lemma,
+                   verify_witness, word_nonzero, z_of, zcl_exact)
 from zclrp.cli import main as cli_main
 
 from oracles import brute_force_zcl
@@ -158,3 +158,44 @@ def test_10_report_chain_consistency():
             assert row["zcl"] <= row["known_tc"] <= row["upper"], row
     _announce(10, f"all 28 rows of report 1..7 x 2..5 satisfy "
                   f"zcl <= TC <= s*m ({time.perf_counter() - t0:.2f}s)")
+
+
+# The paper's claims over a wide grid: one probe per m gives every s at once.
+WIDE_M = range(1, 130)
+WIDE_S_MAX = 39
+
+
+def _wide_probes():
+    return {m: g_stabilization_probe(m, WIDE_S_MAX) for m in WIDE_M}
+
+
+def test_11_stable_gap_wide_grid():
+    t0 = time.perf_counter()
+    checks = 0
+    for m, probe in _wide_probes().items():
+        stable = (1 << trailing_ones(m)) - 1
+        sigma = sigma_of(m) or 2          # m = 2^e - 1 is stable from s = 2
+        for s in range(sigma, WIDE_S_MAX + 1):
+            assert probe.g_values[s - 2] == stable, (m, s)
+            checks += 1
+    assert checks == 1692
+    _announce(11, f"gap s*m - zcl = 2^e - 1 for all sigma <= s <= "
+                  f"{WIDE_S_MAX}, m <= {WIDE_M[-1]}: {checks} shapes "
+                  f"({time.perf_counter() - t0:.2f}s)")
+
+
+def test_12_two_factor_formula_wide_grid():
+    t0 = time.perf_counter()
+    for m, probe in _wide_probes().items():
+        assert probe.zcl_values[0] == (1 << z_of(m)) - 1, m
+    _announce(12, f"zcl(m,2) = 2^z - 1 for m <= {WIDE_M[-1]} "
+                  f"({time.perf_counter() - t0:.2f}s)")
+
+
+def test_13_gap_nonincreasing_wide_grid():
+    t0 = time.perf_counter()
+    for m, probe in _wide_probes().items():
+        gs = probe.g_values
+        assert all(a >= b >= 0 for a, b in zip(gs, gs[1:])), (m, gs)
+    _announce(13, f"gap sequences over s = 2..{WIDE_S_MAX} nonincreasing for "
+                  f"m <= {WIDE_M[-1]} ({time.perf_counter() - t0:.2f}s)")

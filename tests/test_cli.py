@@ -1,5 +1,7 @@
 import json
+import time
 
+import pytest
 from click.testing import CliRunner
 
 from zclrp.cli import main
@@ -27,8 +29,51 @@ def test_zcl_exact():
 
 
 def test_zcl_exact_budget_exit_code():
-    result = run("zcl", "exact", "--m", "5", "--s", "3", "--max-candidates", "1")
+    # the DP cell cap is checked before any work, so a huge shape exits at once
+    t0 = time.perf_counter()
+    result = run("zcl", "exact", "--m", "1000000", "--s", "1000")
+    assert time.perf_counter() - t0 < 0.1
     assert result.exit_code == 2
+    assert result.stderr.startswith("undetermined:") and "cap" in result.stderr
+    assert run("zcl", "probe", "--m", "1000000", "--s-max", "1000").exit_code == 2
+
+
+def test_zcl_exact_large_shapes():
+    # shapes a word enumeration could not finish
+    for m, s, zcl, g in [(31, 8, 217, 31), (11, 12, 129, 3), (45, 8, 359, 1)]:
+        result = run("zcl", "exact", "--m", str(m), "--s", str(s))
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert (payload["zcl"], payload["g"]) == (zcl, g), (m, s)
+    probe = run("zcl", "probe", "--m", "45", "--s-max", "12")
+    assert probe.exit_code == 0
+    assert json.loads(probe.output)["g"] == [27, 9, 7, 5, 3, 1, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("args", [
+    ("profile", "--m", "0"),
+    ("zcl", "exact", "--m", "0", "--s", "3"),
+    ("zcl", "exact", "--m", "3", "--s", "1"),
+    ("zcl", "witness", "--m", "0", "--s", "3"),
+    ("zcl", "witness", "--m", "3", "--s", "1"),
+    ("zcl", "probe", "--m", "0", "--s-max", "3"),
+    ("zcl", "probe", "--m", "3", "--s-max", "1"),
+    ("verify", "generators", "--m", "0", "--s", "3"),
+    ("verify", "generators", "--m", "2", "--s", "1"),
+    ("verify", "generators", "--m", "2", "--s", "3", "--max-degree", "0"),
+    ("verify", "join", "--s", "1", "--k", "2"),
+    ("verify", "join", "--s", "3", "--k", "-1"),
+    ("verify", "join", "--s", "3", "--k", "2", "--samples", "0"),
+    ("report", "--m-range", "0..2", "--s-range", "2..3"),
+    ("report", "--m-range", "1..2", "--s-range", "1..3"),
+])
+def test_bad_input_exit_code(args):
+    result = run(*args)
+    assert result.exit_code == 64
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("bad input: ")
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_zcl_witness():

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zclrp import (GeneratorWord, UndeterminedError, Witness, embed,
                    explicit_witness, g_stabilization_probe, g_value, get_ring,
                    verify_witness, word_nonzero, z_of, zcl_exact)
+from zclrp import cuplength
 
-from oracles import brute_force_zcl
+from oracles import (brute_force_zcl, enumerate_zcl, knapsack_zcl,
+                     min_residues_by_submasks)
 
 
 def ring_word_product(m, s, exponents):
@@ -114,9 +117,58 @@ def test_zcl_lower_bound_and_strictness():
                 assert v > (s - 1) * m, (m, s)
 
 
-def test_zcl_budget_exhaustion():
-    with pytest.raises(UndeterminedError):
-        zcl_exact(5, 3, max_candidates=2)
+def test_zcl_budget_exhaustion(monkeypatch):
+    # the DP cell cap is checked from (m, s) alone, before any table is built
+    def no_work(m):
+        raise AssertionError("residue table built for a shape over the cap")
+
+    monkeypatch.setattr(cuplength, "_min_residues", no_work)
+    with pytest.raises(UndeterminedError, match="cap"):
+        zcl_exact(1_000_000, 1000)
+    with pytest.raises(UndeterminedError, match="cap"):
+        g_stabilization_probe(1_000_000, 1000)
+    with pytest.raises(UndeterminedError, match="cap"):
+        zcl_exact(1, cuplength.MAX_DP_CELLS)     # the witness alone is linear in s
+
+
+def test_min_residues_match_submask_definition():
+    for m in range(1, 130):
+        assert cuplength._min_residues(m) == min_residues_by_submasks(m), m
+
+
+def test_dp_matches_enumerator_oracle():
+    # the whole result, witness included: the DP rebuilds the enumerator's
+    # lexicographically smallest sorted word of maximal length
+    for m in range(1, 17):
+        for s in range(2, 7):
+            assert zcl_exact(m, s) == enumerate_zcl(m, s), (m, s)
+
+
+def test_dp_matches_textbook_knapsack():
+    # beyond the enumerator's reach: checks the item pruning, the early stop
+    # and the shift by m against the plain table over every exponent
+    for m in range(1, 97):
+        for s in (3, 5, 9):
+            result = zcl_exact(m, s)
+            assert result.value == knapsack_zcl(m, s), (m, s)
+            word = [e for _, _, e in result.witness.factors]
+            assert word == sorted(word) and sum(word) == result.value, (m, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 40), s=st.integers(2, 4))
+def test_dp_matches_enumerator_property(m, s):
+    assert zcl_exact(m, s) == enumerate_zcl(m, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 100), s=st.integers(2, 12))
+def test_no_nonzero_word_is_longer_than_zcl(data, m, s):
+    # words drawn near the top of [0, 2m], where long nonzero words live
+    word = data.draw(st.lists(st.integers(m // 2, 2 * m),
+                              min_size=s - 1, max_size=s - 1))
+    if sum(word) <= s * m and word_nonzero(m, s, word)[0]:
+        assert sum(word) <= zcl_exact(m, s).value
 
 
 def test_zcl_input_validation():
