@@ -1,9 +1,8 @@
-"""Pure-Python compute kernels.
+"""The ring kernel: truncated GF(2) products on Python ints.
 
-Bit vectors are plain Python ints: bit r is the basis monomial of rank r,
-rows of an F2 matrix are ints with bit c for column c.  The compiled twin in
-``_fast.pyx`` implements the same contracts on machine words; the two must
-produce identical outputs (covered by the kernel equivalence tests).
+Bit vectors are plain Python ints: bit r is the basis monomial of rank r.
+This pure-Python kernel is the only one; ``BACKEND_NAME`` names it in
+``zclrp --version`` and in benchmark provenance.
 """
 
 from __future__ import annotations
@@ -90,27 +89,3 @@ class RingKernel:
             out |= 1 << (2 * (low.bit_length() - 1))
         return out
 
-
-def rref(rows: list[int], width: int) -> list[int]:
-    """Reduced row echelon form over F2.
-
-    The pivot of a row is its lowest set bit (column order 0, 1, 2, ...).
-    Returns the nonzero rows sorted by pivot column; this form is unique, so
-    two lists of rows span the same subspace iff their rrefs are equal.
-    """
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            c = (row & -row).bit_length() - 1
-            if c in pivots:
-                row ^= pivots[c]
-            else:
-                pivots[c] = row
-                break
-    # Back-substitution, highest pivot first so cleared columns stay cleared.
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for c2 in pivots:
-            if c2 != c and (pivots[c2] >> c) & 1:
-                pivots[c2] ^= row
-    return [pivots[c] for c in sorted(pivots)]

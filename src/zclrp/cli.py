@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 invariant violation (an internal certified check
 failed, i.e. a bug), 2 undetermined (a resource cap was hit before the
-answer was certified), 64 bad input (an option value out of range, such as
---m 0; one line on stderr).  Usage errors that click itself reports, such
-as a missing option or a non-integer value, exit 2.
+answer was certified), 64 bad input: an option value out of range, such as
+--m 0, with one line on stderr, or a usage error that click reports itself,
+such as a missing option, a non-integer value or an unknown subcommand,
+with click's usage message on stderr.  --help and --version exit 0.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import sys
@@ -44,6 +46,28 @@ def _guarded(fn):
     return wrapper
 
 
+@contextlib.contextmanager
+def _usage_errors_exit_usage():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EX_USAGE
+        raise
+
+
+class _Cli(click.Group):
+    """The root group.  Every command is parsed and run inside its
+    make_context and invoke, so click's usage errors exit EX_USAGE, not 2."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors_exit_usage():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors_exit_usage():
+            return super().invoke(ctx)
+
+
 def _at_least(option: str, value: int, low: int) -> None:
     """Exit EX_USAGE with a one-line message when an option is below low."""
     if value < low:
@@ -76,7 +100,7 @@ def _zcl_payload(result: ZclResult, elapsed_ms: float) -> dict:
             "elapsed_ms": round(elapsed_ms, 3)}
 
 
-@click.group()
+@click.group(cls=_Cli)
 @click.version_option(version=__version__, message=f"%(prog)s %(version)s ({BACKEND_NAME} kernel)")
 def main():
     """Zero-divisor cup-lengths of (RP^m)^s and TC_s bound tables."""

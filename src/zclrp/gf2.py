@@ -1,32 +1,30 @@
-"""F2 linear algebra on int-packed row vectors (bit c of a row = column c).
-
-Thin layer over the active kernel's row reduction.
-"""
+"""F2 linear algebra on int-packed row vectors (bit c of a row = column c)."""
 
 from __future__ import annotations
 
-from ._kernels import rref
-
-__all__ = ["rref", "nullspace", "pivot_of"]
+__all__ = ["rref"]
 
 
-def pivot_of(row: int) -> int:
-    """Column of the lowest set bit."""
-    return (row & -row).bit_length() - 1
+def rref(rows: list[int]) -> list[int]:
+    """Reduced row echelon form over F2.
 
-
-def nullspace(rows: list[int], width: int) -> list[int]:
-    """Canonical (rref) basis of {v : M v = 0} for the matrix with the given rows."""
-    reduced = rref(rows, width)
-    pivots = [pivot_of(r) for r in reduced]
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for p, row in zip(pivots, reduced):
-            if (row >> free) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return rref(basis, width)
+    The pivot of a row is its lowest set bit (column order 0, 1, 2, ...).
+    Returns the nonzero rows sorted by pivot column; this form is unique, so
+    two lists of rows span the same subspace iff their rrefs are equal.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            c = (row & -row).bit_length() - 1
+            if c in pivots:
+                row ^= pivots[c]
+            else:
+                pivots[c] = row
+                break
+    # Back-substitution, highest pivot first so cleared columns stay cleared.
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for c2 in pivots:
+            if c2 != c and (pivots[c2] >> c) & 1:
+                pivots[c2] ^= row
+    return [pivots[c] for c in sorted(pivots)]

@@ -7,8 +7,9 @@ significant -- and a polynomial is the dense bit vector over ranks, held as
 a Python int.  All values are immutable; operations are pure functions and
 safe to call from multiple threads.
 
-Rings above the configured basis-size cap are rejected at construction.  The
-cap bounds memory for the dense representation only; it has no mathematical
+Products and squares run in the pure-Python kernel of ``_kernels``.  Rings
+above the configured basis-size cap are rejected at construction.  The cap
+bounds memory for the dense representation only; it has no mathematical
 meaning.
 """
 

@@ -2,17 +2,17 @@
 
 An element is a zero-divisor when it dies under the substitution
 x_i -> x into F2[x]/(x^(m+1)).  The ideal is generated by the degree-1
-elements x_i + x_s (1 <= i <= s-1); this module computes per-degree bases of
-both the substitution kernel and of the span of generator multiples, and
-checks that they agree -- a linear-algebra fact the rest of the package
-leans on.
+elements x_i + x_s (1 <= i <= s-1); this module gives per-degree bases of
+the substitution kernel (in closed form) and of the span of generator
+multiples (by F2 row reduction), and checks that they agree -- a
+linear-algebra fact the rest of the package leans on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import nullspace, rref
+from .gf2 import rref
 from .ring import Poly, Ring, RingSpec, get_ring, poly_to_text
 
 
@@ -81,18 +81,22 @@ class SubspaceBasis:
 
 
 def kernel_basis(spec: RingSpec, degree: int) -> SubspaceBasis:
-    """Basis of the degree-d zero-divisors, as the substitution nullspace.
+    """Basis of the degree-d zero-divisors, in closed form.
 
-    Every monomial of total degree d substitutes to x^d, so the matrix of
-    the substitution on the slice is a single all-ones row for d <= m and
-    empty for d > m.
+    Every monomial of total degree d substitutes to x^d, which survives for
+    d <= m and dies for d > m.  So for d <= m the zero-divisors of the slice
+    are its even-weight vectors, whose rref basis is e_c + e_(n-1) for
+    c = 0..n-2 (n the slice dimension), and for d > m the kernel is the
+    whole slice, with the unit vectors as its rref basis.
     """
     sl = degree_slice(spec, degree)
+    n = sl.dimension
     if degree <= spec.m:
-        matrix = [(1 << sl.dimension) - 1] if sl.dimension else []
+        last = 1 << (n - 1)
+        rows = tuple((1 << c) | last for c in range(n - 1))
     else:
-        matrix = []
-    return SubspaceBasis(sl, tuple(nullspace(matrix, sl.dimension)))
+        rows = tuple(1 << c for c in range(n))
+    return SubspaceBasis(sl, rows)
 
 
 def ideal_degree_basis(spec: RingSpec, degree: int) -> SubspaceBasis:
@@ -112,7 +116,7 @@ def ideal_degree_basis(spec: RingSpec, degree: int) -> SubspaceBasis:
                 row |= 1 << position[r]
             if row:
                 rows.append(row)
-    return SubspaceBasis(sl, tuple(rref(rows, sl.dimension)))
+    return SubspaceBasis(sl, tuple(rref(rows)))
 
 
 @dataclass(frozen=True)

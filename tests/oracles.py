@@ -5,14 +5,16 @@ formed pairwise with explicit truncation, and the cup-length brute force
 enumerates arbitrary kernel elements.  Nothing here shares code with the
 bit-packed implementation under test.  The exceptions are the zcl
 enumerator and the textbook knapsack below, which check the knapsack DP
-against the word criterion it optimizes, and the residue table, which
-checks the residue formula against the submask definition.
+against the word criterion it optimizes, the residue table, which checks
+the residue formula against the submask definition, and the F2 nullspace,
+which derives kernel bases by row reduction for the closed form to match.
 """
 
 from __future__ import annotations
 
-from zclrp import (RingSpec, Witness, ZclResult, get_ring, kernel_basis, rank,
-                   word_nonzero)
+from zclrp import (RingSpec, Witness, ZclResult, degree_slice, get_ring,
+                   kernel_basis, rank, word_nonzero)
+from zclrp.gf2 import rref
 
 
 def poly_to_set(p):
@@ -144,3 +146,35 @@ def knapsack_zcl(m, s):
         best = [max(v + best[r - f[v]] for v in range(2 * m + 1) if f[v] <= r)
                 for r in range(m + 1)]
     return best[m]
+
+
+def pivot_of(row):
+    """Column of the lowest set bit."""
+    return (row & -row).bit_length() - 1
+
+
+def nullspace(rows, width):
+    """Canonical (rref) basis of {v : M v = 0} for the matrix with the given
+    rows, by back-substituting each free column into the reduced rows."""
+    reduced = rref(rows)
+    pivots = [pivot_of(r) for r in reduced]
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(width):
+        if free in pivot_set:
+            continue
+        v = 1 << free
+        for p, row in zip(pivots, reduced):
+            if (row >> free) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return rref(basis)
+
+
+def kernel_rows_by_nullspace(spec, degree):
+    """Rref rows of the degree-d zero-divisors as the nullspace of the
+    substitution matrix on the slice: one all-ones row for d <= m, none
+    above."""
+    n = degree_slice(spec, degree).dimension
+    matrix = [(1 << n) - 1] if degree <= spec.m else []
+    return tuple(nullspace(matrix, n))

@@ -50,6 +50,14 @@ def test_zcl_exact_large_shapes():
     assert json.loads(probe.output)["g"] == [27, 9, 7, 5, 3, 1, 1, 1, 1, 1, 1]
 
 
+CLICK_USAGE_ERRORS = [
+    ("zcl", "exact", "--m", "x", "--s", "3"),
+    ("zcl", "exact", "--m", "3"),
+    ("report", "--m-range", "x", "--s-range", "2..3"),
+    ("nosuchcommand",),
+]
+
+
 @pytest.mark.parametrize("args", [
     ("profile", "--m", "0"),
     ("zcl", "exact", "--m", "0", "--s", "3"),
@@ -66,14 +74,28 @@ def test_zcl_exact_large_shapes():
     ("verify", "join", "--s", "3", "--k", "2", "--samples", "0"),
     ("report", "--m-range", "0..2", "--s-range", "2..3"),
     ("report", "--m-range", "1..2", "--s-range", "1..3"),
+    *CLICK_USAGE_ERRORS,
 ])
 def test_bad_input_exit_code(args):
     result = run(*args)
     assert result.exit_code == 64
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stdout == ""
-    assert result.stderr.startswith("bad input: ")
-    assert len(result.stderr.splitlines()) == 1
+    lines = result.stderr.splitlines()
+    if args in CLICK_USAGE_ERRORS:
+        assert lines[0].startswith("Usage: ") and lines[-1].startswith("Error: ")
+    else:
+        assert result.stderr.startswith("bad input: ")
+        assert len(lines) == 1
+
+
+def test_help_and_version_exit_zero():
+    version = run("--version")
+    assert version.exit_code == 0
+    assert version.output.endswith(" (pure kernel)\n")
+    for args in [("--help",), ("zcl", "exact", "--help")]:
+        result = run(*args)
+        assert result.exit_code == 0 and result.output.startswith("Usage: ")
 
 
 def test_zcl_witness():
@@ -153,5 +175,5 @@ def test_report_with_cache(tmp_path):
 
 
 def test_report_bad_range():
-    assert run("report", "--m-range", "3..1", "--s-range", "2..3").exit_code != 0
-    assert run("report", "--m-range", "x", "--s-range", "2..3").exit_code != 0
+    assert run("report", "--m-range", "3..1", "--s-range", "2..3").exit_code == 64
+    assert run("report", "--m-range", "x", "--s-range", "2..3").exit_code == 64

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import kernel_rows_by_nullspace
 from zclrp import (RingSpec, degree_slice, even_summands_check, generator,
                    get_ring, ideal_degree_basis, is_zero_divisor,
                    kernel_basis, verify_generators_lemma)
@@ -63,6 +64,17 @@ def test_kernel_dimension_formula():
             ker = kernel_basis(spec, d)
             expected = degree_slice(spec, d).dimension - (1 if d <= m else 0)
             assert ker.dimension == expected, (m, s, d)
+
+
+def test_kernel_basis_matches_nullspace_oracle():
+    # every slice of every shape with (m+1)^s <= 2^12: 99 shapes
+    shapes = [(m, s) for s in range(2, 13) for m in range(1, 64)
+              if (m + 1) ** s <= 1 << 12]
+    for m, s in shapes:
+        spec = RingSpec(m, s)
+        for d in range(s * m + 1):
+            assert kernel_basis(spec, d).rows == \
+                kernel_rows_by_nullspace(spec, d), (m, s, d)
 
 
 def test_kernel_rows_are_zero_divisors():
