@@ -1,6 +1,8 @@
 """The ring kernel: truncated GF(2) products on Python ints.
 
 Bit vectors are plain Python ints: bit r is the basis monomial of rank r.
+The truncation masks a product needs are as wide as the ring, so each is
+tiled the first time a product reads it rather than when the kernel is made.
 This pure-Python kernel is the only one; ``BACKEND_NAME`` names it in
 ``zclrp --version`` and in benchmark provenance.
 """
@@ -21,6 +23,24 @@ def _tile(unit: int, period: int, reps: int) -> int:
     return out
 
 
+class _MaskRow(dict):
+    """The masks of one digit position i: c -> the ranks whose i-th digit is
+    <= c, tiled the first time c is looked up and kept from then on."""
+
+    __slots__ = ("block", "period", "reps")
+
+    def __init__(self, block: int, radix: int, size: int):
+        super().__init__()
+        self.block = block
+        self.period = block * radix
+        self.reps = size // self.period
+
+    def __missing__(self, c: int) -> int:
+        unit = (1 << ((c + 1) * self.block)) - 1
+        mask = self[c] = _tile(unit, self.period, self.reps)
+        return mask
+
+
 class RingKernel:
     """Product and squaring in F2[x_1..x_s]/(x_i^(m+1)) on rank-indexed bits.
 
@@ -30,6 +50,10 @@ class RingKernel:
     ranks whose i-th digit is <= c; the surviving block then shifts by the
     factor's rank, which adds digit vectors in mixed radix without carries
     (every digit sum is <= m by construction).
+
+    Each mask is as wide as the ring, and a product reads only the masks of
+    the digits its factors have, so masks are built on first use and kept
+    for the life of the kernel; building the kernel costs no tiling.
     """
 
     def __init__(self, m: int, s: int):
@@ -37,21 +61,9 @@ class RingKernel:
         self.s = s
         self.size = (m + 1) ** s
         radix = m + 1
-        masks = []
-        block = 1
-        for _ in range(s):
-            period = block * radix
-            row = []
-            for c in range(radix):
-                unit = (1 << ((c + 1) * block)) - 1
-                row.append(_tile(unit, period, self.size // period))
-            masks.append(tuple(row))
-            block = period
-        self.masks = tuple(masks)
-        sq = masks[0][m // 2]
-        for i in range(1, s):
-            sq &= masks[i][m // 2]
-        self._square_mask = sq
+        self.masks = tuple(_MaskRow(radix ** i, radix, self.size)
+                           for i in range(s))
+        self._square_mask: int | None = None
 
     def mul(self, a: int, b: int) -> int:
         if a.bit_count() > b.bit_count():
@@ -81,11 +93,16 @@ class RingKernel:
         # when every doubled digit still fits, i.e. on the square-mask ranks.
         # Doubling all digits doubles the mixed-radix rank, so M at rank r
         # lands at rank 2r.
-        a &= self._square_mask
+        sq = self._square_mask
+        if sq is None:
+            sq = -1
+            for row in self.masks:
+                sq &= row[self.m // 2]
+            self._square_mask = sq
+        a &= sq
         out = 0
         while a:
             low = a & -a
             a ^= low
             out |= 1 << (2 * (low.bit_length() - 1))
         return out
-

@@ -68,12 +68,16 @@ class _Cli(click.Group):
             return super().invoke(ctx)
 
 
+def _bad_input(message: str) -> None:
+    """Exit EX_USAGE with one line on stderr."""
+    click.echo(f"bad input: {message}", err=True)
+    sys.exit(EX_USAGE)
+
+
 def _at_least(option: str, value: int, low: int) -> None:
     """Exit EX_USAGE with a one-line message when an option is below low."""
     if value < low:
-        click.echo(f"bad input: {option} must be >= {low}, got {value}",
-                   err=True)
-        sys.exit(EX_USAGE)
+        _bad_input(f"{option} must be >= {low}, got {value}")
 
 
 def _echo_json(payload: dict) -> None:
@@ -146,6 +150,7 @@ def zcl_witness_cmd(m, s, limit_bits):
     """Closed-form lower-bound witness (no search); witness may be null."""
     _at_least("--m", m, 1)
     _at_least("--s", s, 2)
+    _at_least("--limit-bits", limit_bits, 1)
     t0 = time.perf_counter()
     w = explicit_witness(m, s, bit_limit=limit_bits)
     elapsed = (time.perf_counter() - t0) * 1000
@@ -187,6 +192,10 @@ def verify_generators_cmd(m, s, max_degree, limit_bits):
     _at_least("--s", s, 2)
     if max_degree is not None:
         _at_least("--max-degree", max_degree, 1)
+        if max_degree > s * m:
+            _bad_input(f"--max-degree must be <= s*m = {s * m}, "
+                       f"got {max_degree}")
+    _at_least("--limit-bits", limit_bits, 1)
     spec = RingSpec(m, s, limit_bits)
     checks = verify_generators_lemma(spec, max_degree)
     for check in checks:
@@ -233,6 +242,7 @@ def report(m_range, s_range, policy, fmt, cache_path, limit_bits):
     """
     _at_least("--m-range start", m_range[0], 1)
     _at_least("--s-range start", s_range[0], 2)
+    _at_least("--limit-bits", limit_bits, 1)
     rows, skipped = build_table(m_range, s_range, policy.replace("-", "_"),
                                 cache_path=cache_path, bit_limit=limit_bits)
     click.echo(emit(rows, fmt).decode(), nl=False)

@@ -11,8 +11,15 @@ def rref(rows: list[int]) -> list[int]:
     The pivot of a row is its lowest set bit (column order 0, 1, 2, ...).
     Returns the nonzero rows sorted by pivot column; this form is unique, so
     two lists of rows span the same subspace iff their rrefs are equal.
+
+    Back-substitution visits the pivots once, highest first, and clears a
+    row only at its own set bits in pivot columns above its pivot, each with
+    one XOR of an already reduced row.  It costs one XOR per such bit rather
+    than a test of every pivot pair, which is quadratic in the rank even
+    when, as for the ideal rows, each row has a few bits.
     """
     pivots: dict[int, int] = {}
+    pivot_mask = 0
     for row in rows:
         while row:
             c = (row & -row).bit_length() - 1
@@ -20,11 +27,15 @@ def rref(rows: list[int]) -> list[int]:
                 row ^= pivots[c]
             else:
                 pivots[c] = row
+                pivot_mask |= 1 << c
                 break
-    # Back-substitution, highest pivot first so cleared columns stay cleared.
-    for c in sorted(pivots, reverse=True):
+    order = sorted(pivots)
+    for c in reversed(order):
         row = pivots[c]
-        for c2 in pivots:
-            if c2 != c and (pivots[c2] >> c) & 1:
-                pivots[c2] ^= row
-    return [pivots[c] for c in sorted(pivots)]
+        hits = row & pivot_mask & -(2 << c)
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            row ^= pivots[low.bit_length() - 1]
+        pivots[c] = row
+    return [pivots[c] for c in order]

@@ -177,9 +177,9 @@ class UniPoly:
 class Ring:
     """Arithmetic context for one RingSpec.
 
-    Holds the per-spec kernel (truncation masks precomputed once) and lazy
-    degree tables.  Obtain instances through :func:`get_ring`, which caches
-    per (m, s).
+    Holds the per-spec kernel (each truncation mask built on the first
+    product that reads it, then kept) and lazy degree tables.  Obtain
+    instances through :func:`get_ring`, which caches per (m, s).
     """
 
     def __init__(self, spec: RingSpec):

@@ -6,8 +6,9 @@ enumerates arbitrary kernel elements.  Nothing here shares code with the
 bit-packed implementation under test.  The exceptions are the zcl
 enumerator and the textbook knapsack below, which check the knapsack DP
 against the word criterion it optimizes, the residue table, which checks
-the residue formula against the submask definition, and the F2 nullspace,
-which derives kernel bases by row reduction for the closed form to match.
+the residue formula against the submask definition, the F2 nullspace,
+which derives kernel bases by row reduction for the closed form to match,
+and the quadratic rref, which checks the sparse back-substitution.
 """
 
 from __future__ import annotations
@@ -146,6 +147,31 @@ def knapsack_zcl(m, s):
         best = [max(v + best[r - f[v]] for v in range(2 * m + 1) if f[v] <= r)
                 for r in range(m + 1)]
     return best[m]
+
+
+def rref_quadratic(rows: list[int]) -> list[int]:
+    """Reduced row echelon form over F2.
+
+    The pivot of a row is its lowest set bit (column order 0, 1, 2, ...).
+    Returns the nonzero rows sorted by pivot column; this form is unique, so
+    two lists of rows span the same subspace iff their rrefs are equal.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            c = (row & -row).bit_length() - 1
+            if c in pivots:
+                row ^= pivots[c]
+            else:
+                pivots[c] = row
+                break
+    # Back-substitution, highest pivot first so cleared columns stay cleared.
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for c2 in pivots:
+            if c2 != c and (pivots[c2] >> c) & 1:
+                pivots[c2] ^= row
+    return [pivots[c] for c in sorted(pivots)]
 
 
 def pivot_of(row):

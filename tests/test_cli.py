@@ -75,6 +75,14 @@ CLICK_USAGE_ERRORS = [
     ("report", "--m-range", "0..2", "--s-range", "2..3"),
     ("report", "--m-range", "1..2", "--s-range", "1..3"),
     *CLICK_USAGE_ERRORS,
+    ("verify", "generators", "--m", "2", "--s", "2", "--max-degree", "100"),
+    ("verify", "generators", "--m", "2", "--s", "2", "--max-degree", "5"),
+    ("zcl", "witness", "--m", "3", "--s", "3", "--limit-bits", "0"),
+    ("zcl", "witness", "--m", "3", "--s", "3", "--limit-bits", "-3"),
+    ("verify", "generators", "--m", "2", "--s", "2", "--limit-bits", "0"),
+    ("verify", "generators", "--m", "2", "--s", "2", "--limit-bits", "-3"),
+    ("report", "--m-range", "1..2", "--s-range", "2..3", "--limit-bits", "0"),
+    ("report", "--m-range", "1..2", "--s-range", "2..3", "--limit-bits", "-3"),
 ])
 def test_bad_input_exit_code(args):
     result = run(*args)
@@ -87,6 +95,17 @@ def test_bad_input_exit_code(args):
     else:
         assert result.stderr.startswith("bad input: ")
         assert len(lines) == 1
+
+
+def test_bad_input_messages():
+    result = run("verify", "generators", "--m", "2", "--s", "2",
+                 "--max-degree", "100")
+    assert result.stderr == "bad input: --max-degree must be <= s*m = 4, got 100\n"
+    result = run("zcl", "witness", "--m", "3", "--s", "3", "--limit-bits", "0")
+    assert result.stderr == "bad input: --limit-bits must be >= 1, got 0\n"
+    # the top degree itself is fine
+    top = run("verify", "generators", "--m", "2", "--s", "2", "--max-degree", "4")
+    assert top.exit_code == 0 and len(top.output.splitlines()) == 4
 
 
 def test_help_and_version_exit_zero():

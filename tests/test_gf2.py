@@ -1,9 +1,15 @@
-"""Row reduction over F2: canonical form, and the nullspace oracle built on it."""
+"""Row reduction over F2: canonical form, agreement with the quadratic
+oracle, and the nullspace oracle built on it."""
 
 import random
 
-from oracles import nullspace, pivot_of
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import nullspace, pivot_of, rref_quadratic
+from zclrp import RingSpec, zero_divisors
 from zclrp.gf2 import rref
+from zclrp.zero_divisors import ideal_degree_basis
 
 
 def test_rref_canonical_properties():
@@ -39,3 +45,31 @@ def test_nullspace_kills_matrix():
         for v in null:
             for row in rows:
                 assert (row & v).bit_count() % 2 == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), width=st.integers(1, 300))
+def test_rref_matches_quadratic_oracle_dense(data, width):
+    rows = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40))
+    assert rref(rows) == rref_quadratic(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), width=st.integers(1, 300))
+def test_rref_matches_quadratic_oracle_sparse(data, width):
+    # rows of 1-4 set bits, like the ideal rows M*x_i + M*x_s
+    column = st.integers(0, width - 1)
+    rows = data.draw(st.lists(
+        st.lists(column, min_size=1, max_size=4).map(
+            lambda cols: sum(1 << c for c in set(cols))),
+        max_size=200))
+    assert rref(rows) == rref_quadratic(rows)
+
+
+@pytest.mark.parametrize("m,s", [(2, 4), (3, 3), (4, 3)])
+def test_ideal_basis_matches_quadratic_oracle(monkeypatch, m, s):
+    spec = RingSpec(m, s)
+    got = [ideal_degree_basis(spec, d).rows for d in range(1, s * m + 1)]
+    monkeypatch.setattr(zero_divisors, "rref", rref_quadratic)
+    want = [ideal_degree_basis(spec, d).rows for d in range(1, s * m + 1)]
+    assert got == want

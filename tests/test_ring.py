@@ -7,6 +7,7 @@ from zclrp import (RingSpec, SizeLimitError, SpecMismatchError, embed,
                    get_ring, monomial_from_text, monomial_to_text,
                    poly_from_bytes, poly_from_text, poly_to_bytes,
                    poly_to_text, rank, unrank)
+from zclrp._kernels import RingKernel
 
 from oracles import naive_diagonal, naive_mul, naive_pow, poly_to_set, random_poly_set, set_to_poly
 
@@ -107,6 +108,59 @@ def test_frobenius_square_equals_generic_mul():
             # and the sum-of-squares identity against the oracle
             sq = naive_mul(m, poly_to_set(p), poly_to_set(p))
             assert poly_to_set(ring.square(p)) == sq
+
+
+# -- kernel truncation masks -----------------------------------------------------
+
+MASK_SHAPES = [(1, 2), (2, 3), (3, 2), (1, 4), (4, 3)]
+
+
+@pytest.mark.parametrize("m,s", MASK_SHAPES)
+def test_kernel_masks_match_definition(m, s):
+    spec = RingSpec(m, s)
+    digits = [unrank(spec, r) for r in range(spec.size)]
+    kernel = RingKernel(m, s)
+    for i in range(s):
+        for c in range(m + 1):
+            want = sum(1 << r for r, e in enumerate(digits) if e[i] <= c)
+            assert kernel.masks[i][c] == want, (i, c)
+    kernel.square(0)
+    assert kernel._square_mask == sum(
+        1 << r for r, e in enumerate(digits) if all(2 * x <= m for x in e))
+
+
+@pytest.mark.parametrize("m,s", MASK_SHAPES)
+def test_products_do_not_depend_on_mask_build_order(m, s):
+    ring = get_ring(m, s)
+    rng = random.Random(m * 10 + s)
+    pairs = [(random_poly_set(rng, m, s), random_poly_set(rng, m, s))
+             for _ in range(12)]
+    want = [naive_mul(m, a, b) for a, b in pairs]
+    squares = [naive_mul(m, a, a) for a, _ in pairs]
+    cells = [(i, c) for i in range(s) for c in range(m + 1)]
+    for trial in range(4):
+        kernel = RingKernel(m, s)
+        rng.shuffle(cells)
+        for i, c in cells[:rng.randint(0, len(cells))]:
+            kernel.masks[i][c]
+        order = list(range(len(pairs)))
+        rng.shuffle(order)
+        for k in order:
+            a, b = (set_to_poly(ring, p).bits for p in pairs[k])
+            if trial % 2:
+                assert poly_to_set(ring.poly(kernel.square(a))) == squares[k]
+            assert poly_to_set(ring.poly(kernel.mul(a, b))) == want[k]
+            assert poly_to_set(ring.poly(kernel.square(a))) == squares[k]
+
+
+def test_fresh_kernel_holds_no_mask():
+    kernel = RingKernel(13, 6)
+    assert all(len(row) == 0 for row in kernel.masks)
+    assert kernel._square_mask is None
+    x1, x2 = 1 << 1, 1 << 14            # ranks of x_1 and x_2
+    assert kernel.mul(x1, x2) == 1 << 15
+    assert [len(row) for row in kernel.masks] == [1, 0, 0, 0, 0, 0]
+    assert kernel._square_mask is None
 
 
 def test_grading():
