@@ -24,7 +24,7 @@ from .bounds import build_table, emit
 from .cuplength import (ZclResult, explicit_witness, g_stabilization_probe,
                         zcl_exact)
 from .errors import InvariantViolationError, SizeLimitError, UndeterminedError
-from .join_model import sample_report
+from .join_model import enough_samples, sample_report
 from .parity import two_adic_profile
 from .ring import DEFAULT_BIT_LIMIT, RingSpec
 from .zero_divisors import verify_generators_lemma
@@ -214,7 +214,10 @@ def verify_join_cmd(s, k, samples, seed):
     """Sampled component structure of U_j inside the stage-k join."""
     _at_least("--s", s, 2)
     _at_least("--k", k, 0)
-    _at_least("--samples", samples, 1)
+    if not enough_samples(s, samples):
+        # 2^(s-1) in digits while it is short enough to read
+        need = 1 << (s - 1) if s <= 64 else f"2^{s - 1}"
+        _bad_input(f"--samples must be >= 2^(s-1) = {need}, got {samples}")
     report = sample_report(s, k, samples=samples, seed=seed)
     _echo_json(report.as_dict())
     if not (report.transitive and report.segment_checks_passed == report.samples):

@@ -1,8 +1,9 @@
 """Barycentric model of the iterated join of the group (Z/2)^(s-1).
 
 A stage-k join point is a formal convex combination sum_l t_l g_l over
-levels l = 0..k with exact rational coordinates (t_j > 0 must never depend
-on float tolerance) and a group label at every positive level.  The group
+levels l = 0..k, stored as integer weights over a common denominator
+(t_l = weight_l / denom, so t_j > 0 is an integer compare and never depends
+on float tolerance), with a group label at every positive level.  The group
 acts diagonally on labels, preserving coordinates.  U_j denotes the open set
 {t_j > 0}; its connected components are indexed by the level-j label, and the
 label action is simply transitive on them.
@@ -10,11 +11,15 @@ label action is simply transitive on them.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-Entry = tuple[Fraction, "GroupElem | None"]
+if TYPE_CHECKING:  # annotation only: importing fractions costs start-up time
+    from fractions import Fraction
+
+Entry = tuple[int, "GroupElem | None"]
 
 
 @dataclass(frozen=True)
@@ -42,34 +47,44 @@ class GroupElem:
 
 @dataclass(frozen=True)
 class JoinPoint:
-    """Point of the stage-k join: k+1 entries (coordinate, label).
+    """Point of the stage-k join: k+1 entries (weight, label) over denom.
 
-    Coordinates are nonnegative Fractions summing to 1; the label is a
-    GroupElem exactly at positive coordinates and None elsewhere.
+    The coordinate at level l is weight_l / denom: weights are nonnegative
+    integers summing to the positive integer denom, reduced by their common
+    gcd so that equal points compare equal.  The label is a GroupElem exactly
+    at positive weights and None elsewhere.
     """
 
     k: int
     entries: tuple[Entry, ...]
+    denom: int = 1
 
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("need k >= 0")
         if len(self.entries) != self.k + 1:
             raise ValueError(f"expected {self.k + 1} entries, got {len(self.entries)}")
-        total = Fraction(0)
+        total = 0
         ranks = set()
-        for t, g in self.entries:
-            if t < 0:
+        for w, g in self.entries:
+            if not isinstance(w, int):
+                raise ValueError(f"weight {w!r} is not an integer")
+            if w < 0:
                 raise ValueError("negative barycentric coordinate")
-            if (t > 0) != (g is not None):
+            if (w > 0) != (g is not None):
                 raise ValueError("label must be present exactly at positive coordinates")
             if g is not None:
                 ranks.add(g.s)
-            total += t
-        if total != 1:
-            raise ValueError(f"coordinates sum to {total}, not 1")
+            total += w
+        if total != self.denom:
+            raise ValueError(f"coordinates sum to {total}/{self.denom}, not 1")
         if len(ranks) != 1:
             raise ValueError("labels must share one group rank")
+        common = math.gcd(self.denom, *(w for w, _ in self.entries))
+        if common > 1:
+            object.__setattr__(self, "entries", tuple(
+                (w // common, g) for w, g in self.entries))
+            object.__setattr__(self, "denom", self.denom // common)
 
     @property
     def s(self) -> int:
@@ -79,23 +94,29 @@ class JoinPoint:
         raise AssertionError("unreachable: some coordinate is positive")
 
 
-def join_point(k: int, parts: dict[int, tuple[Fraction, GroupElem]]) -> JoinPoint:
-    """Build a JoinPoint from its positive levels only."""
-    entries: list[Entry] = [(Fraction(0), None)] * (k + 1)
+def join_point(k: int, parts: dict[int, tuple[int | Fraction, GroupElem]]) -> JoinPoint:
+    """Build a JoinPoint from its positive levels only.
+
+    Coordinates are ints or Fractions, read through .numerator and
+    .denominator and scaled to integer weights over their least common
+    denominator.
+    """
+    denom = math.lcm(*(t.denominator for t, _ in parts.values()))
+    entries: list[Entry] = [(0, None)] * (k + 1)
     for level, (t, g) in parts.items():
-        entries[level] = (t, g)
-    return JoinPoint(k, tuple(entries))
+        entries[level] = (t.numerator * (denom // t.denominator), g)
+    return JoinPoint(k, tuple(entries), denom)
 
 
 def vertex(k: int, level: int, g: GroupElem) -> JoinPoint:
     """The vertex point with all weight at one level."""
-    return join_point(k, {level: (Fraction(1), g)})
+    return join_point(k, {level: (1, g)})
 
 
 def act(g: GroupElem, p: JoinPoint) -> JoinPoint:
     """Diagonal action on labels; coordinates untouched."""
     return JoinPoint(p.k, tuple(
-        (t, None if h is None else g + h) for t, h in p.entries))
+        (w, None if h is None else g + h) for w, h in p.entries), p.denom)
 
 
 def in_U(p: JoinPoint, j: int) -> bool:
@@ -117,22 +138,16 @@ def component_key(p: JoinPoint, j: int) -> GroupElem:
 def _labels_compatible(p: JoinPoint, q: JoinPoint) -> bool:
     # The straight segment stays inside the join iff no level carries two
     # different labels with positive weight on both ends.
-    for (tp, gp), (tq, gq) in zip(p.entries, q.entries):
-        if tp > 0 and tq > 0 and gp != gq:
+    for (wp, gp), (wq, gq) in zip(p.entries, q.entries):
+        if wp > 0 and wq > 0 and gp != gq:
             return False
     return True
 
 
 def _segment_inside_U(p: JoinPoint, q: JoinPoint, j: int) -> bool:
-    # t_j is affine along the segment, so positivity everywhere reduces to
-    # the endpoints; the midpoint re-check keeps this an executed fact
-    # rather than an assumption.
-    if p.entries[j][0] <= 0 or q.entries[j][0] <= 0:
-        return False
-    mid = (p.entries[j][0] + q.entries[j][0]) / 2
-    total = sum(((tp + tq) / 2 for (tp, _), (tq, _) in zip(p.entries, q.entries)),
-                Fraction(0))
-    return mid > 0 and total == 1
+    # t_j is affine along the segment, so it is positive on the whole
+    # segment iff it is positive at both endpoints.
+    return p.entries[j][0] > 0 and q.entries[j][0] > 0
 
 
 def segment_in_component(p: JoinPoint, q: JoinPoint, j: int) -> bool:
@@ -177,13 +192,20 @@ class JoinReport:
 
 def sample_point(rng: random.Random, s: int, k: int, j: int,
                  max_numerator: int = 16) -> JoinPoint:
-    """Random point of U_j with denominator-bounded rational coordinates."""
+    """Random point of U_j: weights in [1, max_numerator] at level j and at
+    each other level with probability 1/2, over their sum."""
     levels = [l for l in range(k + 1) if l == j or rng.random() < 0.5]
     weights = {l: rng.randint(1, max_numerator) for l in levels}
-    total = sum(weights.values())
-    parts = {l: (Fraction(w, total), GroupElem(s, rng.randrange(1 << (s - 1))))
-             for l, w in weights.items()}
-    return join_point(k, parts)
+    entries: list[Entry] = [(0, None)] * (k + 1)
+    for l, w in weights.items():
+        entries[l] = (w, GroupElem(s, rng.randrange(1 << (s - 1))))
+    return JoinPoint(k, tuple(entries), sum(weights.values()))
+
+
+def enough_samples(s: int, samples: int) -> bool:
+    """Whether samples >= 2^(s-1), the fewest that can meet every component
+    key; decided without building 2^(s-1), so a huge s costs nothing."""
+    return samples >= 1 and samples.bit_length() >= s
 
 
 def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinReport:
@@ -191,8 +213,11 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
 
     Collects the realized component keys (expected: all 2^(s-1) of them),
     checks that the label action permutes keys simply transitively, and runs
-    one same-key segment check per sample.
+    one same-key segment check per sample.  Raises ValueError when samples
+    is below 2^(s-1), since not every key could then be found.
     """
+    if not enough_samples(s, samples):
+        raise ValueError(f"samples must be >= 2^(s-1), got {samples} at s = {s}")
     rng = random.Random(seed)
     n_keys = 1 << (s - 1)
     seen: set[int] = set()
@@ -211,9 +236,10 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
             q = act(key + component_key(q, j), q)
         if segment_in_component(p, q, j):
             segments_ok += 1
-    # Orbit of any key under the whole group is the full key set.
+    # Orbit of any key under the whole group is the full key set; n_keys is
+    # at most samples, so this loop costs no more than the sampling.
     orbit = {(GroupElem(s, g) + GroupElem(s, next(iter(seen)))).bits
-             for g in range(n_keys)} if seen else set()
+             for g in range(n_keys)}
     transitive = (len(seen) == n_keys and equivariant
                   and orbit == set(range(n_keys)))
     return JoinReport(s, k, samples, len(seen), transitive, segments_ok)

@@ -8,13 +8,18 @@ enumerator and the textbook knapsack below, which check the knapsack DP
 against the word criterion it optimizes, the residue table, which checks
 the residue formula against the submask definition, the F2 nullspace,
 which derives kernel bases by row reduction for the closed form to match,
-and the quadratic rref, which checks the sparse back-substitution.
+the quadratic rref, which checks the sparse back-substitution, and the
+join model over Fraction coordinates, which checks the integer weights.
 """
 
 from __future__ import annotations
 
-from zclrp import (RingSpec, Witness, ZclResult, degree_slice, get_ring,
-                   kernel_basis, rank, word_nonzero)
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+
+from zclrp import (GroupElem, JoinReport, RingSpec, Witness, ZclResult,
+                   degree_slice, get_ring, kernel_basis, rank, word_nonzero)
 from zclrp.gf2 import rref
 
 
@@ -204,3 +209,170 @@ def kernel_rows_by_nullspace(spec, degree):
     n = degree_slice(spec, degree).dimension
     matrix = [(1 << n) - 1] if degree <= spec.m else []
     return tuple(nullspace(matrix, n))
+
+
+# -- the join model over Fraction coordinates ---------------------------------
+# The package's model before it stored integer weights over one denominator,
+# kept verbatim: tests compare points, segments and reports against it.
+
+Entry = tuple[Fraction, "GroupElem | None"]
+
+
+@dataclass(frozen=True)
+class JoinPoint:
+    """Point of the stage-k join: k+1 entries (coordinate, label).
+
+    Coordinates are nonnegative Fractions summing to 1; the label is a
+    GroupElem exactly at positive coordinates and None elsewhere.
+    """
+
+    k: int
+    entries: tuple[Entry, ...]
+
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError("need k >= 0")
+        if len(self.entries) != self.k + 1:
+            raise ValueError(f"expected {self.k + 1} entries, got {len(self.entries)}")
+        total = Fraction(0)
+        ranks = set()
+        for t, g in self.entries:
+            if t < 0:
+                raise ValueError("negative barycentric coordinate")
+            if (t > 0) != (g is not None):
+                raise ValueError("label must be present exactly at positive coordinates")
+            if g is not None:
+                ranks.add(g.s)
+            total += t
+        if total != 1:
+            raise ValueError(f"coordinates sum to {total}, not 1")
+        if len(ranks) != 1:
+            raise ValueError("labels must share one group rank")
+
+    @property
+    def s(self) -> int:
+        for _, g in self.entries:
+            if g is not None:
+                return g.s
+        raise AssertionError("unreachable: some coordinate is positive")
+
+
+def join_point(k: int, parts: dict[int, tuple[Fraction, GroupElem]]) -> JoinPoint:
+    """Build a JoinPoint from its positive levels only."""
+    entries: list[Entry] = [(Fraction(0), None)] * (k + 1)
+    for level, (t, g) in parts.items():
+        entries[level] = (t, g)
+    return JoinPoint(k, tuple(entries))
+
+
+def vertex(k: int, level: int, g: GroupElem) -> JoinPoint:
+    """The vertex point with all weight at one level."""
+    return join_point(k, {level: (Fraction(1), g)})
+
+
+def act(g: GroupElem, p: JoinPoint) -> JoinPoint:
+    """Diagonal action on labels; coordinates untouched."""
+    return JoinPoint(p.k, tuple(
+        (t, None if h is None else g + h) for t, h in p.entries))
+
+
+def in_U(p: JoinPoint, j: int) -> bool:
+    """Membership in U_j = {t_j > 0}."""
+    if not 0 <= j <= p.k:
+        raise ValueError(f"level {j} outside [0, {p.k}]")
+    return p.entries[j][0] > 0
+
+
+def component_key(p: JoinPoint, j: int) -> GroupElem:
+    """The level-j label; constant on each connected component of U_j."""
+    if not in_U(p, j):
+        raise ValueError(f"point is not in U_{j}")
+    g = p.entries[j][1]
+    assert g is not None
+    return g
+
+
+def _labels_compatible(p: JoinPoint, q: JoinPoint) -> bool:
+    # The straight segment stays inside the join iff no level carries two
+    # different labels with positive weight on both ends.
+    for (tp, gp), (tq, gq) in zip(p.entries, q.entries):
+        if tp > 0 and tq > 0 and gp != gq:
+            return False
+    return True
+
+
+def _segment_inside_U(p: JoinPoint, q: JoinPoint, j: int) -> bool:
+    # t_j is affine along the segment, so positivity everywhere reduces to
+    # the endpoints; the midpoint re-check keeps this an executed fact
+    # rather than an assumption.
+    if p.entries[j][0] <= 0 or q.entries[j][0] <= 0:
+        return False
+    mid = (p.entries[j][0] + q.entries[j][0]) / 2
+    total = sum(((tp + tq) / 2 for (tp, _), (tq, _) in zip(p.entries, q.entries)),
+                Fraction(0))
+    return mid > 0 and total == 1
+
+
+def segment_in_component(p: JoinPoint, q: JoinPoint, j: int) -> bool:
+    """Exhibit a path from p to q inside U_j.
+
+    The straight barycentric segment works whenever the two label sets agree
+    on shared positive levels; otherwise the path routes through the shared
+    level-j vertex (p -> vertex -> q), which is always label-compatible with
+    both endpoints.  Valid inputs (same component key) must give True; a
+    False is a defect.
+    """
+    if not (in_U(p, j) and in_U(q, j)):
+        raise ValueError(f"both points must lie in U_{j}")
+    key = component_key(p, j)
+    if component_key(q, j) != key:
+        raise ValueError("points have different component keys")
+    if _labels_compatible(p, q):
+        return _segment_inside_U(p, q, j)
+    v = vertex(p.k, j, key)
+    return (_labels_compatible(p, v) and _segment_inside_U(p, v, j)
+            and _labels_compatible(v, q) and _segment_inside_U(v, q, j))
+
+
+def sample_point(rng: random.Random, s: int, k: int, j: int,
+                 max_numerator: int = 16) -> JoinPoint:
+    """Random point of U_j with denominator-bounded rational coordinates."""
+    levels = [l for l in range(k + 1) if l == j or rng.random() < 0.5]
+    weights = {l: rng.randint(1, max_numerator) for l in levels}
+    total = sum(weights.values())
+    parts = {l: (Fraction(w, total), GroupElem(s, rng.randrange(1 << (s - 1))))
+             for l, w in weights.items()}
+    return join_point(k, parts)
+
+
+def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinReport:
+    """Sample U_j points and check the component structure.
+
+    Collects the realized component keys (expected: all 2^(s-1) of them),
+    checks that the label action permutes keys simply transitively, and runs
+    one same-key segment check per sample.
+    """
+    rng = random.Random(seed)
+    n_keys = 1 << (s - 1)
+    seen: set[int] = set()
+    equivariant = True
+    segments_ok = 0
+    for _ in range(samples):
+        j = rng.randrange(k + 1)
+        p = sample_point(rng, s, k, j)
+        key = component_key(p, j)
+        seen.add(key.bits)
+        g = GroupElem(s, rng.randrange(n_keys))
+        if component_key(act(g, p), j) != g + key:
+            equivariant = False
+        q = sample_point(rng, s, k, j)
+        if component_key(q, j) != key:
+            q = act(key + component_key(q, j), q)
+        if segment_in_component(p, q, j):
+            segments_ok += 1
+    # Orbit of any key under the whole group is the full key set.
+    orbit = {(GroupElem(s, g) + GroupElem(s, next(iter(seen)))).bits
+             for g in range(n_keys)} if seen else set()
+    transitive = (len(seen) == n_keys and equivariant
+                  and orbit == set(range(n_keys)))
+    return JoinReport(s, k, samples, len(seen), transitive, segments_ok)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import zclrp
 from zclrp.cli import main
 
 
@@ -83,6 +88,8 @@ CLICK_USAGE_ERRORS = [
     ("verify", "generators", "--m", "2", "--s", "2", "--limit-bits", "-3"),
     ("report", "--m-range", "1..2", "--s-range", "2..3", "--limit-bits", "0"),
     ("report", "--m-range", "1..2", "--s-range", "2..3", "--limit-bits", "-3"),
+    ("verify", "join", "--s", "200", "--k", "2", "--samples", "5"),
+    ("verify", "join", "--s", "2", "--k", "0", "--samples", "1"),
 ])
 def test_bad_input_exit_code(args):
     result = run(*args)
@@ -106,6 +113,29 @@ def test_bad_input_messages():
     # the top degree itself is fine
     top = run("verify", "generators", "--m", "2", "--s", "2", "--max-degree", "4")
     assert top.exit_code == 0 and len(top.output.splitlines()) == 4
+
+
+def test_verify_join_samples_rule():
+    # checked before any work: 2^199 keys would never finish sampling
+    t0 = time.perf_counter()
+    result = run("verify", "join", "--s", "200", "--k", "2", "--samples", "5")
+    assert time.perf_counter() - t0 < 0.1
+    assert result.stderr == "bad input: --samples must be >= 2^(s-1) = 2^199, got 5\n"
+    result = run("verify", "join", "--s", "6", "--k", "0", "--samples", "31")
+    assert result.stderr == "bad input: --samples must be >= 2^(s-1) = 32, got 31\n"
+    # exactly 2^(s-1) samples is enough to run
+    assert run("verify", "join", "--s", "2", "--k", "0", "--samples", "2").exit_code == 0
+
+
+def test_cli_import_leaves_fractions_and_decimal_unloaded():
+    # together they cost about 4 ms of start-up, which every command pays
+    src = str(Path(zclrp.__file__).resolve().parents[1])
+    code = ("import sys, zclrp.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "[]\n"
 
 
 def test_help_and_version_exit_zero():

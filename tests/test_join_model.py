@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from zclrp import (GroupElem, JoinPoint, act, component_key, in_U, join_point,
                    sample_report, segment_in_component, vertex)
-from zclrp.join_model import sample_point
+from zclrp.join_model import _labels_compatible, sample_point
 
 
 def G(s, bits):
@@ -30,26 +33,36 @@ def test_join_point_validation():
     with pytest.raises(ValueError):  # does not sum to 1
         join_point(1, {0: (half, G(3, 1))})
     with pytest.raises(ValueError):  # label at a zero coordinate
-        JoinPoint(1, ((Fraction(1), G(3, 0)), (Fraction(0), G(3, 1))))
+        JoinPoint(1, ((1, G(3, 0)), (0, G(3, 1))))
+    with pytest.raises(ValueError):  # weights must be integers
+        JoinPoint(1, ((Fraction(1, 2), G(3, 0)), (Fraction(1, 2), G(3, 1))))
     with pytest.raises(ValueError):  # negative coordinate
         join_point(1, {0: (Fraction(3, 2), G(3, 0)), 1: (-half, G(3, 1))})
     with pytest.raises(ValueError):  # mixed group ranks
         join_point(1, {0: (half, G(3, 0)), 1: (half, G(4, 1))})
 
 
+def coordinates(p):
+    return [(Fraction(w, p.denom), g) for w, g in p.entries]
+
+
 def test_act_is_an_action_preserving_coordinates():
-    rng = random.Random(0)
+    rng, twin = random.Random(0), random.Random()
     for _ in range(50):
         s, k = rng.randint(2, 5), rng.randint(0, 4)
         j = rng.randrange(k + 1)
+        twin.setstate(rng.getstate())
         p = sample_point(rng, s, k, j)
+        fp = oracles.sample_point(twin, s, k, j)
         g = G(s, rng.randrange(1 << (s - 1)))
         h = G(s, rng.randrange(1 << (s - 1)))
         assert act(GroupElem.identity(s), p) == p
         assert act(g, act(g, p)) == p
         assert act(g + h, p) == act(g, act(h, p))
         assert [t for t, _ in act(g, p).entries] == [t for t, _ in p.entries]
-        assert sum(t for t, _ in act(g, p).entries) == 1
+        assert act(g, p).denom == p.denom
+        assert sum(w for w, _ in act(g, p).entries) == p.denom
+        assert coordinates(act(g, p)) == list(oracles.act(g, fp).entries)
 
 
 def test_in_U_examples():
@@ -143,3 +156,103 @@ def test_sample_report_deterministic():
     assert a.segment_checks_passed == 200
     assert set(a.as_dict()) == {"s", "k", "samples", "keys_found",
                                 "transitive", "segment_checks_passed"}
+
+
+def test_sample_report_needs_a_sample_per_key():
+    for s, samples in [(2, 1), (4, 7), (200, 5), (3, 0), (3, -9)]:
+        with pytest.raises(ValueError):
+            sample_report(s, 1, samples=samples)
+    assert sample_report(4, 1, samples=8).samples == 8
+
+
+def test_points_have_reduced_integer_weights():
+    p = join_point(1, {0: (Fraction(2, 6), G(3, 1)), 1: (Fraction(4, 6), G(3, 2))})
+    assert (p.entries, p.denom) == (((1, G(3, 1)), (2, G(3, 2))), 3)
+    assert JoinPoint(1, ((2, G(3, 1)), (4, G(3, 2))), 6) == p
+    # the common denominator is the lcm 12, not the largest denominator 6
+    q = join_point(3, {0: (Fraction(1, 4), G(3, 0)), 1: (Fraction(1, 6), G(3, 1)),
+                       2: (Fraction(1, 3), G(3, 2)), 3: (Fraction(1, 4), G(3, 3))})
+    assert ([w for w, _ in q.entries], q.denom) == ([3, 2, 4, 3], 12)
+    assert (vertex(2, 1, G(2, 1)).entries[1], vertex(2, 1, G(2, 1)).denom) == ((1, G(2, 1)), 1)
+
+
+@pytest.mark.parametrize("s", range(2, 8))
+def test_sample_report_matches_fraction_oracle(s):
+    # a few samples over 2^(s-1), so some keys can go unseen, too
+    samples = (1 << (s - 1)) + 16
+    for k in range(7):
+        for seed in range(3):
+            assert (sample_report(s, k, samples, seed)
+                    == oracles.sample_report(s, k, samples, seed)), (s, k, seed)
+
+
+def _outcome(segment, p, q, j):
+    try:
+        return segment(p, q, j)
+    except ValueError:
+        return "ValueError"
+
+
+def test_points_and_segments_match_fraction_oracle():
+    rng, twin = random.Random(6), random.Random(6)
+    routed = 0
+    for _ in range(600):
+        s, k = rng.randint(2, 5), rng.randint(0, 5)
+        assert (s, k) == (twin.randint(2, 5), twin.randint(0, 5))
+        j = rng.randrange(k + 1)
+        assert twin.randrange(k + 1) == j
+        p, fp = sample_point(rng, s, k, j), oracles.sample_point(twin, s, k, j)
+        q, fq = sample_point(rng, s, k, j), oracles.sample_point(twin, s, k, j)
+        assert coordinates(p) == list(fp.entries)
+        assert coordinates(q) == list(fq.entries)
+        # q moved to p's key at j; at other levels the keys may differ or a
+        # point may lie outside U, and both models must then raise
+        g = component_key(p, j) + component_key(q, j)
+        q_same, fq_same = act(g, q), oracles.act(g, fq)
+        routed += not _labels_compatible(p, q_same)
+        for a, b, fa, fb in [(p, q_same, fp, fq_same), (p, q, fp, fq)]:
+            for level in range(k + 1):
+                assert (_outcome(segment_in_component, a, b, level)
+                        == _outcome(oracles.segment_in_component, fa, fb, level))
+    assert routed > 50
+
+
+def _labels():
+    return st.one_of(st.none(), st.builds(GroupElem, st.just(3), st.integers(0, 3)),
+                     st.builds(GroupElem, st.just(4), st.integers(0, 7)))
+
+
+@st.composite
+def _join_inputs(draw):
+    k = draw(st.integers(-1, 4))
+    levels = sorted(draw(st.sets(st.integers(0, k)))) if k >= 0 else []
+    # coordinates w/denom, each reduced on its own
+    denom = draw(st.integers(1, 12))
+    weights = [draw(st.integers(-1, denom)) for _ in levels]
+    if weights and draw(st.booleans()):  # often make the coordinates sum to 1
+        weights[-1] = denom - sum(weights[:-1])
+    parts = {}
+    for level, w in zip(levels, weights):
+        t = Fraction(w, denom) if denom > 1 else w
+        # mostly a label exactly where the coordinate is positive
+        g = draw(_labels()) if draw(st.booleans()) else (
+            GroupElem(3, draw(st.integers(0, 3))) if w > 0 else None)
+        parts[level] = (t, g)
+    return k, parts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_join_inputs())
+@example((3, {0: (Fraction(1, 4), G(3, 0)), 1: (Fraction(1, 6), G(3, 1)),
+              2: (Fraction(1, 3), G(3, 2)), 3: (Fraction(1, 4), G(3, 3))}))
+def test_join_point_rejects_what_the_fraction_oracle_rejects(args):
+    k, parts = args
+    try:
+        expected = list(oracles.join_point(k, parts).entries)
+    except ValueError:
+        expected = None
+    try:
+        got = coordinates(join_point(k, parts))
+    except ValueError:
+        got = None
+    assert got == expected
