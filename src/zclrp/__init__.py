@@ -12,24 +12,21 @@ from ._kernels import BACKEND_NAME
 from .bounds import (BoundsRow, CacheEntry, ENGINE_VERSION, build_row,
                      build_table, cache_get, cache_put, emit, known_tc)
 from .cuplength import (MAX_DP_CELLS, GapProbe, GeneratorWord, Witness,
-                        ZclResult, explicit_witness, g_value,
-                        g_stabilization_probe, verify_witness, word_nonzero,
-                        zcl_exact)
+                        ZclResult, explicit_witness, g_stabilization_probe,
+                        verify_witness, word_nonzero, zcl_exact)
 from .errors import (InvariantViolationError, SizeLimitError,
                      SpecMismatchError, UndeterminedError, ZclError)
 from .join_model import (GroupElem, JoinPoint, JoinReport, act, component_key,
                          in_U, join_point, sample_report,
                          segment_in_component, vertex)
-from .parity import (TwoAdicProfile, binom_parity, sigma_of, trailing_ones,
+from .parity import (TwoAdicProfile, sigma_of, trailing_ones,
                      two_adic_profile, z_of)
-from .ring import (DEFAULT_BIT_LIMIT, Poly, Ring, RingSpec, UniPoly, embed,
-                   get_ring, monomial_from_text, monomial_to_text,
-                   poly_from_bytes, poly_from_text, poly_to_bytes,
-                   poly_to_text, rank, unrank)
+from .ring import (DEFAULT_BIT_LIMIT, Poly, Ring, RingSpec, get_ring,
+                   monomial_from_text, monomial_to_text, poly_to_text, rank,
+                   unrank)
 from .zero_divisors import (DegreeCheck, DegreeSlice, SubspaceBasis,
-                            degree_slice, even_summands_check, generator,
-                            ideal_degree_basis, is_zero_divisor, kernel_basis,
-                            verify_generators_lemma)
+                            degree_slice, generator, ideal_degree_basis,
+                            kernel_basis, verify_generators_lemma)
 
 __all__ = [
     "BACKEND_NAME", "BoundsRow", "CacheEntry", "DEFAULT_BIT_LIMIT",
@@ -37,14 +34,12 @@ __all__ = [
     "GeneratorWord", "GroupElem", "InvariantViolationError", "JoinPoint",
     "JoinReport", "MAX_DP_CELLS", "Poly", "Ring", "RingSpec", "SizeLimitError",
     "SpecMismatchError", "SubspaceBasis", "TwoAdicProfile", "UndeterminedError",
-    "UniPoly", "Witness", "ZclError", "ZclResult", "act", "binom_parity",
-    "build_row", "build_table", "cache_get", "cache_put", "component_key",
-    "degree_slice", "embed", "emit", "even_summands_check", "explicit_witness",
-    "g_stabilization_probe", "g_value", "generator", "get_ring",
-    "ideal_degree_basis", "in_U", "is_zero_divisor", "join_point",
-    "kernel_basis", "known_tc", "monomial_from_text", "monomial_to_text",
-    "poly_from_bytes", "poly_from_text", "poly_to_bytes", "poly_to_text",
-    "rank", "sample_report", "segment_in_component", "sigma_of",
-    "trailing_ones", "two_adic_profile", "unrank", "verify_generators_lemma",
-    "verify_witness", "vertex", "word_nonzero", "z_of", "zcl_exact",
+    "Witness", "ZclError", "ZclResult", "act", "build_row", "build_table",
+    "cache_get", "cache_put", "component_key", "degree_slice", "emit",
+    "explicit_witness", "g_stabilization_probe", "generator", "get_ring",
+    "ideal_degree_basis", "in_U", "join_point", "kernel_basis", "known_tc",
+    "monomial_from_text", "monomial_to_text", "poly_to_text", "rank",
+    "sample_report", "segment_in_component", "sigma_of", "trailing_ones",
+    "two_adic_profile", "unrank", "verify_generators_lemma", "verify_witness",
+    "vertex", "word_nonzero", "z_of", "zcl_exact",
 ]

@@ -42,7 +42,7 @@ class _MaskRow(dict):
 
 
 class RingKernel:
-    """Product and squaring in F2[x_1..x_s]/(x_i^(m+1)) on rank-indexed bits.
+    """Products in F2[x_1..x_s]/(x_i^(m+1)) on rank-indexed bits.
 
     A product is computed by scanning the set bits of the sparser operand.
     For a factor monomial with digit vector d, the surviving monomials of the
@@ -63,7 +63,6 @@ class RingKernel:
         radix = m + 1
         self.masks = tuple(_MaskRow(radix ** i, radix, self.size)
                            for i in range(s))
-        self._square_mask: int | None = None
 
     def mul(self, a: int, b: int) -> int:
         if a.bit_count() > b.bit_count():
@@ -87,22 +86,3 @@ class RingKernel:
             if allowed:
                 acc ^= allowed << r
         return acc
-
-    def square(self, a: int) -> int:
-        # (sum M_i)^2 = sum M_i^2 over F2; M^2 survives truncation exactly
-        # when every doubled digit still fits, i.e. on the square-mask ranks.
-        # Doubling all digits doubles the mixed-radix rank, so M at rank r
-        # lands at rank 2r.
-        sq = self._square_mask
-        if sq is None:
-            sq = -1
-            for row in self.masks:
-                sq &= row[self.m // 2]
-            self._square_mask = sq
-        a &= sq
-        out = 0
-        while a:
-            low = a & -a
-            a ^= low
-            out |= 1 << (2 * (low.bit_length() - 1))
-        return out

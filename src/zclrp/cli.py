@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invariant violation (an internal certified check
 failed, i.e. a bug), 2 undetermined (a resource cap was hit before the
-answer was certified), 64 bad input: an option value out of range, such as
+answer was certified, or verify join passed every check but did not sample
+every component key), 64 bad input: an option value out of range, such as
 --m 0, with one line on stderr, or a usage error that click reports itself,
 such as a missing option, a non-integer value or an unknown subcommand,
 with click's usage message on stderr.  --help and --version exit 0.
@@ -220,8 +221,11 @@ def verify_join_cmd(s, k, samples, seed):
         _bad_input(f"--samples must be >= 2^(s-1) = {need}, got {samples}")
     report = sample_report(s, k, samples=samples, seed=seed)
     _echo_json(report.as_dict())
-    if not (report.transitive and report.segment_checks_passed == report.samples):
+    if not (report.equivariant and report.segment_checks_passed == report.samples):
         raise InvariantViolationError("join component checks failed")
+    if not report.transitive:
+        raise UndeterminedError(f"sampled {report.keys_found} of {1 << (s - 1)} "
+                                "component keys; raise --samples")
 
 
 @main.command()

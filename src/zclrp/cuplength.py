@@ -229,10 +229,6 @@ class ZclResult:
         """
         return self.s * self.m - self.value
 
-    @property
-    def is_exact(self) -> bool:
-        return self.method == "exact"
-
 
 def zcl_exact(m: int, s: int) -> ZclResult:
     """Exact zero-divisor cup-length by a residue knapsack DP.
@@ -333,14 +329,6 @@ def explicit_witness(m: int, s: int, *,
             f"explicit witness for (m={m}, s={s}) failed ring verification; "
             "this is a bug")
     return w
-
-
-def g_value(m: int, s: int, result: ZclResult) -> int:
-    """The gap s*m - zcl for one result; exact iff the result is."""
-    if (result.m, result.s) != (m, s):
-        raise ValueError(f"result is for (m={result.m}, s={result.s}), "
-                         f"not (m={m}, s={s})")
-    return result.g
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,6 @@ class GroupElem:
         if not 0 <= self.bits < (1 << (self.s - 1)):
             raise ValueError(f"bits {self.bits} outside [0, 2^{self.s - 1})")
 
-    @classmethod
-    def identity(cls, s: int) -> "GroupElem":
-        return cls(s, 0)
-
     def __add__(self, other: "GroupElem") -> "GroupElem":
         if self.s != other.s:
             raise ValueError("group elements of different rank")
@@ -99,11 +95,13 @@ def join_point(k: int, parts: dict[int, tuple[int | Fraction, GroupElem]]) -> Jo
 
     Coordinates are ints or Fractions, read through .numerator and
     .denominator and scaled to integer weights over their least common
-    denominator.
+    denominator.  A level outside [0, k] raises ValueError.
     """
     denom = math.lcm(*(t.denominator for t, _ in parts.values()))
     entries: list[Entry] = [(0, None)] * (k + 1)
     for level, (t, g) in parts.items():
+        if not 0 <= level <= k:
+            raise ValueError(f"level {level} outside [0, {k}]")
         entries[level] = (t.numerator * (denom // t.denominator), g)
     return JoinPoint(k, tuple(entries), denom)
 
@@ -175,7 +173,14 @@ def segment_in_component(p: JoinPoint, q: JoinPoint, j: int) -> bool:
 
 @dataclass(frozen=True)
 class JoinReport:
-    """Outcome of the sampled component-structure checks at one (s, k)."""
+    """Outcome of the sampled component-structure checks at one (s, k).
+
+    equivariant, which as_dict leaves out, says whether the label action
+    moved every sampled key as the group law predicts and one key's orbit
+    was the whole key set.  transitive is equivariant with every key
+    sampled, so a run that is equivariant but not transitive only missed
+    keys.
+    """
 
     s: int
     k: int
@@ -183,6 +188,7 @@ class JoinReport:
     keys_found: int
     transitive: bool
     segment_checks_passed: int
+    equivariant: bool
 
     def as_dict(self) -> dict:
         return {"s": self.s, "k": self.k, "samples": self.samples,
@@ -240,6 +246,7 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
     # at most samples, so this loop costs no more than the sampling.
     orbit = {(GroupElem(s, g) + GroupElem(s, next(iter(seen)))).bits
              for g in range(n_keys)}
-    transitive = (len(seen) == n_keys and equivariant
-                  and orbit == set(range(n_keys)))
-    return JoinReport(s, k, samples, len(seen), transitive, segments_ok)
+    equivariant = equivariant and orbit == set(range(n_keys))
+    transitive = len(seen) == n_keys and equivariant
+    return JoinReport(s, k, samples, len(seen), transitive, segments_ok,
+                      equivariant)

@@ -1,4 +1,4 @@
-"""Dyadic utilities: binomial parity, trailing-ones length, and derived profiles.
+"""Dyadic data of m: the trailing-ones length e, z, sigma and their profile.
 
 Everything here is exact integer bit arithmetic; no floating point is used
 anywhere (``z_of`` in particular is computed from bit lengths).
@@ -7,19 +7,6 @@ anywhere (``z_of`` in particular is computed from bit lengths).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-def binom_parity(n: int, k: int) -> bool:
-    """True iff C(n, k) is odd.
-
-    C(n, k) is odd exactly when every binary digit of k is at most the
-    corresponding digit of n.  Out-of-range arguments (k < 0, k > n, n < 0)
-    give C(n, k) = 0 and hence False, so callers can sum binomial expansions
-    without pre-filtering.
-    """
-    if n < 0 or k < 0 or k > n:
-        return False
-    return n & k == k
 
 
 def trailing_ones(m: int) -> int:

@@ -7,7 +7,7 @@ significant -- and a polynomial is the dense bit vector over ranks, held as
 a Python int.  All values are immutable; operations are pure functions and
 safe to call from multiple threads.
 
-Products and squares run in the pure-Python kernel of ``_kernels``.  Rings
+Products run in the pure-Python kernel of ``_kernels``.  Rings
 above the configured basis-size cap are rejected at construction.  The cap
 bounds memory for the dense representation only; it has no mathematical
 meaning.
@@ -118,9 +118,6 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         return self.ring.mul(self, other)
 
-    def __pow__(self, k: int) -> "Poly":
-        return self.ring.pow(self, k)
-
     def __repr__(self) -> str:
         text = poly_to_text(self)
         if len(text) > 60:
@@ -139,39 +136,6 @@ class Poly:
         """Exponent vectors of the monomials present, in increasing rank order."""
         for r in self.support():
             yield unrank(self.spec, r)
-
-    def term_count(self) -> int:
-        return self.bits.bit_count()
-
-    def degree(self) -> int | None:
-        """Maximal total degree over the support; None for the zero element."""
-        if self.bits == 0:
-            return None
-        return max(sum(e) for e in self.monomials())
-
-    def is_homogeneous(self) -> bool:
-        """True iff all monomials share one total degree (zero counts as yes)."""
-        degs = {sum(e) for e in self.monomials()}
-        return len(degs) <= 1
-
-
-@dataclass(frozen=True)
-class UniPoly:
-    """Element of the single-variable truncation F2[x]/(x^(m+1))."""
-
-    m: int
-    bits: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << (self.m + 1)):
-            raise ValueError("coefficient vector out of range")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
 
 
 class Ring:
@@ -241,32 +205,12 @@ class Ring:
         self._check(q)
         return Poly(self, self._kernel.mul(p.bits, q.bits))
 
-    def square(self, p: Poly) -> Poly:
-        self._check(p)
-        return Poly(self, self._kernel.square(p.bits))
-
-    def pow(self, p: Poly, k: int) -> Poly:
-        """k-th power by square-and-multiply; squaring uses the F2 shortcut."""
-        self._check(p)
-        if k < 0:
-            raise ValueError("negative exponent")
-        if k == 0:
-            return self.one
-        acc = p.bits
-        for bit in bin(k)[3:]:  # MSB already consumed by acc = p
-            acc = self._kernel.square(acc)
-            if bit == "1":
-                acc = self._kernel.mul(acc, p.bits)
-            if acc == 0:
-                return self.zero
-        return Poly(self, acc)
-
     def binomial_pow(self, i: int, j: int, k: int) -> Poly:
         """(x_i + x_j)^k by the closed form: sum over t with C(k, t) odd,
         t <= m and k - t <= m, of x_i^t x_j^(k-t).
 
-        Must agree bit-for-bit with pow(x_i + x_j, k); the generic power is
-        the cross-check, this is the fast path.
+        Must agree bit-for-bit with k-fold products of x_i + x_j; the test
+        suite checks it against ``naive_pow`` in ``tests/oracles.py``.
         """
         if not 1 <= i < j <= self.s:
             raise ValueError(f"need 1 <= i < j <= s, got i={i}, j={j}")
@@ -280,29 +224,6 @@ class Ring:
             if k & t == t:  # C(k, t) odd
                 bits |= 1 << (t * step_i + (k - t) * step_j)
         return Poly(self, bits)
-
-    # -- structure maps --------------------------------------------------------
-
-    def diagonal_restriction(self, p: Poly) -> UniPoly:
-        """Substitute every x_i by x; the image lives in F2[x]/(x^(m+1))."""
-        self._check(p)
-        m = self.m
-        radix = m + 1
-        out = 0
-        bits = p.bits
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            r = low.bit_length() - 1
-            total = 0
-            while r:
-                r, d = divmod(r, radix)
-                total += d
-                if total > m:
-                    break
-            if total <= m:
-                out ^= 1 << total
-        return UniPoly(m, out)
 
     def degree_ranks(self, degree: int) -> tuple[int, ...]:
         """All ranks of total degree `degree`, increasing (the graded slice)."""
@@ -334,27 +255,11 @@ def get_ring(m: int, s: int, bit_limit: int | None = None) -> Ring:
     return _ring_for(m, s, DEFAULT_BIT_LIMIT if bit_limit is None else bit_limit)
 
 
-def embed(p: Poly, s_target: int, bit_limit: int | None = None) -> Poly:
-    """Inclusion A(m, s) -> A(m, s_target) fixing x_1..x_s.
-
-    With coordinate 1 least significant in the rank encoding, embedded
-    monomials keep their ranks, so the coefficient vector is reused as is.
-    The map is a ring homomorphism.
-    """
-    if s_target < p.spec.s:
-        raise ValueError(f"target s={s_target} smaller than source s={p.spec.s}")
-    target = get_ring(p.spec.m, s_target,
-                      p.spec.bit_limit if bit_limit is None else bit_limit)
-    return target.poly(p.bits)
-
-
 # -- canonical serialization ---------------------------------------------------
 #
 # Text form: monomials are "xi^e" factors joined by "*" (exponent-0 variables
 # omitted, the empty monomial is "1"); a polynomial is its monomials in
 # increasing rank order joined by " + ", with "0" for the zero element.
-# Binary form: the coefficient vector little-endian by rank, ceil(size/8)
-# bytes.
 
 def monomial_to_text(exponents: Sequence[int]) -> str:
     factors = [f"x{i}^{e}" for i, e in enumerate(exponents, 1) if e]
@@ -385,23 +290,3 @@ def poly_to_text(p: Poly) -> str:
     if p.is_zero:
         return "0"
     return " + ".join(monomial_to_text(e) for e in p.monomials())
-
-
-def poly_from_text(ring: Ring, text: str) -> Poly:
-    text = text.strip()
-    if text == "0":
-        return ring.zero
-    bits = 0
-    for term in text.split("+"):
-        bits ^= 1 << rank(ring.spec, monomial_from_text(ring.spec, term))
-    return ring.poly(bits)
-
-
-def poly_to_bytes(p: Poly) -> bytes:
-    return p.bits.to_bytes((p.ring.size + 7) // 8, "little")
-
-
-def poly_from_bytes(ring: Ring, raw: bytes) -> Poly:
-    if len(raw) != (ring.size + 7) // 8:
-        raise ValueError(f"expected {(ring.size + 7) // 8} bytes, got {len(raw)}")
-    return ring.poly(int.from_bytes(raw, "little"))

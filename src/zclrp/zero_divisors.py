@@ -28,11 +28,6 @@ def generator(spec: RingSpec, i: int) -> Poly:
     return ring.gen(i) + ring.gen(spec.s)
 
 
-def is_zero_divisor(p: Poly) -> bool:
-    """True iff p vanishes under the substitution x_i -> x."""
-    return p.ring.diagonal_restriction(p).is_zero
-
-
 @dataclass(frozen=True)
 class DegreeSlice:
     """The graded piece of one total degree: its monomial ranks, increasing."""
@@ -155,20 +150,3 @@ def verify_generators_lemma(spec: RingSpec,
         checks.append(DegreeCheck(d, ker.dimension, ideal.dimension,
                                   passed, mismatch))
     return checks
-
-
-def even_summands_check(p: Poly) -> bool:
-    """For homogeneous p of degree <= m: does p have an even number of terms?
-
-    Every zero-divisor in degrees <= m must, since all its monomials
-    substitute to the same x^d.  Inputs of higher degree or mixed degrees
-    are rejected.
-    """
-    if p.is_zero:
-        return True
-    if not p.is_homogeneous():
-        raise ValueError("element is not homogeneous")
-    d = p.degree()
-    if d > p.spec.m:
-        raise ValueError(f"degree {d} exceeds m = {p.spec.m}")
-    return p.bits.bit_count() % 2 == 0

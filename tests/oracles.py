@@ -373,6 +373,7 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
     # Orbit of any key under the whole group is the full key set.
     orbit = {(GroupElem(s, g) + GroupElem(s, next(iter(seen)))).bits
              for g in range(n_keys)} if seen else set()
-    transitive = (len(seen) == n_keys and equivariant
-                  and orbit == set(range(n_keys)))
-    return JoinReport(s, k, samples, len(seen), transitive, segments_ok)
+    equivariant = equivariant and orbit == set(range(n_keys))
+    transitive = len(seen) == n_keys and equivariant
+    return JoinReport(s, k, samples, len(seen), transitive, segments_ok,
+                      equivariant)

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import oracles
 import zclrp
+from zclrp import JoinReport
 from zclrp.cli import main
 
 
@@ -125,6 +127,37 @@ def test_verify_join_samples_rule():
     assert result.stderr == "bad input: --samples must be >= 2^(s-1) = 32, got 31\n"
     # exactly 2^(s-1) samples is enough to run
     assert run("verify", "join", "--s", "2", "--k", "0", "--samples", "2").exit_code == 0
+
+
+def test_verify_join_missed_keys_exit_undetermined():
+    # just above 2^(s-1) samples, random draws often miss a component key;
+    # that leaves the run undetermined (exit 2), it is not a bug (exit 1)
+    codes = []
+    for seed in range(20):
+        result = run("verify", "join", "--s", "4", "--k", "2", "--samples", "16",
+                     "--seed", str(seed))
+        want = oracles.sample_report(4, 2, 16, seed).as_dict()
+        assert result.stdout == json.dumps(want, separators=(",", ":")) + "\n"
+        found = want["keys_found"]
+        if found < 8:
+            assert result.exit_code == 2, seed
+            assert result.stderr == (f"undetermined: sampled {found} of 8 "
+                                     "component keys; raise --samples\n")
+        else:
+            assert (result.exit_code, result.stderr) == (0, ""), seed
+        codes.append(result.exit_code)
+    assert sorted(set(codes)) == [0, 2]
+
+
+@pytest.mark.parametrize("equivariant,segments", [(False, 16), (True, 15), (False, 15)])
+def test_verify_join_failed_check_exits_bug_even_with_missed_keys(
+        monkeypatch, equivariant, segments):
+    report = JoinReport(4, 2, 16, 7, False, segments, equivariant)
+    monkeypatch.setattr("zclrp.cli.sample_report", lambda *args, **kwargs: report)
+    result = run("verify", "join", "--s", "4", "--k", "2", "--samples", "16")
+    assert result.exit_code == 1
+    assert result.stderr == "invariant violation: join component checks failed\n"
+    assert json.loads(result.stdout) == report.as_dict()
 
 
 def test_cli_import_leaves_fractions_and_decimal_unloaded():

@@ -19,7 +19,7 @@ def test_group_elem_arithmetic():
     a, b = G(4, 0b101), G(4, 0b011)
     assert (a + b).bits == 0b110
     assert (a + a).bits == 0
-    assert a + GroupElem.identity(4) == a
+    assert a + GroupElem(4, 0) == a
     with pytest.raises(ValueError):
         G(4, 8)
     with pytest.raises(ValueError):
@@ -40,6 +40,12 @@ def test_join_point_validation():
         join_point(1, {0: (Fraction(3, 2), G(3, 0)), 1: (-half, G(3, 1))})
     with pytest.raises(ValueError):  # mixed group ranks
         join_point(1, {0: (half, G(3, 0)), 1: (half, G(4, 1))})
+    for level in (-1, 2):  # levels run 0..k
+        with pytest.raises(ValueError, match=f"level {level} outside \\[0, 1\\]"):
+            join_point(1, {level: (1, G(3, 1))})
+    with pytest.raises(ValueError):
+        vertex(2, 3, G(3, 1))
+    assert join_point(1, {1: (1, G(3, 1))}).entries == ((0, None), (1, G(3, 1)))
 
 
 def coordinates(p):
@@ -56,7 +62,7 @@ def test_act_is_an_action_preserving_coordinates():
         fp = oracles.sample_point(twin, s, k, j)
         g = G(s, rng.randrange(1 << (s - 1)))
         h = G(s, rng.randrange(1 << (s - 1)))
-        assert act(GroupElem.identity(s), p) == p
+        assert act(GroupElem(s, 0), p) == p
         assert act(g, act(g, p)) == p
         assert act(g + h, p) == act(g, act(h, p))
         assert [t for t, _ in act(g, p).entries] == [t for t, _ in p.entries]
@@ -156,6 +162,16 @@ def test_sample_report_deterministic():
     assert a.segment_checks_passed == 200
     assert set(a.as_dict()) == {"s", "k", "samples", "keys_found",
                                 "transitive", "segment_checks_passed"}
+
+
+def test_sample_report_separates_missed_keys_from_failed_checks():
+    # 16 samples for 8 keys: seed 1 misses some keys, yet every check holds
+    report = sample_report(4, 2, samples=16, seed=1)
+    assert report.keys_found < 8 and not report.transitive
+    assert report.equivariant and report.segment_checks_passed == 16
+    assert "equivariant" not in report.as_dict()
+    full = sample_report(4, 2, samples=16, seed=0)
+    assert full.keys_found == 8 and full.transitive and full.equivariant
 
 
 def test_sample_report_needs_a_sample_per_key():

@@ -1,32 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
-from zclrp import binom_parity, sigma_of, trailing_ones, two_adic_profile, z_of
-
-
-def test_binom_parity_matches_exact_binomials():
-    for n in range(65):
-        for k in range(n + 1):
-            assert binom_parity(n, k) == (math.comb(n, k) % 2 == 1), (n, k)
-
-
-@given(st.integers(0, 3000), st.integers(0, 3000))
-def test_binom_parity_matches_exact_binomials_random(n, k):
-    assert binom_parity(n, k) == (math.comb(n, k) % 2 == 1 if k <= n else False)
-
-
-def test_binom_parity_examples():
-    assert binom_parity(7, 2)            # C(7,2) = 21
-    assert binom_parity(123456, 0)
-    assert not binom_parity(10, 5)       # C(10,5) = 252
-
-
-def test_binom_parity_out_of_range_is_even():
-    assert not binom_parity(3, 5)
-    assert not binom_parity(-1, 0)
-    assert not binom_parity(3, -2)
+from zclrp import sigma_of, trailing_ones, two_adic_profile, z_of
 
 
 def test_trailing_ones_examples():
@@ -94,4 +70,4 @@ def test_hypothesis_to_parity_step():
     for m in range(1, 600):
         if sigma_of(m) is not None:
             e = trailing_ones(m)
-            assert binom_parity(m + (1 << e), 1 << e)
+            assert math.comb(m + (1 << e), 1 << e) % 2 == 1

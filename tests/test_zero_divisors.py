@@ -1,9 +1,13 @@
 import pytest
 
-from oracles import kernel_rows_by_nullspace
-from zclrp import (RingSpec, degree_slice, even_summands_check, generator,
-                   get_ring, ideal_degree_basis, is_zero_divisor,
-                   kernel_basis, verify_generators_lemma)
+from oracles import kernel_rows_by_nullspace, naive_diagonal, poly_to_set
+from zclrp import (RingSpec, degree_slice, generator, get_ring,
+                   ideal_degree_basis, kernel_basis, verify_generators_lemma)
+
+
+def is_zero_divisor(p):
+    """Oracle: p dies under the substitution x_i -> x."""
+    return not naive_diagonal(p.spec.m, poly_to_set(p))
 
 
 def test_generator_examples():
@@ -15,21 +19,12 @@ def test_generator_examples():
     ring23 = get_ring(2, 3)
     assert generator(spec23, 2) == ring23.gen(2) + ring23.gen(3)
     for i in range(1, spec23.s):
-        assert ring23.diagonal_restriction(generator(spec23, i)).is_zero
+        assert is_zero_divisor(generator(spec23, i))
 
     with pytest.raises(ValueError):
         generator(spec23, 3)
     with pytest.raises(ValueError):
         generator(spec23, 0)
-
-
-def test_is_zero_divisor():
-    ring = get_ring(2, 3)
-    assert is_zero_divisor(ring.gen(1) + ring.gen(3))
-    assert not is_zero_divisor(ring.gen(1))
-    # any monomial of total degree > m
-    assert is_zero_divisor(ring.monomial((2, 1, 0)))
-    assert is_zero_divisor(ring.monomial((2, 2, 2)))
 
 
 def test_degree_slice():
@@ -130,20 +125,10 @@ def test_verify_generators_lemma_max_degree():
     assert [c.degree for c in checks] == [1, 2, 3]
 
 
-def test_even_summands_check():
-    ring = get_ring(2, 3)
-    assert even_summands_check(ring.gen(1) + ring.gen(2))
-    assert not even_summands_check(ring.gen(1))
-    assert even_summands_check(ring.zero)
-    with pytest.raises(ValueError):
-        even_summands_check(ring.one + ring.gen(1))       # not homogeneous
-    with pytest.raises(ValueError):
-        even_summands_check(ring.monomial((2, 1, 0)))     # degree > m
-
-
 def test_low_degree_kernel_has_even_summands():
     for m, s in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         spec = RingSpec(m, s)
         for d in range(1, m + 1):
             for p in kernel_basis(spec, d).polys():
-                assert even_summands_check(p)
+                assert {sum(e) for e in p.monomials()} == {d}
+                assert p.bits.bit_count() % 2 == 0
