@@ -21,7 +21,7 @@ from .join_model import (GroupElem, JoinPoint, JoinReport, act, component_key,
                          segment_in_component, vertex)
 from .parity import (TwoAdicProfile, sigma_of, trailing_ones,
                      two_adic_profile, z_of)
-from .ring import (DEFAULT_BIT_LIMIT, Poly, Ring, RingSpec, get_ring,
+from .ring import (MAX_RING_BITS, Poly, Ring, RingSpec, get_ring,
                    monomial_from_text, monomial_to_text, poly_to_text, rank,
                    unrank)
 from .zero_divisors import (DegreeCheck, DegreeSlice, SubspaceBasis,
@@ -29,17 +29,18 @@ from .zero_divisors import (DegreeCheck, DegreeSlice, SubspaceBasis,
                             kernel_basis, verify_generators_lemma)
 
 __all__ = [
-    "BACKEND_NAME", "BoundsRow", "CacheEntry", "DEFAULT_BIT_LIMIT",
-    "DegreeCheck", "DegreeSlice", "ENGINE_VERSION", "GapProbe",
-    "GeneratorWord", "GroupElem", "InvariantViolationError", "JoinPoint",
-    "JoinReport", "MAX_DP_CELLS", "Poly", "Ring", "RingSpec", "SizeLimitError",
-    "SpecMismatchError", "SubspaceBasis", "TwoAdicProfile", "UndeterminedError",
-    "Witness", "ZclError", "ZclResult", "act", "build_row", "build_table",
-    "cache_get", "cache_put", "component_key", "degree_slice", "emit",
-    "explicit_witness", "g_stabilization_probe", "generator", "get_ring",
-    "ideal_degree_basis", "in_U", "join_point", "kernel_basis", "known_tc",
-    "monomial_from_text", "monomial_to_text", "poly_to_text", "rank",
-    "sample_report", "segment_in_component", "sigma_of", "trailing_ones",
-    "two_adic_profile", "unrank", "verify_generators_lemma", "verify_witness",
-    "vertex", "word_nonzero", "z_of", "zcl_exact",
+    "BACKEND_NAME", "BoundsRow", "CacheEntry", "DegreeCheck", "DegreeSlice",
+    "ENGINE_VERSION", "GapProbe", "GeneratorWord", "GroupElem",
+    "InvariantViolationError", "JoinPoint", "JoinReport", "MAX_DP_CELLS",
+    "MAX_RING_BITS", "Poly", "Ring", "RingSpec", "SizeLimitError",
+    "SpecMismatchError", "SubspaceBasis", "TwoAdicProfile",
+    "UndeterminedError", "Witness", "ZclError", "ZclResult", "act",
+    "build_row", "build_table", "cache_get", "cache_put", "component_key",
+    "degree_slice", "emit", "explicit_witness", "g_stabilization_probe",
+    "generator", "get_ring", "ideal_degree_basis", "in_U", "join_point",
+    "kernel_basis", "known_tc", "monomial_from_text", "monomial_to_text",
+    "poly_to_text", "rank", "sample_report", "segment_in_component",
+    "sigma_of", "trailing_ones", "two_adic_profile", "unrank",
+    "verify_generators_lemma", "verify_witness", "vertex", "word_nonzero",
+    "z_of", "zcl_exact",
 ]

@@ -19,8 +19,8 @@ import warnings
 from dataclasses import dataclass
 
 from .cuplength import Witness, zcl_exact, explicit_witness, verify_witness
-from .errors import InvariantViolationError, SizeLimitError
-from .ring import DEFAULT_BIT_LIMIT, RingSpec, monomial_from_text
+from .errors import InvariantViolationError, SizeLimitError, UndeterminedError
+from .ring import RingSpec, monomial_from_text
 
 ENGINE_VERSION = "1"
 """Bumped whenever the search criterion or witness format changes; cache
@@ -132,14 +132,16 @@ def cache_put(path: str, m: int, s: int, zcl: int, method: str,
     return entry
 
 
-def cache_get(path: str, m: int, s: int, *,
-              bit_limit: int | None = None) -> CacheEntry | None:
+def cache_get(path: str, m: int, s: int) -> CacheEntry | None:
     """Newest verified entry for (m, s) at the current engine version.
 
-    Corrupt lines are skipped with a warning; an entry whose witness fails
+    Corrupt lines are skipped with a warning.  An entry whose method is
+    unknown, whose zcl is not its witness length, or whose witness fails
     ring re-verification is distrusted (warning, then older entries are
-    tried).  Anything else -- absent file, no matching key, version
-    mismatch -- is simply a miss.
+    tried), so every cached zcl is certified as a lower bound.  That an
+    "exact" entry is maximal is taken on trust: checking it would rerun
+    zcl_exact, the work a cache hit exists to skip.  Anything else --
+    absent file, no matching key, version mismatch -- is simply a miss.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -158,10 +160,13 @@ def cache_get(path: str, m: int, s: int, *,
         if (entry.m, entry.s) == (m, s) and entry.engine_version == ENGINE_VERSION:
             matches.append((n, entry))
     for n, entry in reversed(matches):
-        if entry.zcl != entry.witness.length and entry.method == METHOD_EXACT:
+        if entry.method not in (METHOD_EXACT, METHOD_WITNESS):
+            warnings.warn(f"{path}:{n}: unknown cached method {entry.method!r}")
+            continue
+        if entry.zcl != entry.witness.length:
             warnings.warn(f"{path}:{n}: cached zcl does not match witness length")
             continue
-        if verify_witness(entry.witness, bit_limit=bit_limit):
+        if verify_witness(entry.witness):
             return entry
         warnings.warn(f"{path}:{n}: cached witness failed re-verification")
     return None
@@ -170,26 +175,23 @@ def cache_get(path: str, m: int, s: int, *,
 # -- row construction ------------------------------------------------------------
 
 def build_row(m: int, s: int, policy: str = "exact", *,
-              cache_path: str | None = None,
-              bit_limit: int | None = None) -> BoundsRow:
+              cache_path: str | None = None) -> BoundsRow:
     """Compute one table row under the given policy.
 
     policy "exact" runs the knapsack DP of zcl_exact (the witness is
     additionally re-verified through ring arithmetic -- a disagreement would
     be a bug and raises).  policy "witness_only" uses the closed-form construction when
     it applies and otherwise falls back to the generic (s-1)m lower bound.
-    Rows whose ring would exceed the basis-size cap raise SizeLimitError.
+    A ring over MAX_RING_BITS raises SizeLimitError before any work, and
+    policy "exact" raises UndeterminedError for a DP over MAX_DP_CELLS.
     """
     if policy not in ("exact", "witness_only"):
         raise ValueError(f"unknown policy {policy!r}")
-    limit = DEFAULT_BIT_LIMIT if bit_limit is None else bit_limit
-    if (m + 1) ** s > limit:
-        raise SizeLimitError(
-            f"(m+1)^s = {(m + 1) ** s} exceeds the cap of {limit}; row ({m},{s}) skipped")
+    RingSpec(m, s)  # the ring cap, checked before the cache or the DP
 
     zcl = method = witness = None
     if cache_path is not None:
-        entry = cache_get(cache_path, m, s, bit_limit=limit)
+        entry = cache_get(cache_path, m, s)
         if entry is not None and (policy == "witness_only"
                                   or entry.method == METHOD_EXACT):
             zcl, method, witness = entry.zcl, entry.method, entry.witness
@@ -197,13 +199,13 @@ def build_row(m: int, s: int, policy: str = "exact", *,
     if zcl is None:
         if policy == "exact":
             result = zcl_exact(m, s)
-            if not verify_witness(result.witness, bit_limit=limit):
+            if not verify_witness(result.witness):
                 raise InvariantViolationError(
                     f"criterion and ring disagree on the ({m},{s}) witness; "
                     "this is a bug")
             zcl, method, witness = result.value, METHOD_EXACT, result.witness
         else:
-            w = explicit_witness(m, s, bit_limit=limit)
+            w = explicit_witness(m, s)
             if w is not None:
                 zcl, method, witness = w.length, METHOD_WITNESS, w
             else:
@@ -223,17 +225,16 @@ def build_row(m: int, s: int, policy: str = "exact", *,
 def build_table(m_range: tuple[int, int], s_range: tuple[int, int],
                 policy: str = "exact", *,
                 cache_path: str | None = None,
-                bit_limit: int | None = None,
                 ) -> tuple[list[BoundsRow], list[tuple[int, int, str]]]:
-    """All rows over inclusive ranges; rows over a resource cap are skipped
-    and reported as (m, s, reason) instead of aborting the table."""
+    """All rows over inclusive ranges.  A row over either cap (MAX_RING_BITS,
+    or MAX_DP_CELLS under policy "exact") is skipped and reported as
+    (m, s, reason) instead of aborting the table."""
     rows, skipped = [], []
     for m in range(m_range[0], m_range[1] + 1):
         for s in range(s_range[0], s_range[1] + 1):
             try:
-                rows.append(build_row(m, s, policy, cache_path=cache_path,
-                                      bit_limit=bit_limit))
-            except SizeLimitError as exc:
+                rows.append(build_row(m, s, policy, cache_path=cache_path))
+            except (SizeLimitError, UndeterminedError) as exc:
                 skipped.append((m, s, str(exc)))
     return rows, skipped
 

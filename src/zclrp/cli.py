@@ -27,7 +27,7 @@ from .cuplength import (ZclResult, explicit_witness, g_stabilization_probe,
 from .errors import InvariantViolationError, SizeLimitError, UndeterminedError
 from .join_model import enough_samples, sample_report
 from .parity import two_adic_profile
-from .ring import DEFAULT_BIT_LIMIT, RingSpec
+from .ring import RingSpec
 from .zero_divisors import verify_generators_lemma
 
 EX_USAGE = 64
@@ -144,16 +144,13 @@ def zcl_exact_cmd(m, s):
 @zcl.command("witness")
 @click.option("--m", type=int, required=True)
 @click.option("--s", type=int, required=True)
-@click.option("--limit-bits", type=int, default=DEFAULT_BIT_LIMIT,
-              show_default=True, help="Cap on the basis size (m+1)^s.")
 @_guarded
-def zcl_witness_cmd(m, s, limit_bits):
+def zcl_witness_cmd(m, s):
     """Closed-form lower-bound witness (no search); witness may be null."""
     _at_least("--m", m, 1)
     _at_least("--s", s, 2)
-    _at_least("--limit-bits", limit_bits, 1)
     t0 = time.perf_counter()
-    w = explicit_witness(m, s, bit_limit=limit_bits)
+    w = explicit_witness(m, s)
     elapsed = (time.perf_counter() - t0) * 1000
     if w is None:
         _echo_json({"m": m, "s": s, "zcl": None, "method": None, "g": None,
@@ -185,9 +182,8 @@ def verify():
 @click.option("--m", type=int, required=True)
 @click.option("--s", type=int, required=True)
 @click.option("--max-degree", type=int, default=None)
-@click.option("--limit-bits", type=int, default=DEFAULT_BIT_LIMIT, show_default=True)
 @_guarded
-def verify_generators_cmd(m, s, max_degree, limit_bits):
+def verify_generators_cmd(m, s, max_degree):
     """Per degree: substitution kernel == span of (x_i + x_s) multiples."""
     _at_least("--m", m, 1)
     _at_least("--s", s, 2)
@@ -196,8 +192,7 @@ def verify_generators_cmd(m, s, max_degree, limit_bits):
         if max_degree > s * m:
             _bad_input(f"--max-degree must be <= s*m = {s * m}, "
                        f"got {max_degree}")
-    _at_least("--limit-bits", limit_bits, 1)
-    spec = RingSpec(m, s, limit_bits)
+    spec = RingSpec(m, s)
     checks = verify_generators_lemma(spec, max_degree)
     for check in checks:
         _echo_json(check.as_dict())
@@ -240,18 +235,17 @@ def verify_join_cmd(s, k, samples, seed):
 @click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
               default=None, envvar="ZCLRP_CACHE",
               help="Append-only JSONL result cache (default: $ZCLRP_CACHE).")
-@click.option("--limit-bits", type=int, default=DEFAULT_BIT_LIMIT, show_default=True)
 @_guarded
-def report(m_range, s_range, policy, fmt, cache_path, limit_bits):
+def report(m_range, s_range, policy, fmt, cache_path):
     """Bound-table rows s*m >= TC_s >= secat >= zcl over the given ranges.
 
-    Rows over the size cap are skipped with a note on stderr and exit code 2.
+    Rows over the ring-size or DP cap are skipped with a note on stderr and
+    exit code 2.
     """
     _at_least("--m-range start", m_range[0], 1)
     _at_least("--s-range start", s_range[0], 2)
-    _at_least("--limit-bits", limit_bits, 1)
     rows, skipped = build_table(m_range, s_range, policy.replace("-", "_"),
-                                cache_path=cache_path, bit_limit=limit_bits)
+                                cache_path=cache_path)
     click.echo(emit(rows, fmt).decode(), nl=False)
     if skipped:
         for m, s, reason in skipped:

@@ -267,15 +267,15 @@ def zcl_exact(m: int, s: int) -> ZclResult:
     return ZclResult(m, s, value, "exact", Witness(m, s, factors, certificate))
 
 
-def verify_witness(w: Witness, *, bit_limit: int | None = None) -> bool:
+def verify_witness(w: Witness) -> bool:
     """Check a witness by plain ring arithmetic: multiply the factor powers
     and test the certificate monomial's coefficient.
 
     Independent of word_nonzero -- this is the oracle that cross-validates
-    the combinatorial criterion.  Needs the dense ring, so the basis-size
-    cap applies.
+    the combinatorial criterion.  Needs the dense ring, so it raises
+    SizeLimitError when (m+1)^s exceeds MAX_RING_BITS.
     """
-    ring = get_ring(w.m, w.s, bit_limit)
+    ring = get_ring(w.m, w.s)
     product = ring.one
     for i, j, e in w.factors:
         if product.is_zero:
@@ -284,8 +284,7 @@ def verify_witness(w: Witness, *, bit_limit: int | None = None) -> bool:
     return bool((product.bits >> rank(ring.spec, w.certificate)) & 1)
 
 
-def explicit_witness(m: int, s: int, *,
-                     bit_limit: int | None = None) -> Witness | None:
+def explicit_witness(m: int, s: int) -> Witness | None:
     """Best closed-form witness available from the dyadic shape of m.
 
     With e = trailing_ones(m):
@@ -324,7 +323,7 @@ def explicit_witness(m: int, s: int, *,
             certificate[t - 1] = m
         certificate = tuple(certificate)
     w = Witness(m, s, factors, certificate)
-    if not verify_witness(w, bit_limit=bit_limit):
+    if not verify_witness(w):
         raise InvariantViolationError(
             f"explicit witness for (m={m}, s={s}) failed ring verification; "
             "this is a bug")

@@ -10,7 +10,7 @@ class SpecMismatchError(ZclError, ValueError):
 
 
 class SizeLimitError(ZclError, ValueError):
-    """Basis cardinality (m+1)^s exceeds the configured cap."""
+    """Basis cardinality (m+1)^s exceeds the cap MAX_RING_BITS."""
 
 
 class UndeterminedError(ZclError, RuntimeError):

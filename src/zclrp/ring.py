@@ -8,22 +8,22 @@ a Python int.  All values are immutable; operations are pure functions and
 safe to call from multiple threads.
 
 Products run in the pure-Python kernel of ``_kernels``.  Rings
-above the configured basis-size cap are rejected at construction.  The cap
-bounds memory for the dense representation only; it has no mathematical
-meaning.
+above the basis-size cap MAX_RING_BITS are rejected at construction.  The
+cap bounds memory for the dense representation only; it has no
+mathematical meaning.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import _kernels
 from .errors import SizeLimitError, SpecMismatchError
 
-DEFAULT_BIT_LIMIT = 1 << 23
-"""Hard cap on the basis cardinality (m+1)^s, i.e. bits per element."""
+MAX_RING_BITS = 1 << 23
+"""Cap on the basis cardinality (m+1)^s, i.e. bits per element."""
 
 
 @dataclass(frozen=True)
@@ -32,16 +32,15 @@ class RingSpec:
 
     m: int
     s: int
-    bit_limit: int = field(default=DEFAULT_BIT_LIMIT, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.s < 2:
             raise ValueError(f"s must be >= 2, got {self.s}")
-        if self.size > self.bit_limit:
+        if self.size > MAX_RING_BITS:
             raise SizeLimitError(
-                f"(m+1)^s = {self.size} exceeds the cap of {self.bit_limit} "
+                f"(m+1)^s = {self.size} exceeds the cap of {MAX_RING_BITS} "
                 f"basis monomials")
 
     @property
@@ -85,7 +84,7 @@ class Poly:
     __slots__ = ("ring", "bits")
 
     def __init__(self, ring: "Ring", bits: int):
-        if not 0 <= bits < (1 << ring.size):
+        if bits < 0 or bits.bit_length() > ring.size:
             raise ValueError("coefficient vector out of range for this ring")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "bits", bits)
@@ -246,13 +245,10 @@ class Ring:
 
 
 @functools.lru_cache(maxsize=None)
-def _ring_for(m: int, s: int, bit_limit: int) -> Ring:
-    return Ring(RingSpec(m, s, bit_limit))
-
-
-def get_ring(m: int, s: int, bit_limit: int | None = None) -> Ring:
-    """Cached ring lookup; raises SizeLimitError above the cap."""
-    return _ring_for(m, s, DEFAULT_BIT_LIMIT if bit_limit is None else bit_limit)
+def get_ring(m: int, s: int) -> Ring:
+    """The ring A(m, s), built once per (m, s) and kept; raises
+    SizeLimitError when (m+1)^s exceeds MAX_RING_BITS."""
+    return Ring(RingSpec(m, s))
 
 
 # -- canonical serialization ---------------------------------------------------

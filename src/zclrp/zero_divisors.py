@@ -17,7 +17,7 @@ from .ring import Poly, Ring, RingSpec, get_ring, poly_to_text
 
 
 def _ring(spec: RingSpec) -> Ring:
-    return get_ring(spec.m, spec.s, spec.bit_limit)
+    return get_ring(spec.m, spec.s)
 
 
 def generator(spec: RingSpec, i: int) -> Poly:

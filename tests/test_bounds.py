@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from zclrp import (BoundsRow, InvariantViolationError, SizeLimitError,
-                   Witness, build_row, build_table, cache_get, cache_put,
-                   emit, explicit_witness, known_tc)
+from zclrp import (MAX_RING_BITS, BoundsRow, InvariantViolationError,
+                   SizeLimitError, Witness, build_row, build_table, cache_get,
+                   cache_put, emit, explicit_witness, known_tc)
 from zclrp.bounds import CSV_HEADER, ENGINE_VERSION, _entry_to_json
 
 
@@ -42,9 +42,12 @@ def test_build_row_witness_only():
         build_row(2, 3, "guess")
 
 
-def test_build_row_size_cap():
-    with pytest.raises(SizeLimitError):
-        build_row(9, 9, bit_limit=10 ** 6)
+def test_build_row_size_cap(tmp_path):
+    # refused before the cache is read: reading a directory would raise
+    # IsADirectoryError instead
+    for policy in ("exact", "witness_only"):
+        with pytest.raises(SizeLimitError, match="exceeds the cap of 8388608"):
+            build_row(9, 9, policy, cache_path=str(tmp_path))
 
 
 def test_row_validation():
@@ -95,11 +98,11 @@ def test_gap_nonincreasing_across_rows():
 
 
 def test_build_table_skips_oversized_rows():
-    rows, skipped = build_table((1, 2), (2, 12), bit_limit=3000)
-    assert all((m + 1) ** s <= 3000 for m, s, *_ in
-               [(r.m, r.s) for r in rows])
-    assert {(m, s) for m, s, _ in skipped} == \
-        {(m, s) for m in (1, 2) for s in range(2, 13) if (m + 1) ** s > 3000}
+    rows, skipped = build_table((1, 2), (22, 24), "witness_only")
+    assert all((r.m + 1) ** r.s <= MAX_RING_BITS for r in rows)
+    assert [(r.m, r.s) for r in rows] == [(1, 22), (1, 23)]
+    assert [(m, s) for m, s, _ in skipped] == [(1, 24), (2, 22), (2, 23), (2, 24)]
+    assert all("exceeds the cap" in reason for *_, reason in skipped)
 
 
 # -- cache -----------------------------------------------------------------------
@@ -156,6 +159,31 @@ def test_cache_takes_newest_verified(tmp_path):
     with pytest.warns(UserWarning):
         entry = cache_get(path, 3, 3)
     assert entry is not None and entry.zcl == 6
+
+
+def test_cache_rejects_unknown_method(tmp_path):
+    path = str(tmp_path / "zcl.jsonl")
+    # a valid length-5 witness of (5, 2) under a made-up method and zcl 10;
+    # the true zcl(5, 2) is 7
+    w = Witness(5, 2, ((1, 2, 5),), (5, 0))
+    cache_put(path, 5, 2, 10, "made_up", w)
+    with pytest.warns(UserWarning, match="unknown cached method"):
+        assert cache_get(path, 5, 2) is None
+    with pytest.warns(UserWarning):
+        row = build_row(5, 2, "witness_only", cache_path=path)
+    assert (row.zcl, row.zcl_method, row.equality) == \
+        (5, "generic_lower_bound", False)
+
+
+def test_cache_rejects_zcl_above_witness_length(tmp_path):
+    path = str(tmp_path / "zcl.jsonl")
+    w = explicit_witness(5, 3)
+    assert w.length == 14
+    cache_put(path, 5, 3, 14, "witness_lower_bound", w)
+    cache_put(path, 5, 3, 15, "witness_lower_bound", w)
+    with pytest.warns(UserWarning, match="does not match witness length"):
+        entry = cache_get(path, 5, 3)
+    assert entry is not None and entry.zcl == 14   # the older, honest line
 
 
 def test_build_row_uses_cache(tmp_path):

@@ -62,6 +62,10 @@ CLICK_USAGE_ERRORS = [
     ("zcl", "exact", "--m", "3"),
     ("report", "--m-range", "x", "--s-range", "2..3"),
     ("nosuchcommand",),
+    # the ring cap is a constant: the option is gone from all three commands
+    ("zcl", "witness", "--m", "3", "--s", "3", "--limit-bits", "0"),
+    ("verify", "generators", "--m", "2", "--s", "2", "--limit-bits", "300"),
+    ("report", "--m-range", "1..2", "--s-range", "2..3", "--limit-bits", "300"),
 ]
 
 
@@ -84,12 +88,6 @@ CLICK_USAGE_ERRORS = [
     *CLICK_USAGE_ERRORS,
     ("verify", "generators", "--m", "2", "--s", "2", "--max-degree", "100"),
     ("verify", "generators", "--m", "2", "--s", "2", "--max-degree", "5"),
-    ("zcl", "witness", "--m", "3", "--s", "3", "--limit-bits", "0"),
-    ("zcl", "witness", "--m", "3", "--s", "3", "--limit-bits", "-3"),
-    ("verify", "generators", "--m", "2", "--s", "2", "--limit-bits", "0"),
-    ("verify", "generators", "--m", "2", "--s", "2", "--limit-bits", "-3"),
-    ("report", "--m-range", "1..2", "--s-range", "2..3", "--limit-bits", "0"),
-    ("report", "--m-range", "1..2", "--s-range", "2..3", "--limit-bits", "-3"),
     ("verify", "join", "--s", "200", "--k", "2", "--samples", "5"),
     ("verify", "join", "--s", "2", "--k", "0", "--samples", "1"),
 ])
@@ -110,8 +108,8 @@ def test_bad_input_messages():
     result = run("verify", "generators", "--m", "2", "--s", "2",
                  "--max-degree", "100")
     assert result.stderr == "bad input: --max-degree must be <= s*m = 4, got 100\n"
-    result = run("zcl", "witness", "--m", "3", "--s", "3", "--limit-bits", "0")
-    assert result.stderr == "bad input: --limit-bits must be >= 1, got 0\n"
+    result = run("zcl", "witness", "--m", "3", "--s", "1")
+    assert result.stderr == "bad input: --s must be >= 2, got 1\n"
     # the top degree itself is fine
     top = run("verify", "generators", "--m", "2", "--s", "2", "--max-degree", "4")
     assert top.exit_code == 0 and len(top.output.splitlines()) == 4
@@ -236,12 +234,40 @@ def test_report_json_chain():
 
 
 def test_report_skips_oversized_rows():
-    result = run("report", "--m-range", "1..2", "--s-range", "2..9",
-                 "--limit-bits", "300")
+    # 15^6 and 16^6 exceed MAX_RING_BITS = 2^23; 15^5 and 16^5 do not
+    result = run("report", "--m-range", "14..15", "--s-range", "5..6")
     assert result.exit_code == 2
-    assert "skipped" in result.stderr
     rows = [json.loads(line) for line in result.stdout.splitlines()]
-    assert all((r["m"] + 1) ** r["s"] <= 300 for r in rows)
+    assert [(r["m"], r["s"]) for r in rows] == [(14, 5), (15, 5)]
+    assert result.stderr.splitlines() == [
+        f"skipped ({m},6): (m+1)^s = {(m + 1) ** 6} exceeds the cap of "
+        f"{zclrp.MAX_RING_BITS} basis monomials" for m in (14, 15)]
+
+
+def test_report_skips_rows_over_the_dp_cap():
+    # (1024, 2) needs 1049600 DP cells, just over MAX_DP_CELLS; the rows
+    # before it are still emitted
+    result = run("report", "--m-range", "1020..1024", "--s-range", "2..2")
+    assert result.exit_code == 2
+    rows = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [(r["m"], r["zcl"]) for r in rows] == \
+        [(m, 1023) for m in range(1020, 1024)]
+    assert result.stderr.startswith("skipped (1024,2): zcl(1024,2): the DP needs")
+    assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("zcl", "witness", "--m", "9", "--s", "9"),
+    ("verify", "generators", "--m", "9", "--s", "9"),
+])
+def test_ring_cap_exit_code(args):
+    # 10^9 basis monomials: refused before any ring is built
+    t0 = time.perf_counter()
+    result = run(*args)
+    assert time.perf_counter() - t0 < 0.1
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == (f"undetermined: (m+1)^s = 1000000000 exceeds the "
+                             f"cap of {zclrp.MAX_RING_BITS} basis monomials\n")
 
 
 def test_report_with_cache(tmp_path):

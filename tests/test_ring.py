@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zclrp import (RingSpec, SizeLimitError, SpecMismatchError, get_ring,
-                   monomial_from_text, monomial_to_text, poly_to_text, rank,
-                   unrank)
+from zclrp import (MAX_RING_BITS, RingSpec, SizeLimitError, SpecMismatchError,
+                   get_ring, monomial_from_text, monomial_to_text,
+                   poly_to_text, rank, unrank)
 from zclrp._kernels import RingKernel
 
 from oracles import naive_diagonal, naive_mul, naive_pow, poly_to_set, random_poly_set, set_to_poly
@@ -19,8 +19,20 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         RingSpec(3, 1)
     with pytest.raises(SizeLimitError):
-        RingSpec(9, 9, bit_limit=10 ** 6)
+        RingSpec(9, 9)
+    # the cap is inclusive: 2^23 basis monomials is the largest ring
+    assert RingSpec(1, 23).size == MAX_RING_BITS == 1 << 23
+    with pytest.raises(SizeLimitError):
+        RingSpec(1, 24)
     assert RingSpec(2, 3).size == 27
+
+
+def test_poly_range():
+    ring = get_ring(2, 3)
+    assert ring.poly((1 << 27) - 1).bits == (1 << ring.size) - 1
+    for bits in (-1, 1 << ring.size):
+        with pytest.raises(ValueError):
+            ring.poly(bits)
 
 
 def test_rank_examples():
