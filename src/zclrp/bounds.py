@@ -7,13 +7,17 @@ numbers: the only sources are the Hopf dimensions m in {1, 3, 7} (TC =
 m(s-1)) and even m with s > m (the chain collapses to s*m).
 
 Rows serialize deterministically (JSON lines or CSV ordered by (m, s));
-computed values can be persisted in an append-only JSON-lines cache whose
-entries are re-verified through ring arithmetic on load.
+computed values can be persisted in an append-only JSON-lines cache.  Its
+lines are parsed once per process and its entries re-verified on every
+lookup by verify_witness, the sparse ring product; every witness a row
+computes is checked the same way.  Neither check multiplies dense ring
+elements, but both build the ring, so a row over MAX_RING_BITS is skipped.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -132,33 +136,91 @@ def cache_put(path: str, m: int, s: int, zcl: int, method: str,
     return entry
 
 
+class _ParsedCache:
+    """The complete lines of one cache file parsed so far: the file's path,
+    their text and number, and their entries by (m, s), each with its line
+    number."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.text = ""
+        self.lines = 0
+        self.by_key: dict[tuple[int, int], list[tuple[int, CacheEntry]]] = {}
+
+
+# The cache file parsed last.  It holds nothing but what the file's text
+# determines, and a file whose text no longer starts with the parsed text
+# is parsed anew, so a caller sees no difference from a fresh parse except
+# that a corrupt line's warning is not repeated.
+_parsed = _ParsedCache("")
+_parsed_lock = threading.Lock()
+
+
+def _parse_line(path: str, n: int, line: str) -> CacheEntry | None:
+    """The entry on line n, or None for a blank line or, with a warning, a
+    corrupt one."""
+    if not line.strip():
+        return None
+    try:
+        return _entry_from_json(line)
+    except (ValueError, KeyError, TypeError) as exc:
+        warnings.warn(f"{path}:{n}: skipping corrupt cache line ({exc})")
+        return None
+
+
+def _cached_lines(path: str, m: int, s: int) -> list[tuple[int, CacheEntry]]:
+    """(line number, entry) for every readable line of (m, s), in file order.
+
+    The file is read whole on every call, but while it is the file read
+    last and the text parsed before is a prefix of it, only the complete
+    lines after that prefix are parsed.  So the rows of one table parse
+    each line once, and see the lines that cache_put or another process
+    appends meanwhile.  A last line without its newline is parsed on every
+    call.
+    """
+    global _parsed
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        return []
+    end = text.rfind("\n") + 1
+    with _parsed_lock:
+        done = _parsed
+        if done.path != path or not text.startswith(done.text):
+            done = _parsed = _ParsedCache(path)
+        # kept only once every new line is parsed: a warning raised as an
+        # error leaves the parsed state as it was
+        new = [(n, _parse_line(path, n, line)) for n, line in enumerate(
+            text[len(done.text):end].split("\n")[:-1], done.lines + 1)]
+        for n, entry in new:
+            if entry is not None:
+                done.by_key.setdefault((entry.m, entry.s), []).append(
+                    (n, entry))
+        done.lines += len(new)
+        done.text = text[:end]
+        found = list(done.by_key.get((m, s), ()))
+        partial = _parse_line(path, done.lines + 1, text[end:])
+    if partial is not None and (partial.m, partial.s) == (m, s):
+        found.append((done.lines + 1, partial))
+    return found
+
+
 def cache_get(path: str, m: int, s: int) -> CacheEntry | None:
     """Newest verified entry for (m, s) at the current engine version.
 
-    Corrupt lines are skipped with a warning.  An entry whose method is
+    Corrupt lines are skipped with a warning when they are parsed (see
+    _cached_lines for when that is).  An entry whose method is
     unknown, whose zcl is not its witness length, or whose witness fails
     ring re-verification is distrusted (warning, then older entries are
-    tried), so every cached zcl is certified as a lower bound.  That an
-    "exact" entry is maximal is taken on trust: checking it would rerun
-    zcl_exact, the work a cache hit exists to skip.  Anything else --
-    absent file, no matching key, version mismatch -- is simply a miss.
+    tried), so every cached zcl is certified as a lower bound; the witness
+    is re-verified on every lookup.  That an "exact" entry is maximal is
+    taken on trust: checking it would rerun zcl_exact, the work a cache hit
+    exists to skip.  Anything else -- absent file, no matching key, version
+    mismatch -- is simply a miss.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except FileNotFoundError:
-        return None
-    matches = []
-    for n, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            entry = _entry_from_json(line)
-        except (ValueError, KeyError, TypeError) as exc:
-            warnings.warn(f"{path}:{n}: skipping corrupt cache line ({exc})")
-            continue
-        if (entry.m, entry.s) == (m, s) and entry.engine_version == ENGINE_VERSION:
-            matches.append((n, entry))
+    matches = [(n, entry) for n, entry in _cached_lines(path, m, s)
+               if entry.engine_version == ENGINE_VERSION]
     for n, entry in reversed(matches):
         if entry.method not in (METHOD_EXACT, METHOD_WITNESS):
             warnings.warn(f"{path}:{n}: unknown cached method {entry.method!r}")
@@ -179,8 +241,8 @@ def build_row(m: int, s: int, policy: str = "exact", *,
     """Compute one table row under the given policy.
 
     policy "exact" runs the knapsack DP of zcl_exact (the witness is
-    additionally re-verified through ring arithmetic -- a disagreement would
-    be a bug and raises).  policy "witness_only" uses the closed-form construction when
+    additionally re-verified by verify_witness, through sparse ring
+    arithmetic -- a disagreement would be a bug and raises).  policy "witness_only" uses the closed-form construction when
     it applies and otherwise falls back to the generic (s-1)m lower bound.
     A ring over MAX_RING_BITS raises SizeLimitError before any work, and
     policy "exact" raises UndeterminedError for a DP over MAX_DP_CELLS.

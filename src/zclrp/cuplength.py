@@ -19,7 +19,8 @@ cancellation; the word is nonzero iff some j has every C(b_i, j_i) odd,
 every j_i <= m and the residue sum <= m.  By the parity constraint the
 admissible residues b_i - j_i are exactly the binary submasks of b_i, so the
 word is nonzero iff the per-coordinate minimal residues sum to at most m.
-The full ring product is kept as an independent oracle (verify_witness).
+An independent check by plain ring arithmetic is kept (verify_witness): it
+multiplies the factors' terms as sparse sets of exponent vectors.
 
 Because the criterion is additive, the longest nonzero word is a
 multiple-choice knapsack (Kellerer-Pferschy-Pisinger, Knapsack Problems,
@@ -37,7 +38,7 @@ from typing import Sequence
 
 from .errors import InvariantViolationError, UndeterminedError
 from .parity import trailing_ones
-from .ring import get_ring, monomial_to_text, rank
+from .ring import get_ring, monomial_to_text
 
 MAX_DP_CELLS = 1 << 20
 """Cap on the DP size of one (m, s): see _check_cells."""
@@ -272,16 +273,42 @@ def verify_witness(w: Witness) -> bool:
     and test the certificate monomial's coefficient.
 
     Independent of word_nonzero -- this is the oracle that cross-validates
-    the combinatorial criterion.  Needs the dense ring, so it raises
-    SizeLimitError when (m+1)^s exceeds MAX_RING_BITS.
+    the combinatorial criterion.  Each factor's terms come from the ring's
+    binomial_pow, and the product runs over sets of exponent vectors, each
+    new term cancelling an equal one mod 2.  Only the terms that can still
+    reach the certificate C are kept: a term must divide C, since exponents
+    only grow, and once the last factor using a variable is multiplied in,
+    its exponent on that variable must equal C's.  This drops nothing the
+    coefficient of C depends on, and the truncation x_i^(m+1) = 0 never
+    bites, as C's exponents are at most m.  It still builds the ring, so it
+    raises SizeLimitError when (m+1)^s exceeds MAX_RING_BITS.
     """
     ring = get_ring(w.m, w.s)
-    product = ring.one
-    for i, j, e in w.factors:
-        if product.is_zero:
-            break
-        product = ring.mul(product, ring.binomial_pow(i, j, e))
-    return bool((product.bits >> rank(ring.spec, w.certificate)) & 1)
+    target = w.certificate
+    last = {}
+    for n, (i, j, _) in enumerate(w.factors):
+        last[i] = last[j] = n
+    terms = {(0,) * w.s}
+    for n, (i, j, e) in enumerate(w.factors):
+        pairs = [(x[i - 1], x[j - 1])
+                 for x in ring.binomial_pow(i, j, e).monomials()]
+        ci, cj = target[i - 1], target[j - 1]
+        fix_i, fix_j = last[i] == n, last[j] == n
+        product = set()
+        for term in terms:
+            for a, b in pairs:
+                a += term[i - 1]
+                b += term[j - 1]
+                if (a > ci or b > cj or (fix_i and a != ci)
+                        or (fix_j and b != cj)):
+                    continue
+                grown = list(term)
+                grown[i - 1], grown[j - 1] = a, b
+                product ^= {tuple(grown)}
+        terms = product
+        if not terms:
+            return False
+    return target in terms
 
 
 def explicit_witness(m: int, s: int) -> Witness | None:

@@ -7,7 +7,11 @@ significant -- and a polynomial is the dense bit vector over ranks, held as
 a Python int.  All values are immutable; operations are pure functions and
 safe to call from multiple threads.
 
-Products run in the pure-Python kernel of ``_kernels``.  Rings
+The ring offers addition, the closed-form binomial powers (x_i + x_j)^k and
+the graded slices; it has no general product.  The package multiplies only
+sparse sets of exponent vectors (cuplength.verify_witness) or single
+monomials by generators (zero_divisors.ideal_degree_basis); the dense
+product of two elements is a test oracle in ``tests/oracles.py``.  Rings
 above the basis-size cap MAX_RING_BITS are rejected at construction.  The
 cap bounds memory for the dense representation only; it has no
 mathematical meaning.
@@ -19,7 +23,6 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from . import _kernels
 from .errors import SizeLimitError, SpecMismatchError
 
 MAX_RING_BITS = 1 << 23
@@ -38,6 +41,14 @@ class RingSpec:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.s < 2:
             raise ValueError(f"s must be >= 2, got {self.s}")
+        # (m+1)^s >= 2^low, from the bit length of m+1: a shape with low
+        # past 64 is refused, its size given as that power of 2, before
+        # (m+1)^s is built or printed in digits
+        low = self.s * ((self.m + 1).bit_length() - 1)
+        if low > 64:
+            raise SizeLimitError(
+                f"(m+1)^s >= 2^{low} exceeds the cap of {MAX_RING_BITS} "
+                f"basis monomials")
         if self.size > MAX_RING_BITS:
             raise SizeLimitError(
                 f"(m+1)^s = {self.size} exceeds the cap of {MAX_RING_BITS} "
@@ -114,9 +125,6 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         return self.ring.add(self, other)
 
-    def __mul__(self, other: "Poly") -> "Poly":
-        return self.ring.mul(self, other)
-
     def __repr__(self) -> str:
         text = poly_to_text(self)
         if len(text) > 60:
@@ -124,12 +132,20 @@ class Poly:
         return f"Poly({self.spec.m},{self.spec.s}: {text})"
 
     def support(self) -> Iterator[int]:
-        """Ranks of the monomials present, in increasing order."""
+        """Ranks of the monomials present, in increasing order.
+
+        Read from the top down: bit_length finds the highest rank at no
+        cost, and clearing it leaves an int only as wide as the next rank,
+        so each monomial costs the width up to its own rank, not a pass
+        over the whole vector as clearing the lowest bit would.
+        """
         bits = self.bits
+        ranks = []
         while bits:
-            low = bits & -bits
-            bits ^= low
-            yield low.bit_length() - 1
+            r = bits.bit_length() - 1
+            ranks.append(r)
+            bits ^= 1 << r
+        return reversed(ranks)
 
     def monomials(self) -> Iterator[tuple[int, ...]]:
         """Exponent vectors of the monomials present, in increasing rank order."""
@@ -140,14 +156,12 @@ class Poly:
 class Ring:
     """Arithmetic context for one RingSpec.
 
-    Holds the per-spec kernel (each truncation mask built on the first
-    product that reads it, then kept) and lazy degree tables.  Obtain
-    instances through :func:`get_ring`, which caches per (m, s).
+    Holds the lazy degree tables.  Obtain instances through
+    :func:`get_ring`, which caches per (m, s).
     """
 
     def __init__(self, spec: RingSpec):
         self.spec = spec
-        self._kernel = _kernels.RingKernel(spec.m, spec.s)
         self._deg_ranks: dict[int, tuple[int, ...]] | None = None
 
     @property
@@ -198,11 +212,6 @@ class Ring:
         self._check(p)
         self._check(q)
         return Poly(self, p.bits ^ q.bits)
-
-    def mul(self, p: Poly, q: Poly) -> Poly:
-        self._check(p)
-        self._check(q)
-        return Poly(self, self._kernel.mul(p.bits, q.bits))
 
     def binomial_pow(self, i: int, j: int, k: int) -> Poly:
         """(x_i + x_j)^k by the closed form: sum over t with C(k, t) odd,

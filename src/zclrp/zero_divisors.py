@@ -95,20 +95,29 @@ def kernel_basis(spec: RingSpec, degree: int) -> SubspaceBasis:
 
 
 def ideal_degree_basis(spec: RingSpec, degree: int) -> SubspaceBasis:
-    """Basis of the degree-d span of { (x_i + x_s) * M : M of degree d-1 }."""
+    """Basis of the degree-d span of { (x_i + x_s) * M : M of degree d-1 }.
+
+    Each row is built from ranks, with no ring product: (x_i + x_s) * M is
+    M*x_i + M*x_s, a monomial times x_i being the rank plus (m+1)^(i-1),
+    kept only while M's i-th exponent is below m.  The two monomials differ,
+    so nothing cancels.
+    """
     if not 1 <= degree <= spec.s * spec.m:
         raise ValueError(f"degree {degree} outside [1, {spec.s * spec.m}]")
-    ring = _ring(spec)
+    m, radix = spec.m, spec.m + 1
+    below = _ring(spec).degree_ranks(degree - 1)
     sl = degree_slice(spec, degree)
     position = {r: c for c, r in enumerate(sl.ranks)}
+    top = radix ** (spec.s - 1)
     rows = []
     for i in range(1, spec.s):
-        gen = generator(spec, i)
-        for mono_rank in ring.degree_ranks(degree - 1):
-            prod = ring.mul(gen, ring.poly(1 << mono_rank))
+        step = radix ** (i - 1)
+        for r in below:
             row = 0
-            for r in prod.support():
-                row |= 1 << position[r]
+            if r // step % radix < m:
+                row = 1 << position[r + step]
+            if r // top < m:
+                row |= 1 << position[r + top]
             if row:
                 rows.append(row)
     return SubspaceBasis(sl, tuple(rref(rows)))

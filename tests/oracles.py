@@ -3,13 +3,15 @@
 Deliberately naive: polynomials are sets of exponent tuples, products are
 formed pairwise with explicit truncation, and the cup-length brute force
 enumerates arbitrary kernel elements.  Nothing here shares code with the
-bit-packed implementation under test.  The exceptions are the zcl
-enumerator and the textbook knapsack below, which check the knapsack DP
-against the word criterion it optimizes, the residue table, which checks
-the residue formula against the submask definition, the F2 nullspace,
-which derives kernel bases by row reduction for the closed form to match,
-the quadratic rref, which checks the sparse back-substitution, and the
-join model over Fraction coordinates, which checks the integer weights.
+bit-packed implementation under test.  The exceptions are the dense ring
+product, which the package no longer has and which checks the sparse
+witness verifier and the directly built ideal rows, the zcl enumerator and
+the textbook knapsack below, which check the knapsack DP against the word
+criterion it optimizes, the residue table, which checks the residue
+formula against the submask definition, the F2 nullspace, which derives
+kernel bases by row reduction for the closed form to match, the quadratic
+rref, which checks the sparse back-substitution, and the join model over
+Fraction coordinates, which checks the integer weights.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from zclrp import (GroupElem, JoinReport, RingSpec, Witness, ZclResult,
-                   degree_slice, get_ring, kernel_basis, rank, word_nonzero)
+from zclrp import (GroupElem, JoinReport, RingSpec, SpecMismatchError,
+                   SubspaceBasis, Witness, ZclResult, degree_slice, generator,
+                   get_ring, kernel_basis, rank, word_nonzero)
 from zclrp.gf2 import rref
 
 
@@ -62,6 +65,134 @@ def naive_diagonal(m, a):
     return out
 
 
+# -- the dense ring product ---------------------------------------------------
+# The package's product of two elements before it multiplied only sparse
+# term sets, kept verbatim: bit vectors are rank-indexed Python ints.
+
+def _tile(unit: int, period: int, reps: int) -> int:
+    """Concatenate reps copies of a period-bit pattern, by doubling."""
+    out = unit
+    have = 1
+    while have < reps:
+        take = min(have, reps - have)
+        out |= (out & ((1 << (take * period)) - 1)) << (have * period)
+        have += take
+    return out
+
+
+class _MaskRow(dict):
+    """The masks of one digit position i: c -> the ranks whose i-th digit is
+    <= c, tiled the first time c is looked up and kept from then on."""
+
+    __slots__ = ("block", "period", "reps")
+
+    def __init__(self, block: int, radix: int, size: int):
+        super().__init__()
+        self.block = block
+        self.period = block * radix
+        self.reps = size // self.period
+
+    def __missing__(self, c: int) -> int:
+        unit = (1 << ((c + 1) * self.block)) - 1
+        mask = self[c] = _tile(unit, self.period, self.reps)
+        return mask
+
+
+class RingKernel:
+    """Products in F2[x_1..x_s]/(x_i^(m+1)) on rank-indexed bits.
+
+    A product is computed by scanning the set bits of the sparser operand.
+    For a factor monomial with digit vector d, the surviving monomials of the
+    other operand are AND_i masks[i][m - d_i], where masks[i][c] keeps the
+    ranks whose i-th digit is <= c; the surviving block then shifts by the
+    factor's rank, which adds digit vectors in mixed radix without carries
+    (every digit sum is <= m by construction).
+
+    Each mask is as wide as the ring, and a product reads only the masks of
+    the digits its factors have, so masks are built on first use and kept
+    for the life of the kernel; building the kernel costs no tiling.
+    """
+
+    def __init__(self, m: int, s: int):
+        self.m = m
+        self.s = s
+        self.size = (m + 1) ** s
+        radix = m + 1
+        self.masks = tuple(_MaskRow(radix ** i, radix, self.size)
+                           for i in range(s))
+
+    def mul(self, a: int, b: int) -> int:
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        m = self.m
+        radix = m + 1
+        masks = self.masks
+        acc = 0
+        while a:
+            low = a & -a
+            a ^= low
+            r = low.bit_length() - 1
+            allowed = b
+            rest = r
+            i = 0
+            while rest:
+                rest, d = divmod(rest, radix)
+                if d:
+                    allowed &= masks[i][m - d]
+                i += 1
+            if allowed:
+                acc ^= allowed << r
+        return acc
+
+
+def dense_mul(p, q):
+    """The dense product p*q of two elements of one ring."""
+    if p.spec != q.spec:
+        raise SpecMismatchError(
+            f"element of A({q.spec.m},{q.spec.s}) used in "
+            f"A({p.spec.m},{p.spec.s})")
+    return p.ring.poly(RingKernel(p.spec.m, p.spec.s).mul(p.bits, q.bits))
+
+
+def dense_factor_product(m, s, factors):
+    """The product of the factor powers (x_i + x_j)^e, by dense products in
+    the full ring A(m, s)."""
+    ring = get_ring(m, s)
+    kernel = RingKernel(m, s)
+    bits = 1
+    for i, j, e in factors:
+        if not bits:
+            break
+        bits = kernel.mul(bits, ring.binomial_pow(i, j, e).bits)
+    return ring.poly(bits)
+
+
+def dense_verify_witness(w):
+    """The witness check by dense products: the certificate monomial's
+    coefficient in the dense product of the factor powers."""
+    product = dense_factor_product(w.m, w.s, w.factors)
+    return bool((product.bits >> rank(product.spec, w.certificate)) & 1)
+
+
+def ideal_basis_by_products(spec, degree):
+    """Rref basis of the degree-d generator multiples, each row the dense
+    product of a generator x_i + x_s with a degree-(d-1) monomial."""
+    ring = get_ring(spec.m, spec.s)
+    sl = degree_slice(spec, degree)
+    position = {r: c for c, r in enumerate(sl.ranks)}
+    rows = []
+    for i in range(1, spec.s):
+        gen = generator(spec, i)
+        for mono_rank in ring.degree_ranks(degree - 1):
+            prod = dense_mul(gen, ring.poly(1 << mono_rank))
+            row = 0
+            for r in prod.support():
+                row |= 1 << position[r]
+            if row:
+                rows.append(row)
+    return SubspaceBasis(sl, tuple(rref(rows)))
+
+
 def random_poly_set(rng, m, s, max_terms=6):
     monos = set()
     for _ in range(rng.randint(0, max_terms)):
@@ -97,7 +228,7 @@ def brute_force_zcl(m, s):
         if depth > best:
             best = depth
         for idx in range(start, len(elements)):
-            q = ring.mul(product, elements[idx])
+            q = dense_mul(product, elements[idx])
             if q.bits:
                 extend(q, idx, depth + 1)
 

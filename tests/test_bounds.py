@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import pytest
 
 from zclrp import (MAX_RING_BITS, BoundsRow, InvariantViolationError,
                    SizeLimitError, Witness, build_row, build_table, cache_get,
-                   cache_put, emit, explicit_witness, known_tc)
+                   cache_put, emit, explicit_witness, known_tc, zcl_exact)
+from zclrp import bounds
 from zclrp.bounds import CSV_HEADER, ENGINE_VERSION, _entry_to_json
 
 
@@ -195,3 +197,81 @@ def test_build_row_uses_cache(tmp_path):
     assert row1 == row2
     with open(path) as fh:
         assert len(fh.readlines()) == 1  # cache hit, nothing appended
+
+
+def test_cache_parses_each_line_once(tmp_path, monkeypatch):
+    path = str(tmp_path / "zcl.jsonl")
+    parsed = []
+    parse = bounds._entry_from_json
+    monkeypatch.setattr(bounds, "_entry_from_json",
+                        lambda line: parsed.append(line) or parse(line))
+    first = build_table((1, 3), (2, 3), cache_path=path)
+    second = build_table((1, 3), (2, 3), cache_path=path)
+    assert first == second and len(first[0]) == 6
+    with open(path) as fh:
+        assert len(parsed) == len(fh.readlines()) == 6
+    assert cache_get(path, 2, 3).zcl == 6
+    assert len(parsed) == 6
+
+
+def test_cache_sees_lines_appended_during_a_table(tmp_path, monkeypatch):
+    # while row (5,3) is computed, another writer appends a (5,4) entry:
+    # the next row reads it instead of computing zcl(5,4) = 19
+    path = str(tmp_path / "zcl.jsonl")
+    short = Witness(5, 4, ((1, 4, 5),), (5, 0, 0, 0))
+
+    def exact_and_append(m, s):
+        if (m, s) == (5, 3):
+            cache_put(path, 5, 4, 5, "exact", short)
+        return zcl_exact(m, s)
+
+    monkeypatch.setattr(bounds, "zcl_exact", exact_and_append)
+    rows, skipped = build_table((5, 5), (3, 4), cache_path=path)
+    assert skipped == []
+    assert [(r.s, r.zcl) for r in rows] == [(3, 14), (4, 5)]
+
+
+def test_cache_rereads_a_rewritten_file(tmp_path):
+    path = str(tmp_path / "zcl.jsonl")
+    w = explicit_witness(3, 3)
+    entry = cache_put(path, 3, 3, w.length, "witness_lower_bound", w)
+    assert cache_get(path, 3, 3) == entry
+    with open(path, "w") as fh:
+        fh.write(_entry_to_json(entry).replace('"zcl":6', '"zcl":7') + "\n")
+    with pytest.warns(UserWarning, match="does not match witness length"):
+        assert cache_get(path, 3, 3) is None
+
+
+def test_cache_reads_a_last_line_without_newline(tmp_path):
+    path = str(tmp_path / "zcl.jsonl")
+    w = explicit_witness(3, 3)
+    entry = cache_put(path, 3, 3, w.length, "witness_lower_bound", w)
+    with open(path, "w") as fh:
+        fh.write(_entry_to_json(entry))
+    assert cache_get(path, 3, 3) == entry
+    with open(path, "a") as fh:
+        fh.write("\n{not json")
+    with pytest.warns(UserWarning, match=":2: skipping corrupt cache line"):
+        assert cache_get(path, 3, 3) == entry
+
+
+def test_cache_warning_raised_as_error_parses_nothing(tmp_path):
+    # under warnings-as-errors a corrupt line fails every lookup, as it did
+    # when each lookup parsed the whole file, and the lines before it are
+    # not recorded twice
+    path = str(tmp_path / "zcl.jsonl")
+    w = explicit_witness(3, 3)
+    entry = cache_put(path, 3, 3, w.length, "witness_lower_bound", w)
+    with open(path, "a") as fh:
+        fh.write("{not json\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(UserWarning, match=":2: skipping corrupt"):
+                cache_get(path, 3, 3)
+    cache_put(path, 3, 3, 1, "witness_lower_bound",
+              Witness(3, 3, ((1, 3, 1),), (0, 0, 2)))
+    with pytest.warns(UserWarning) as record:
+        assert cache_get(path, 3, 3) == entry
+    assert [str(r.message).split(": ")[0] for r in record] == \
+        [f"{path}:2", f"{path}:3"]

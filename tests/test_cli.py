@@ -278,6 +278,24 @@ def test_ring_cap_exit_code(args):
                              f"cap of {zclrp.MAX_RING_BITS} basis monomials\n")
 
 
+@pytest.mark.parametrize("args", [
+    ("zcl", "witness", "--m", "1000", "--s", "2000"),
+    ("verify", "generators", "--m", "1000", "--s", "2000"),
+    ("report", "--m-range", "1000..1000", "--s-range", "2000..2000"),
+])
+def test_huge_ring_exits_2_with_one_line(args):
+    # 1001^2000 has over 6000 digits, past Python's int-to-str limit: the
+    # cap is decided from bit lengths and the size given as a power of 2
+    t0 = time.perf_counter()
+    result = run(*args)
+    assert time.perf_counter() - t0 < 0.1
+    assert result.exit_code == 2 and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.endswith(
+        f": (m+1)^s >= 2^18000 exceeds the cap of {zclrp.MAX_RING_BITS} "
+        "basis monomials\n")
+
+
 def test_report_with_cache(tmp_path):
     path = tmp_path / "cache.jsonl"
     args = ("report", "--m-range", "2..3", "--s-range", "2..3",

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zclrp import (GeneratorWord, UndeterminedError, Witness,
+from zclrp import (MAX_RING_BITS, GeneratorWord, UndeterminedError, Witness,
                    explicit_witness, g_stabilization_probe, get_ring,
                    verify_witness, word_nonzero, z_of, zcl_exact)
 from zclrp import cuplength
 
-from oracles import (brute_force_zcl, enumerate_zcl, knapsack_zcl,
+from oracles import (brute_force_zcl, dense_factor_product, dense_mul,
+                     dense_verify_witness, enumerate_zcl, knapsack_zcl,
                      min_residues_by_submasks)
 
 
@@ -16,7 +17,7 @@ def ring_word_product(m, s, exponents):
     product = ring.one
     for i, b in enumerate(exponents, 1):
         if b:
-            product = product * ring.binomial_pow(i, s, b)
+            product = dense_mul(product, ring.binomial_pow(i, s, b))
     return product
 
 
@@ -204,6 +205,53 @@ def test_verify_witness_rejects_dead_factor():
     assert not verify_witness(w)
 
 
+def test_verify_witness_empty_product():
+    # no factor: the product is 1, which contains only the empty monomial
+    assert verify_witness(Witness(2, 3, (), (0, 0, 0)))
+    assert not verify_witness(Witness(2, 3, (), (0, 1, 0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 7), s=st.integers(2, 4))
+def test_sparse_verifier_equals_dense_oracle(data, m, s):
+    # up to four factors, none at all included, on any variable pair (so
+    # some variables go unused) with exponents up to 2m + 2 (above 2m a
+    # factor vanishes).  The certificate is one term picked from each
+    # factor's expansion, capped at m, so it is often a monomial that
+    # cancels mod 2 or nearly fits, or else an arbitrary one
+    pair = st.integers(1, s - 1).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(i + 1, s)))
+    factors = tuple((i, j, e) for (i, j), e in data.draw(st.lists(
+        st.tuples(pair, st.integers(1, 2 * m + 2)), max_size=4)))
+    if data.draw(st.booleans()):
+        exponents = [0] * s
+        for i, j, e in factors:
+            t = data.draw(st.integers(0, e))
+            exponents[i - 1] += t
+            exponents[j - 1] += e - t
+        certificate = tuple(min(x, m) for x in exponents)
+    else:
+        certificate = data.draw(st.tuples(*[st.integers(0, m)] * s))
+    w = Witness(m, s, factors, certificate)
+    assert verify_witness(w) == dense_verify_witness(w)
+
+
+def test_sparse_verifier_equals_dense_oracle_on_table_grid():
+    # every DP witness of the report grid m <= 15, s <= 6 within the ring
+    # cap, and the same words with the certificate's x_s exponent lowered
+    for m in range(1, 16):
+        for s in range(2, 7):
+            if (m + 1) ** s > MAX_RING_BITS:
+                continue
+            w = zcl_exact(m, s).witness
+            product = set(dense_factor_product(m, s, w.factors).monomials())
+            assert verify_witness(w) and w.certificate in product, (m, s)
+            *rest, top = w.certificate
+            if top:
+                lowered = Witness(m, s, w.factors, (*rest, top - 1))
+                assert verify_witness(lowered) == (lowered.certificate in product)
+
+
 def test_explicit_witness_block_case():
     w = explicit_witness(5, 3)
     assert w.factors == ((1, 3, 7), (2, 3, 7))
@@ -264,7 +312,7 @@ def test_monotone_extension():
         product = ring_word_product(m, s, [e for _, _, e in res.witness.factors])
         assert not product.is_zero
         bigger = get_ring(m, s + 1).poly(product.bits)  # ranks carry over
-        extended = bigger * bigger.ring.binomial_pow(1, s + 1, m)
+        extended = dense_mul(bigger, bigger.ring.binomial_pow(1, s + 1, m))
         assert not extended.is_zero
         assert zcl_exact(m, s + 1).value >= res.value + m
 

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from zclrp import (MAX_RING_BITS, RingSpec, SizeLimitError, SpecMismatchError,
                    get_ring, monomial_from_text, monomial_to_text,
                    poly_to_text, rank, unrank)
-from zclrp._kernels import RingKernel
-
-from oracles import naive_diagonal, naive_mul, naive_pow, poly_to_set, random_poly_set, set_to_poly
+from oracles import (RingKernel, dense_mul, naive_diagonal, naive_mul,
+                     naive_pow, poly_to_set, random_poly_set, set_to_poly)
 
 
 # -- spec and rank/unrank -------------------------------------------------------
@@ -25,6 +24,19 @@ def test_spec_validation():
     with pytest.raises(SizeLimitError):
         RingSpec(1, 24)
     assert RingSpec(2, 3).size == 27
+
+
+def test_spec_cap_message():
+    # the size in digits while (m+1)^s may be below 2^65, as a power of 2
+    # past that, so a huge shape never builds or prints its power
+    cap = f"exceeds the cap of {MAX_RING_BITS} basis monomials"
+    for (m, s), size in [((2, 64), 3 ** 64), ((1, 65), "2^65"),
+                         ((1000, 2000), "2^18000"),
+                         ((1, 10 ** 6), "2^1000000")]:
+        with pytest.raises(SizeLimitError) as exc:
+            RingSpec(m, s)
+        relation = ">=" if isinstance(size, str) else "="
+        assert str(exc.value) == f"(m+1)^s {relation} {size} {cap}"
 
 
 def test_poly_range():
@@ -79,23 +91,23 @@ def test_spec_mismatch_rejected():
     with pytest.raises(SpecMismatchError):
         p + q
     with pytest.raises(SpecMismatchError):
-        p * q
+        dense_mul(p, q)
 
 
-# -- mul ------------------------------------------------------------------------
+# -- the dense product oracle ----------------------------------------------------
 
 def test_mul_examples():
     r12 = get_ring(1, 2)
     d = r12.gen(1) + r12.gen(2)
-    assert (d * d).is_zero
+    assert dense_mul(d, d).is_zero
 
     r22 = get_ring(2, 2)
-    assert (r22.monomial((2, 0)) * r22.gen(1)).is_zero
+    assert dense_mul(r22.monomial((2, 0)), r22.gen(1)).is_zero
 
     r23 = get_ring(2, 3)
     p = r23.monomial((2, 0, 1)) + r23.monomial((1, 0, 2))
     q = r23.monomial((0, 2, 1)) + r23.monomial((0, 1, 2))
-    assert p * q == r23.monomial((2, 2, 2))
+    assert dense_mul(p, q) == r23.monomial((2, 2, 2))
 
 
 def test_mul_matches_naive_reference():
@@ -105,7 +117,7 @@ def test_mul_matches_naive_reference():
         for _ in range(60):
             sa = random_poly_set(rng, m, s)
             sb = random_poly_set(rng, m, s)
-            got = set_to_poly(ring, sa) * set_to_poly(ring, sb)
+            got = dense_mul(set_to_poly(ring, sa), set_to_poly(ring, sb))
             assert poly_to_set(got) == naive_mul(m, sa, sb)
 
 
@@ -119,7 +131,7 @@ def test_frobenius_square_equals_generic_mul():
             p = ring.poly(rng.getrandbits(ring.size))
             frobenius = {tuple(2 * x for x in e) for e in p.monomials()
                          if all(2 * x <= m for x in e)}
-            assert poly_to_set(p * p) == frobenius
+            assert poly_to_set(dense_mul(p, p)) == frobenius
             assert frobenius == naive_mul(m, poly_to_set(p), poly_to_set(p))
 
 
@@ -181,7 +193,7 @@ def test_grading():
                 continue
             p = ring.poly(sum(1 << r for r in rng.sample(ranks1, rng.randint(1, len(ranks1)))))
             q = ring.poly(sum(1 << r for r in rng.sample(ranks2, rng.randint(1, len(ranks2)))))
-            prod = p * q
+            prod = dense_mul(p, q)
             assert {sum(e) for e in prod.monomials()} <= {d1 + d2}
 
 
@@ -195,11 +207,12 @@ def test_ring_axioms(m, s, rng):
     a = ring.poly(rng.getrandbits(ring.size))
     b = ring.poly(rng.getrandbits(ring.size))
     c = ring.poly(rng.getrandbits(ring.size))
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a * ring.one == a
-    assert a * ring.zero == ring.zero
+    mul = dense_mul
+    assert mul(a, b) == mul(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, b + c) == mul(a, b) + mul(a, c)
+    assert mul(a, ring.one) == a
+    assert mul(a, ring.zero) == ring.zero
 
 
 # -- powers -------------------------------------------------------------------------
@@ -214,7 +227,7 @@ def test_pow_matches_naive_reference():
             k = rng.randint(0, 2 * m + 2)
             base, got = set_to_poly(ring, sa), ring.one
             for _ in range(k):
-                got = got * base
+                got = dense_mul(got, base)
             assert poly_to_set(got) == naive_pow(m, s, sa, k)
 
 
@@ -256,7 +269,7 @@ def test_diagonal_restriction_is_ring_hom():
             sa = random_poly_set(rng, m, s)
             sb = random_poly_set(rng, m, s)
             p, q = set_to_poly(ring, sa), set_to_poly(ring, sb)
-            lhs = naive_diagonal(m, poly_to_set(p * q))
+            lhs = naive_diagonal(m, poly_to_set(dense_mul(p, q)))
             assert lhs == naive_diagonal(m, naive_mul(m, sa, sb))
             da = naive_diagonal(m, sa)
             db = naive_diagonal(m, sb)
@@ -282,7 +295,7 @@ def test_embed_is_ring_hom_and_commutes_with_restriction():
     for _ in range(40):
         p = ring.poly(rng.getrandbits(ring.size))
         q = ring.poly(rng.getrandbits(ring.size))
-        assert embed(p * q) == embed(p) * embed(q)
+        assert embed(dense_mul(p, q)) == dense_mul(embed(p), embed(q))
         assert embed(p + q) == embed(p) + embed(q)
         assert naive_diagonal(2, poly_to_set(embed(p))) == \
             naive_diagonal(2, poly_to_set(p))
