@@ -7,17 +7,16 @@ numbers: the only sources are the Hopf dimensions m in {1, 3, 7} (TC =
 m(s-1)) and even m with s > m (the chain collapses to s*m).
 
 Rows serialize deterministically (JSON lines or CSV ordered by (m, s));
-computed values can be persisted in an append-only JSON-lines cache.  Its
-lines are parsed once per process and its entries re-verified on every
-lookup by verify_witness, the sparse ring product; every witness a row
-computes is checked the same way.  Neither check multiplies dense ring
+computed values can be persisted in an append-only JSON-lines cache.  The
+rows of one table parse each of its lines once, and every lookup
+re-verifies its entry by verify_witness, the sparse ring product; every
+witness a row computes is checked the same way.  Neither check multiplies dense ring
 elements, but both build the ring, so a row over MAX_RING_BITS is skipped.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -136,24 +135,11 @@ def cache_put(path: str, m: int, s: int, zcl: int, method: str,
     return entry
 
 
-class _ParsedCache:
-    """The complete lines of one cache file parsed so far: the file's path,
-    their text and number, and their entries by (m, s), each with its line
-    number."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.text = ""
-        self.lines = 0
-        self.by_key: dict[tuple[int, int], list[tuple[int, CacheEntry]]] = {}
-
-
-# The cache file parsed last.  It holds nothing but what the file's text
-# determines, and a file whose text no longer starts with the parsed text
-# is parsed anew, so a caller sees no difference from a fresh parse except
-# that a corrupt line's warning is not repeated.
-_parsed = _ParsedCache("")
-_parsed_lock = threading.Lock()
+# The cache file parsed last: its path, the text of its complete lines and
+# their (line number, entry or None).  It holds only what that text
+# determines, and is replaced whole, never changed in place, so a lookup
+# sees what a fresh parse would, without repeating a corrupt line's warning.
+_parsed: tuple[str, str, list[tuple[int, CacheEntry | None]]] = ("", "", [])
 
 
 def _parse_line(path: str, n: int, line: str) -> CacheEntry | None:
@@ -171,12 +157,11 @@ def _parse_line(path: str, n: int, line: str) -> CacheEntry | None:
 def _cached_lines(path: str, m: int, s: int) -> list[tuple[int, CacheEntry]]:
     """(line number, entry) for every readable line of (m, s), in file order.
 
-    The file is read whole on every call, but while it is the file read
-    last and the text parsed before is a prefix of it, only the complete
-    lines after that prefix are parsed.  So the rows of one table parse
-    each line once, and see the lines that cache_put or another process
-    appends meanwhile.  A last line without its newline is parsed on every
-    call.
+    The file is read whole on every call, but while it is the file parsed
+    last and the text parsed then is a prefix of it, only the complete lines
+    after that prefix are parsed.  So the rows of one table parse each line
+    once, and see the lines that cache_put or another process appends
+    meanwhile.  A last line without its newline is parsed on every call.
     """
     global _parsed
     try:
@@ -185,25 +170,15 @@ def _cached_lines(path: str, m: int, s: int) -> list[tuple[int, CacheEntry]]:
     except FileNotFoundError:
         return []
     end = text.rfind("\n") + 1
-    with _parsed_lock:
-        done = _parsed
-        if done.path != path or not text.startswith(done.text):
-            done = _parsed = _ParsedCache(path)
-        # kept only once every new line is parsed: a warning raised as an
-        # error leaves the parsed state as it was
-        new = [(n, _parse_line(path, n, line)) for n, line in enumerate(
-            text[len(done.text):end].split("\n")[:-1], done.lines + 1)]
-        for n, entry in new:
-            if entry is not None:
-                done.by_key.setdefault((entry.m, entry.s), []).append(
-                    (n, entry))
-        done.lines += len(new)
-        done.text = text[:end]
-        found = list(done.by_key.get((m, s), ()))
-        partial = _parse_line(path, done.lines + 1, text[end:])
-    if partial is not None and (partial.m, partial.s) == (m, s):
-        found.append((done.lines + 1, partial))
-    return found
+    parsed_path, seen, lines = _parsed
+    if parsed_path != path or not text.startswith(seen):
+        seen, lines = "", []
+    lines = lines + [(n, _parse_line(path, n, line)) for n, line in enumerate(
+        text[len(seen):end].split("\n")[:-1], len(lines) + 1)]
+    _parsed = (path, text[:end], lines)
+    last = (len(lines) + 1, _parse_line(path, len(lines) + 1, text[end:]))
+    return [(n, entry) for n, entry in lines + [last]
+            if entry is not None and (entry.m, entry.s) == (m, s)]
 
 
 def cache_get(path: str, m: int, s: int) -> CacheEntry | None:
@@ -242,8 +217,9 @@ def build_row(m: int, s: int, policy: str = "exact", *,
 
     policy "exact" runs the knapsack DP of zcl_exact (the witness is
     additionally re-verified by verify_witness, through sparse ring
-    arithmetic -- a disagreement would be a bug and raises).  policy "witness_only" uses the closed-form construction when
-    it applies and otherwise falls back to the generic (s-1)m lower bound.
+    arithmetic -- a disagreement would be a bug and raises).  policy
+    "witness_only" uses the closed-form construction when it applies and
+    otherwise falls back to the generic (s-1)m lower bound.
     A ring over MAX_RING_BITS raises SizeLimitError before any work, and
     policy "exact" raises UndeterminedError for a DP over MAX_DP_CELLS.
     """
