@@ -1,9 +1,10 @@
 """Zero-divisor cup-lengths of cartesian powers of real projective spaces.
 
 Exact computation of zcl_s(RP^m) in mod-2 cohomology -- by a residue
-knapsack DP whose witnesses are cross-checked against dense GF(2) ring
-arithmetic -- plus explicit lower-bound witnesses, structural verifications, and bound
-tables for the higher topological complexity TC_s(RP^m).
+knapsack DP whose witnesses are cross-checked by sparse GF(2) products of
+their factors' terms -- plus explicit lower-bound witnesses, structural
+verifications, and bound tables for the higher topological complexity
+TC_s(RP^m).
 """
 
 __version__ = "0.1.0"
@@ -15,32 +16,29 @@ from .cuplength import (MAX_DP_CELLS, GapProbe, GeneratorWord, Witness,
                         ZclResult, explicit_witness, g_stabilization_probe,
                         verify_witness, word_nonzero, zcl_exact)
 from .errors import (InvariantViolationError, SizeLimitError,
-                     SpecMismatchError, UndeterminedError, ZclError)
+                     UndeterminedError, ZclError)
 from .join_model import (GroupElem, JoinPoint, JoinReport, act, component_key,
                          in_U, join_point, sample_report,
                          segment_in_component, vertex)
 from .parity import (TwoAdicProfile, sigma_of, trailing_ones,
                      two_adic_profile, z_of)
-from .ring import (MAX_RING_BITS, Poly, Ring, RingSpec, get_ring,
-                   monomial_from_text, monomial_to_text, poly_to_text, rank,
-                   unrank)
+from .ring import (MAX_RING_BITS, RingSpec, monomial_from_text,
+                   monomial_to_text, rank, unrank)
 from .zero_divisors import (DegreeCheck, DegreeSlice, SubspaceBasis,
-                            degree_slice, generator, ideal_degree_basis,
-                            kernel_basis, verify_generators_lemma)
+                            degree_slice, ideal_degree_basis, kernel_basis,
+                            verify_generators_lemma)
 
 __all__ = [
     "BACKEND_NAME", "BoundsRow", "CacheEntry", "DegreeCheck", "DegreeSlice",
     "ENGINE_VERSION", "GapProbe", "GeneratorWord", "GroupElem",
     "InvariantViolationError", "JoinPoint", "JoinReport", "MAX_DP_CELLS",
-    "MAX_RING_BITS", "Poly", "Ring", "RingSpec", "SizeLimitError",
-    "SpecMismatchError", "SubspaceBasis", "TwoAdicProfile",
-    "UndeterminedError", "Witness", "ZclError", "ZclResult", "act",
-    "build_row", "build_table", "cache_get", "cache_put", "component_key",
-    "degree_slice", "emit", "explicit_witness", "g_stabilization_probe",
-    "generator", "get_ring", "ideal_degree_basis", "in_U", "join_point",
+    "MAX_RING_BITS", "RingSpec", "SizeLimitError", "SubspaceBasis",
+    "TwoAdicProfile", "UndeterminedError", "Witness", "ZclError", "ZclResult",
+    "act", "build_row", "build_table", "cache_get", "cache_put",
+    "component_key", "degree_slice", "emit", "explicit_witness",
+    "g_stabilization_probe", "ideal_degree_basis", "in_U", "join_point",
     "kernel_basis", "known_tc", "monomial_from_text", "monomial_to_text",
-    "poly_to_text", "rank", "sample_report", "segment_in_component",
-    "sigma_of", "trailing_ones", "two_adic_profile", "unrank",
-    "verify_generators_lemma", "verify_witness", "vertex", "word_nonzero",
-    "z_of", "zcl_exact",
+    "rank", "sample_report", "segment_in_component", "sigma_of",
+    "trailing_ones", "two_adic_profile", "unrank", "verify_generators_lemma",
+    "verify_witness", "vertex", "word_nonzero", "z_of", "zcl_exact",
 ]

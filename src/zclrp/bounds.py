@@ -9,9 +9,11 @@ m(s-1)) and even m with s > m (the chain collapses to s*m).
 Rows serialize deterministically (JSON lines or CSV ordered by (m, s));
 computed values can be persisted in an append-only JSON-lines cache.  The
 rows of one table parse each of its lines once, and every lookup
-re-verifies its entry by verify_witness, the sparse ring product; every
-witness a row computes is checked the same way.  Neither check multiplies dense ring
-elements, but both build the ring, so a row over MAX_RING_BITS is skipped.
+re-verifies its entry by verify_witness, the sparse product of the
+factors' terms; every witness a row computes is checked the same way.
+Neither check builds the ring, so no row is refused for the size of
+(m+1)^s; a row is skipped only when its DP (policy "exact") or the check
+of its closed-form witness (policy "witness_only") is over MAX_DP_CELLS.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import time
 import warnings
 from dataclasses import dataclass
 
-from .cuplength import Witness, zcl_exact, explicit_witness, verify_witness
-from .errors import InvariantViolationError, SizeLimitError, UndeterminedError
+from .cuplength import (Witness, _check_cells, _check_work, _explicit_work,
+                        explicit_witness, verify_witness, zcl_exact)
+from .errors import InvariantViolationError, UndeterminedError
 from .ring import RingSpec, monomial_from_text
 
 ENGINE_VERSION = "1"
@@ -118,9 +121,9 @@ def _entry_to_json(entry: CacheEntry) -> str:
 def _entry_from_json(line: str) -> CacheEntry:
     raw = json.loads(line)
     m, s = int(raw["m"]), int(raw["s"])
-    spec_like = RingSpec(m, s)  # validates ranges; cache is desk-scale only
+    spec = RingSpec(m, s)  # m >= 1 and s >= 2; no size cap
     factors = tuple((int(i), int(j), int(e)) for i, j, e in raw["witness"]["factors"])
-    certificate = monomial_from_text(spec_like, raw["witness"]["certificate"])
+    certificate = monomial_from_text(spec, raw["witness"]["certificate"])
     witness = Witness(m, s, factors, certificate)
     return CacheEntry(m, s, int(raw["zcl"]), str(raw["method"]), witness,
                       str(raw["engine_version"]), float(raw["timestamp"]))
@@ -185,14 +188,15 @@ def cache_get(path: str, m: int, s: int) -> CacheEntry | None:
     """Newest verified entry for (m, s) at the current engine version.
 
     Corrupt lines are skipped with a warning when they are parsed (see
-    _cached_lines for when that is).  An entry whose method is
-    unknown, whose zcl is not its witness length, or whose witness fails
-    ring re-verification is distrusted (warning, then older entries are
-    tried), so every cached zcl is certified as a lower bound; the witness
-    is re-verified on every lookup.  That an "exact" entry is maximal is
-    taken on trust: checking it would rerun zcl_exact, the work a cache hit
-    exists to skip.  Anything else -- absent file, no matching key, version
-    mismatch -- is simply a miss.
+    _cached_lines for when that is).  An entry whose method is unknown,
+    whose zcl is not its witness length, or whose witness fails
+    re-verification by verify_witness or is over its work cap is distrusted
+    (warning, then older entries are tried), so every cached zcl is
+    certified as a lower bound.  The witness is re-verified on every
+    lookup.  That an "exact" entry is maximal is taken on trust: checking
+    it would rerun zcl_exact, the work a cache hit exists to skip.
+    Anything else -- absent file, no matching key, version mismatch -- is
+    simply a miss.
     """
     matches = [(n, entry) for n, entry in _cached_lines(path, m, s)
                if entry.engine_version == ENGINE_VERSION]
@@ -203,7 +207,12 @@ def cache_get(path: str, m: int, s: int) -> CacheEntry | None:
         if entry.zcl != entry.witness.length:
             warnings.warn(f"{path}:{n}: cached zcl does not match witness length")
             continue
-        if verify_witness(entry.witness):
+        try:
+            verified = verify_witness(entry.witness)
+        except UndeterminedError as exc:
+            warnings.warn(f"{path}:{n}: cached witness not re-verified ({exc})")
+            continue
+        if verified:
             return entry
         warnings.warn(f"{path}:{n}: cached witness failed re-verification")
     return None
@@ -220,12 +229,17 @@ def build_row(m: int, s: int, policy: str = "exact", *,
     arithmetic -- a disagreement would be a bug and raises).  policy
     "witness_only" uses the closed-form construction when it applies and
     otherwise falls back to the generic (s-1)m lower bound.
-    A ring over MAX_RING_BITS raises SizeLimitError before any work, and
-    policy "exact" raises UndeterminedError for a DP over MAX_DP_CELLS.
+    The policy's cap is checked before the cache is read or any work is
+    done: policy "exact" raises UndeterminedError for a DP over
+    MAX_DP_CELLS, and policy "witness_only" for a closed-form witness whose
+    check is over it.
     """
-    if policy not in ("exact", "witness_only"):
+    if policy == "exact":
+        _check_cells(m, s)
+    elif policy == "witness_only":
+        _check_work(m, s, _explicit_work(m, s))
+    else:
         raise ValueError(f"unknown policy {policy!r}")
-    RingSpec(m, s)  # the ring cap, checked before the cache or the DP
 
     zcl = method = witness = None
     if cache_path is not None:
@@ -264,15 +278,15 @@ def build_table(m_range: tuple[int, int], s_range: tuple[int, int],
                 policy: str = "exact", *,
                 cache_path: str | None = None,
                 ) -> tuple[list[BoundsRow], list[tuple[int, int, str]]]:
-    """All rows over inclusive ranges.  A row over either cap (MAX_RING_BITS,
-    or MAX_DP_CELLS under policy "exact") is skipped and reported as
-    (m, s, reason) instead of aborting the table."""
+    """All rows over inclusive ranges.  A row over its policy's cap (see
+    build_row) is skipped and reported as (m, s, reason) instead of
+    aborting the table."""
     rows, skipped = [], []
     for m in range(m_range[0], m_range[1] + 1):
         for s in range(s_range[0], s_range[1] + 1):
             try:
                 rows.append(build_row(m, s, policy, cache_path=cache_path))
-            except (SizeLimitError, UndeterminedError) as exc:
+            except UndeterminedError as exc:
                 skipped.append((m, s, str(exc)))
     return rows, skipped
 

@@ -239,8 +239,9 @@ def verify_join_cmd(s, k, samples, seed):
 def report(m_range, s_range, policy, fmt, cache_path):
     """Bound-table rows s*m >= TC_s >= secat >= zcl over the given ranges.
 
-    Rows over the ring-size or DP cap are skipped with a note on stderr and
-    exit code 2.
+    Rows over the work cap -- the DP's size under --policy exact, the check
+    of the closed-form witness under witness-only -- are skipped with a note
+    on stderr and exit code 2.
     """
     _at_least("--m-range start", m_range[0], 1)
     _at_least("--s-range start", s_range[0], 2)

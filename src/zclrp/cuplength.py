@@ -33,15 +33,17 @@ size is capped up front (MAX_DP_CELLS), never part-way through.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvariantViolationError, UndeterminedError
 from .parity import trailing_ones
-from .ring import get_ring, monomial_to_text
+from .ring import monomial_to_text
 
 MAX_DP_CELLS = 1 << 20
-"""Cap on the DP size of one (m, s): see _check_cells."""
+"""Cap on the work of one (m, s): the DP size of zcl_exact (see
+_check_cells) and the term products of verify_witness (see _check_work)."""
 
 
 def _check_cells(m: int, s: int) -> None:
@@ -268,47 +270,191 @@ def zcl_exact(m: int, s: int) -> ZclResult:
     return ZclResult(m, s, value, "exact", Witness(m, s, factors, certificate))
 
 
+def _largest_submask(k: int, x: int) -> int:
+    """The largest submask of k that is at most x >= 0.
+
+    x itself when it is a submask of k.  Otherwise let h be the highest bit
+    x has and k lacks: keep x's bits above h, clear h and take all of k's
+    bits below it.
+    """
+    missing = x & ~k
+    if not missing:
+        return x
+    h = 1 << (missing.bit_length() - 1)
+    return (x & -(h << 1)) | (k & (h - 1))
+
+
+def _binomial_terms(m: int, k: int) -> list[int]:
+    """The exponents t of the terms x_i^t x_j^(k-t) of (x_i + x_j)^k in
+    A(m, s).
+
+    C(k, t) is odd iff t is a submask of k, and both exponents must be at
+    most m, so t runs over the submasks of k in [max(0, k - m), min(m, k)].
+    They are walked downwards from the largest one in range, so the cost is
+    the number of terms, not m.
+    """
+    low, high = max(0, k - m), min(m, k)
+    if low > high:
+        return []
+    t, out = _largest_submask(k, high), []
+    while t >= low:
+        out.append(t)
+        if not t:
+            break
+        t = (t - 1) & k
+    return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _term_count(m: int, k: int) -> int:
+    """len(_binomial_terms(m, k)), from the binary digits alone.
+
+    The submasks of k at most x number one more than the rank of the
+    largest of them among all submasks of k, read off by packing its bits
+    at k's bit positions into consecutive ones.
+    """
+    def at_most(x: int) -> int:
+        if x < 0:
+            return 0
+        t, count, place, bits = _largest_submask(k, x), 1, 1, k
+        while bits:
+            low = bits & -bits
+            if t & low:
+                count += place
+            place <<= 1
+            bits ^= low
+        return count
+
+    if k > 2 * m:
+        return 0
+    return at_most(min(m, k)) - at_most(max(0, k - m) - 1)
+
+
+def _check_work(m: int, s: int, work: int) -> None:
+    """Raise UndeterminedError when verify_witness's work bound for an
+    (m, s) witness exceeds MAX_DP_CELLS."""
+    if work > MAX_DP_CELLS:
+        raise UndeterminedError(
+            f"witness({m},{s}): the check's work bound reaches {work} term "
+            f"products, over the cap of {MAX_DP_CELLS}")
+
+
+def _uses(factors) -> tuple[dict[int, int], dict[int, int]]:
+    """For each variable: the index of the first and of the last factor
+    that uses it."""
+    first, last = {}, {}
+    for n, (i, j, _) in enumerate(factors):
+        for v in (i, j):
+            first.setdefault(v, n)
+            last[v] = n
+    return first, last
+
+
+def _work_bound(w: Witness) -> int:
+    """verify_witness's bound on its term products, summed up to the first
+    factor that takes it past MAX_DP_CELLS (see there)."""
+    first, last = _uses(w.factors)
+    work, sizes = 0, {}
+    for n, (i, j, e) in enumerate(w.factors):
+        count = _term_count(w.m, e)
+        if not count:
+            break
+        live = math.prod(sizes.values()) // max(sizes.values(), default=1)
+        work += live * count
+        if work > MAX_DP_CELLS:
+            break
+        for v in (i, j):
+            if last[v] == n:
+                sizes.pop(v, None)
+            elif first[v] == n and w.certificate[v - 1]:
+                sizes[v] = w.certificate[v - 1] + 1
+    return work
+
+
 def verify_witness(w: Witness) -> bool:
     """Check a witness by plain ring arithmetic: multiply the factor powers
     and test the certificate monomial's coefficient.
 
     Independent of word_nonzero -- this is the oracle that cross-validates
-    the combinatorial criterion.  Each factor's terms come from the ring's
-    binomial_pow, and the product runs over sets of exponent vectors, each
-    new term cancelling an equal one mod 2.  Only the terms that can still
-    reach the certificate C are kept: a term must divide C, since exponents
-    only grow, and once the last factor using a variable is multiplied in,
-    its exponent on that variable must equal C's.  This drops nothing the
-    coefficient of C depends on, and the truncation x_i^(m+1) = 0 never
-    bites, as C's exponents are at most m.  It still builds the ring, so it
-    raises SizeLimitError when (m+1)^s exceeds MAX_RING_BITS.
+    the combinatorial criterion.  Each factor's terms come from the closed
+    form of (x_i + x_j)^k (see _binomial_terms), and the product runs over
+    sets of exponent vectors, each new term cancelling an equal one mod 2.
+    Only the terms that can still reach the certificate C are kept: a term
+    must divide C, since exponents only grow, and once the last factor using
+    a variable is multiplied in, its exponent on that variable must equal
+    C's.  So a term is kept only over the open variables, those used by an
+    earlier factor and by a later one; a variable no factor uses must have
+    exponent 0 in C.  This drops nothing the coefficient of C depends on,
+    and the truncation x_i^(m+1) = 0 never bites, as C's exponents are at
+    most m.  No ring is built.
+
+    The work is bounded from the factor list before any product, and over
+    MAX_DP_CELLS raises UndeterminedError: every term before a factor has
+    the same total degree, so with k open variables at most the product of
+    C_v + 1 over all but the largest of them are live, each multiplied by
+    the factor's terms.  A factor with no term ends the product, and the
+    bound with it.  A DP witness keeps only x_s open, so its bound is at
+    most (s-1)(m+1), within its DP size.
     """
-    ring = get_ring(w.m, w.s)
     target = w.certificate
-    last = {}
-    for n, (i, j, _) in enumerate(w.factors):
-        last[i] = last[j] = n
-    terms = {(0,) * w.s}
+    first, last = _uses(w.factors)
+    if any(c and v not in first for v, c in enumerate(target, 1)):
+        return False
+    _check_work(w.m, w.s, _work_bound(w))
+    layout, terms = (), {()}
     for n, (i, j, e) in enumerate(w.factors):
-        pairs = [(x[i - 1], x[j - 1])
-                 for x in ring.binomial_pow(i, j, e).monomials()]
         ci, cj = target[i - 1], target[j - 1]
-        fix_i, fix_j = last[i] == n, last[j] == n
+        keep = [p for p, v in enumerate(layout) if v != i and v != j]
+        at_i = layout.index(i) if i in layout else None
+        at_j = layout.index(j) if j in layout else None
+        open_i, open_j = last[i] > n, last[j] > n
+        # a variable this factor closes leaves one exponent t to try per
+        # term; only when both stay open are all of the factor's terms read
+        every_t = _binomial_terms(w.m, e) if open_i and open_j else ()
         product = set()
         for term in terms:
-            for a, b in pairs:
-                a += term[i - 1]
-                b += term[j - 1]
-                if (a > ci or b > cj or (fix_i and a != ci)
-                        or (fix_j and b != cj)):
+            rest = tuple(term[p] for p in keep)
+            have_i = 0 if at_i is None else term[at_i]
+            have_j = 0 if at_j is None else term[at_j]
+            if not open_i:
+                choices = (ci - have_i,)
+            elif not open_j:
+                choices = (e - cj + have_j,)
+            else:
+                choices = every_t
+            for t in choices:
+                a, b = have_i + t, have_j + e - t
+                if (e & t != t or not e - w.m <= t <= w.m or a > ci
+                        or b > cj or (not open_i and a != ci)
+                        or (not open_j and b != cj)):
                     continue
-                grown = list(term)
-                grown[i - 1], grown[j - 1] = a, b
-                product ^= {tuple(grown)}
+                product ^= {rest + (a,) * open_i + (b,) * open_j}
+        layout = tuple(layout[p] for p in keep) + (i,) * open_i + (j,) * open_j
         terms = product
         if not terms:
             return False
-    return target in terms
+    return bool(terms)
+
+
+def _explicit_work(m: int, s: int) -> int:
+    """verify_witness's work bound for the closed-form witness of (m, s),
+    from the shape of explicit_witness alone; 0 when there is none.
+
+    For m = 2^e - 1 each of the s-1 factors has m+1 terms and x_s, the one
+    variable left open, has certificate exponent 0.  Otherwise the first of
+    the sigma-1 block factors meets no open variable, the others meet
+    x_sigma and, when s > sigma, x_1, so min(m, (sigma-1) 2^e) + 1 live
+    terms; each extension factor meets x_1 alone.
+    """
+    e = trailing_ones(m)
+    sigma = (m + 1) >> e
+    if sigma == 1:
+        return (s - 1) * (m + 1)
+    if s < sigma:
+        return 0
+    block = _term_count(m, m + (1 << e))
+    live = 1 if s == sigma else min(m, (sigma - 1) << e) + 1
+    return block + (sigma - 2) * block * live + (s - sigma) * _term_count(m, m)
 
 
 def explicit_witness(m: int, s: int) -> Witness | None:
@@ -327,11 +473,14 @@ def explicit_witness(m: int, s: int) -> Witness | None:
       cancellation.  Total length s*m - (2^e - 1).
     * s < sigma (and m not of the first shape): no construction; None.
 
-    The witness is verified through the ring before being returned; a
-    verification failure is a defect, not a data condition.
+    A witness whose check is over verify_witness's work cap raises
+    UndeterminedError before its factors are built.  The witness is
+    verified before being returned; a verification failure is a defect,
+    not a data condition.
     """
     if m < 1 or s < 2:
         raise ValueError("need m >= 1 and s >= 2")
+    _check_work(m, s, _explicit_work(m, s))
     e = trailing_ones(m)
     if m == (1 << e) - 1:
         factors = tuple((i, s, m) for i in range(1, s))

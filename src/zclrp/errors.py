@@ -5,12 +5,9 @@ class ZclError(Exception):
     """Base class for package errors."""
 
 
-class SpecMismatchError(ZclError, ValueError):
-    """Operands belong to different rings."""
-
-
 class SizeLimitError(ZclError, ValueError):
-    """Basis cardinality (m+1)^s exceeds the cap MAX_RING_BITS."""
+    """The graded slice table of A(m, s) would hold (m+1)^s basis monomials,
+    over the cap MAX_RING_BITS."""
 
 
 class UndeterminedError(ZclError, RuntimeError):

@@ -13,19 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2 import rref
-from .ring import Poly, Ring, RingSpec, get_ring, poly_to_text
-
-
-def _ring(spec: RingSpec) -> Ring:
-    return get_ring(spec.m, spec.s)
-
-
-def generator(spec: RingSpec, i: int) -> Poly:
-    """The i-th ideal generator x_i + x_s, for 1 <= i <= s-1."""
-    if not 1 <= i <= spec.s - 1:
-        raise ValueError(f"generator index {i} outside [1, {spec.s - 1}]")
-    ring = _ring(spec)
-    return ring.gen(i) + ring.gen(spec.s)
+from .ring import RingSpec, graded_slices, monomial_to_text, unrank
 
 
 @dataclass(frozen=True)
@@ -44,7 +32,7 @@ class DegreeSlice:
 def degree_slice(spec: RingSpec, degree: int) -> DegreeSlice:
     if not 0 <= degree <= spec.s * spec.m:
         raise ValueError(f"degree {degree} outside [0, {spec.s * spec.m}]")
-    return DegreeSlice(spec, degree, _ring(spec).degree_ranks(degree))
+    return DegreeSlice(spec, degree, graded_slices(spec)[degree])
 
 
 @dataclass(frozen=True)
@@ -62,17 +50,6 @@ class SubspaceBasis:
     @property
     def dimension(self) -> int:
         return len(self.rows)
-
-    def row_as_poly(self, row: int) -> Poly:
-        ring = _ring(self.slice.spec)
-        bits = 0
-        for c in range(row.bit_length()):
-            if (row >> c) & 1:
-                bits |= 1 << self.slice.ranks[c]
-        return ring.poly(bits)
-
-    def polys(self) -> list[Poly]:
-        return [self.row_as_poly(r) for r in self.rows]
 
 
 def kernel_basis(spec: RingSpec, degree: int) -> SubspaceBasis:
@@ -105,7 +82,7 @@ def ideal_degree_basis(spec: RingSpec, degree: int) -> SubspaceBasis:
     if not 1 <= degree <= spec.s * spec.m:
         raise ValueError(f"degree {degree} outside [1, {spec.s * spec.m}]")
     m, radix = spec.m, spec.m + 1
-    below = _ring(spec).degree_ranks(degree - 1)
+    below = graded_slices(spec)[degree - 1]
     sl = degree_slice(spec, degree)
     position = {r: c for c, r in enumerate(sl.ranks)}
     top = radix ** (spec.s - 1)
@@ -121,6 +98,12 @@ def ideal_degree_basis(spec: RingSpec, degree: int) -> SubspaceBasis:
             if row:
                 rows.append(row)
     return SubspaceBasis(sl, tuple(rref(rows)))
+
+
+def _row_text(sl: DegreeSlice, row: int) -> str:
+    """Text form of a nonzero row: its monomials in increasing rank order."""
+    return " + ".join(monomial_to_text(unrank(sl.spec, sl.ranks[c]))
+                      for c in range(row.bit_length()) if (row >> c) & 1)
 
 
 @dataclass(frozen=True)
@@ -155,7 +138,7 @@ def verify_generators_lemma(spec: RingSpec,
         mismatch = None
         if not passed:
             diff = set(ker.rows).symmetric_difference(ideal.rows)
-            mismatch = poly_to_text(ker.row_as_poly(min(diff)))
+            mismatch = _row_text(ker.slice, min(diff))
         checks.append(DegreeCheck(d, ker.dimension, ideal.dimension,
                                   passed, mismatch))
     return checks

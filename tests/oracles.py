@@ -4,26 +4,217 @@ Deliberately naive: polynomials are sets of exponent tuples, products are
 formed pairwise with explicit truncation, and the cup-length brute force
 enumerates arbitrary kernel elements.  Nothing here shares code with the
 bit-packed implementation under test.  The exceptions are the dense ring
-product, which the package no longer has and which checks the sparse
-witness verifier and the directly built ideal rows, the zcl enumerator and
-the textbook knapsack below, which check the knapsack DP against the word
-criterion it optimizes, the residue table, which checks the residue
-formula against the submask definition, the F2 nullspace, which derives
-kernel bases by row reduction for the closed form to match, the quadratic
-rref, which checks the sparse back-substitution, and the join model over
-Fraction coordinates, which checks the integer weights.
+-- its elements, binomial powers and product, which the package no longer
+has and which check the sparse witness verifier and the directly built
+ideal rows -- the zcl enumerator and the textbook knapsack below, which
+check the knapsack DP against the word criterion it optimizes, the residue
+table, which checks the residue formula against the submask definition,
+the F2 nullspace, which derives kernel bases by row reduction for the
+closed form to match, the quadratic rref, which checks the sparse
+back-substitution, and the join model over Fraction coordinates, which
+checks the integer weights.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
-from zclrp import (GroupElem, JoinReport, RingSpec, SpecMismatchError,
-                   SubspaceBasis, Witness, ZclResult, degree_slice, generator,
-                   get_ring, kernel_basis, rank, word_nonzero)
+from zclrp import (GroupElem, JoinReport, RingSpec, SizeLimitError,
+                   SubspaceBasis, Witness, ZclError, ZclResult, degree_slice,
+                   kernel_basis, monomial_to_text, rank, unrank, word_nonzero)
 from zclrp.gf2 import rref
+
+
+# -- the dense ring ------------------------------------------------------------
+# The package's elements of A(m, s) before it certified witnesses without
+# them: a polynomial is the dense bit vector over ranks, held as a Python
+# int.  Rings above DENSE_RING_BITS basis monomials are refused.
+
+DENSE_RING_BITS = 1 << 23
+"""Cap on the basis cardinality (m+1)^s of a dense ring, bits per element."""
+
+
+class SpecMismatchError(ZclError, ValueError):
+    """Operands belong to different rings."""
+
+
+class Poly:
+    """Immutable element of A(m, s): a dense F2 coefficient bit vector.
+
+    Bit r set means the basis monomial of rank r occurs (coefficient 1).
+    Equality is bitwise; the zero element is the all-zeros vector.
+    """
+
+    __slots__ = ("ring", "bits")
+
+    def __init__(self, ring: "Ring", bits: int):
+        if bits < 0 or bits.bit_length() > ring.size:
+            raise ValueError("coefficient vector out of range for this ring")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Poly is immutable")
+
+    @property
+    def spec(self) -> RingSpec:
+        return self.ring.spec
+
+    @property
+    def is_zero(self) -> bool:
+        return self.bits == 0
+
+    def __bool__(self) -> bool:
+        return self.bits != 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.spec == other.spec and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.spec.m, self.spec.s, self.bits))
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self.ring.add(self, other)
+
+    def __repr__(self) -> str:
+        text = poly_to_text(self)
+        if len(text) > 60:
+            text = text[:57] + "..."
+        return f"Poly({self.spec.m},{self.spec.s}: {text})"
+
+    def support(self) -> Iterator[int]:
+        """Ranks of the monomials present, in increasing order, read from
+        the top bit down."""
+        bits = self.bits
+        ranks = []
+        while bits:
+            r = bits.bit_length() - 1
+            ranks.append(r)
+            bits ^= 1 << r
+        return reversed(ranks)
+
+    def monomials(self) -> Iterator[tuple[int, ...]]:
+        """Exponent vectors of the monomials present, in increasing rank order."""
+        for r in self.support():
+            yield unrank(self.spec, r)
+
+
+class Ring:
+    """Element constructors, addition and binomial powers for one RingSpec.
+
+    Obtain instances through :func:`get_ring`, which caches per (m, s).
+    """
+
+    def __init__(self, spec: RingSpec):
+        if spec.size > DENSE_RING_BITS:
+            raise SizeLimitError(
+                f"(m+1)^s = {spec.size} exceeds the dense oracle's cap of "
+                f"{DENSE_RING_BITS} basis monomials")
+        self.spec = spec
+
+    @property
+    def m(self) -> int:
+        return self.spec.m
+
+    @property
+    def s(self) -> int:
+        return self.spec.s
+
+    @property
+    def size(self) -> int:
+        return self.spec.size
+
+    def __repr__(self) -> str:
+        return f"Ring(m={self.m}, s={self.s})"
+
+    def poly(self, bits: int) -> Poly:
+        return Poly(self, bits)
+
+    @functools.cached_property
+    def zero(self) -> Poly:
+        return Poly(self, 0)
+
+    @functools.cached_property
+    def one(self) -> Poly:
+        return Poly(self, 1)
+
+    def gen(self, i: int) -> Poly:
+        """The generator x_i (1-indexed)."""
+        if not 1 <= i <= self.s:
+            raise ValueError(f"generator index {i} outside [1, {self.s}]")
+        return Poly(self, 1 << (self.m + 1) ** (i - 1))
+
+    def monomial(self, exponents: Sequence[int]) -> Poly:
+        return Poly(self, 1 << rank(self.spec, exponents))
+
+    def _check(self, p: Poly) -> None:
+        if p.spec != self.spec:
+            raise SpecMismatchError(
+                f"element of A({p.spec.m},{p.spec.s}) used in A({self.m},{self.s})")
+
+    def add(self, p: Poly, q: Poly) -> Poly:
+        self._check(p)
+        self._check(q)
+        return Poly(self, p.bits ^ q.bits)
+
+    def binomial_pow(self, i: int, j: int, k: int) -> Poly:
+        """(x_i + x_j)^k by the closed form: sum over t with C(k, t) odd,
+        t <= m and k - t <= m, of x_i^t x_j^(k-t)."""
+        if not 1 <= i < j <= self.s:
+            raise ValueError(f"need 1 <= i < j <= s, got i={i}, j={j}")
+        if k < 0:
+            raise ValueError("negative exponent")
+        m = self.m
+        step_i = (m + 1) ** (i - 1)
+        step_j = (m + 1) ** (j - 1)
+        bits = 0
+        for t in range(max(0, k - m), min(m, k) + 1):
+            if k & t == t:  # C(k, t) odd
+                bits |= 1 << (t * step_i + (k - t) * step_j)
+        return Poly(self, bits)
+
+
+@functools.lru_cache(maxsize=None)
+def get_ring(m: int, s: int) -> Ring:
+    """The dense ring A(m, s), built once per (m, s) and kept; raises
+    SizeLimitError when (m+1)^s exceeds DENSE_RING_BITS."""
+    return Ring(RingSpec(m, s))
+
+
+def poly_to_text(p: Poly) -> str:
+    """The monomials' text forms in increasing rank order, joined by
+    " + "; "0" for the zero element."""
+    if p.is_zero:
+        return "0"
+    return " + ".join(monomial_to_text(e) for e in p.monomials())
+
+
+def generator(spec: RingSpec, i: int) -> Poly:
+    """The i-th ideal generator x_i + x_s, for 1 <= i <= s-1."""
+    if not 1 <= i <= spec.s - 1:
+        raise ValueError(f"generator index {i} outside [1, {spec.s - 1}]")
+    ring = get_ring(spec.m, spec.s)
+    return ring.gen(i) + ring.gen(spec.s)
+
+
+def row_as_poly(basis: SubspaceBasis, row: int) -> Poly:
+    """A row of a basis, in slice coordinates, as a dense element."""
+    ring = get_ring(basis.slice.spec.m, basis.slice.spec.s)
+    bits = 0
+    for c in range(row.bit_length()):
+        if (row >> c) & 1:
+            bits |= 1 << basis.slice.ranks[c]
+    return ring.poly(bits)
+
+
+def polys(basis: SubspaceBasis) -> list[Poly]:
+    return [row_as_poly(basis, r) for r in basis.rows]
 
 
 def poly_to_set(p):
@@ -183,7 +374,7 @@ def ideal_basis_by_products(spec, degree):
     rows = []
     for i in range(1, spec.s):
         gen = generator(spec, i)
-        for mono_rank in ring.degree_ranks(degree - 1):
+        for mono_rank in degree_slice(spec, degree - 1).ranks:
             prod = dense_mul(gen, ring.poly(1 << mono_rank))
             row = 0
             for r in prod.support():
@@ -212,7 +403,7 @@ def all_kernel_elements(m, s):
             for t in range(len(rows)):
                 if (mask >> t) & 1:
                     row ^= rows[t]
-            elements.append(basis.row_as_poly(row))
+            elements.append(row_as_poly(basis, row))
     return elements
 
 

@@ -10,13 +10,14 @@ import time
 from click.testing import CliRunner
 
 from zclrp import (RingSpec, build_row, explicit_witness,
-                   g_stabilization_probe, get_ring, ideal_degree_basis, rank,
+                   g_stabilization_probe, ideal_degree_basis, rank,
                    sample_report, sigma_of, trailing_ones,
                    verify_generators_lemma, verify_witness, word_nonzero,
                    z_of, zcl_exact)
 from zclrp.cli import main as cli_main
 
-from oracles import brute_force_zcl, dense_mul, ideal_basis_by_products
+from oracles import (brute_force_zcl, dense_mul, get_ring,
+                     ideal_basis_by_products)
 
 
 def _announce(n, text):

@@ -3,9 +3,9 @@ import warnings
 
 import pytest
 
-from zclrp import (MAX_RING_BITS, BoundsRow, InvariantViolationError,
-                   SizeLimitError, Witness, build_row, build_table, cache_get,
-                   cache_put, emit, explicit_witness, known_tc, zcl_exact)
+from zclrp import (BoundsRow, InvariantViolationError, UndeterminedError,
+                   Witness, build_row, build_table, cache_get, cache_put, emit,
+                   explicit_witness, known_tc, zcl_exact)
 from zclrp import bounds
 from zclrp.bounds import CSV_HEADER, ENGINE_VERSION, _entry_to_json
 
@@ -46,10 +46,14 @@ def test_build_row_witness_only():
 
 def test_build_row_size_cap(tmp_path):
     # refused before the cache is read: reading a directory would raise
-    # IsADirectoryError instead
-    for policy in ("exact", "witness_only"):
-        with pytest.raises(SizeLimitError, match="exceeds the cap of 8388608"):
-            build_row(9, 9, policy, cache_path=str(tmp_path))
+    # IsADirectoryError instead.  Policy "exact" meets the DP cap, policy
+    # "witness_only" the cap on the check of its closed-form witness
+    for policy, cap in (("exact", "the DP needs 48023976 cells"),
+                        ("witness_only", "work bound reaches 126063936")):
+        with pytest.raises(UndeterminedError, match=cap):
+            build_row(1000, 2000, policy, cache_path=str(tmp_path))
+    # the size of (m+1)^s alone refuses nothing: 10^9 basis monomials
+    assert build_row(9, 9, "witness_only", cache_path=str(tmp_path / "c"))
 
 
 def test_row_validation():
@@ -100,11 +104,14 @@ def test_gap_nonincreasing_across_rows():
 
 
 def test_build_table_skips_oversized_rows():
-    rows, skipped = build_table((1, 2), (22, 24), "witness_only")
-    assert all((r.m + 1) ** r.s <= MAX_RING_BITS for r in rows)
-    assert [(r.m, r.s) for r in rows] == [(1, 22), (1, 23)]
-    assert [(m, s) for m, s, _ in skipped] == [(1, 24), (2, 22), (2, 23), (2, 24)]
-    assert all("exceeds the cap" in reason for *_, reason in skipped)
+    # the closed-form witnesses of (1023, 1025) and (1024, 1025) fit the
+    # verifier's work cap, those of s = 1026 do not
+    rows, skipped = build_table((1023, 1024), (1025, 1026), "witness_only")
+    assert [(r.m, r.s, r.zcl_method) for r in rows] == [
+        (1023, 1025, "witness_lower_bound"),
+        (1024, 1025, "witness_lower_bound")]
+    assert [(m, s) for m, s, _ in skipped] == [(1023, 1026), (1024, 1026)]
+    assert all("over the cap of 1048576" in reason for *_, reason in skipped)
 
 
 # -- cache -----------------------------------------------------------------------
@@ -139,6 +146,20 @@ def test_cache_rejects_failing_witness(tmp_path):
     cache_put(path, 2, 3, 1, "witness_lower_bound", fake)
     with pytest.warns(UserWarning):
         assert cache_get(path, 2, 3) is None
+
+
+def test_cache_distrusts_witness_over_the_work_cap(tmp_path):
+    # the second factor meets x1 and x3 open with 1024 live terms, each
+    # times 1024 terms: the check is refused, so the line is distrusted and
+    # the row computed afresh
+    path = str(tmp_path / "zcl.jsonl")
+    heavy = Witness(1023, 3, ((1, 3, 1023), (1, 3, 1023)), (1023, 0, 1023))
+    cache_put(path, 1023, 3, 2046, "witness_lower_bound", heavy)
+    with pytest.warns(UserWarning, match="not re-verified .*over the cap"):
+        assert cache_get(path, 1023, 3) is None
+    with pytest.warns(UserWarning):
+        row = build_row(1023, 3, "witness_only", cache_path=path)
+    assert (row.zcl, row.zcl_method) == (2046, "witness_lower_bound")
 
 
 def test_cache_rejects_other_engine_version(tmp_path):

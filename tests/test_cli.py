@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -242,14 +243,35 @@ def test_report_json_chain():
 
 
 def test_report_skips_oversized_rows():
-    # 15^6 and 16^6 exceed MAX_RING_BITS = 2^23; 15^5 and 16^5 do not
-    result = run("report", "--m-range", "14..15", "--s-range", "5..6")
+    # the closed-form witness of (1023, 1026) is over the verifier's work
+    # cap, that of (1023, 1025) just fits it; no row is refused for the
+    # size of (m+1)^s
+    result = run("report", "--policy", "witness-only",
+                 "--m-range", "1023..1023", "--s-range", "1025..1026")
     assert result.exit_code == 2
     rows = [json.loads(line) for line in result.stdout.splitlines()]
-    assert [(r["m"], r["s"]) for r in rows] == [(14, 5), (15, 5)]
+    assert [(r["m"], r["s"]) for r in rows] == [(1023, 1025)]
     assert result.stderr.splitlines() == [
-        f"skipped ({m},6): (m+1)^s = {(m + 1) ** 6} exceeds the cap of "
-        f"{zclrp.MAX_RING_BITS} basis monomials" for m in (14, 15)]
+        "skipped (1023,1026): witness(1023,1026): the check's work bound "
+        f"reaches 1049600 term products, over the cap of {zclrp.MAX_DP_CELLS}"]
+
+
+def test_report_emits_rows_past_the_old_ring_cap(tmp_path):
+    # 15^6 and 16^6 basis monomials: rows the dense ring used to refuse.
+    # Their cache lines load again, without a warning
+    path = tmp_path / "cache.jsonl"
+    args = ("report", "--m-range", "14..15", "--s-range", "6..6",
+            "--cache", str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = run(*args)
+        second = run(*args)
+    assert first.exit_code == 0 and first.stderr == ""
+    assert [(json.loads(line)["m"], json.loads(line)["zcl"])
+            for line in first.stdout.splitlines()] == [(14, 75), (15, 75)]
+    assert second.exit_code == 0 and second.stderr == ""
+    assert second.stdout == first.stdout
+    assert len(path.read_text().splitlines()) == 2
 
 
 def test_report_skips_rows_over_the_dp_cap():
@@ -265,17 +287,24 @@ def test_report_skips_rows_over_the_dp_cap():
 
 
 @pytest.mark.parametrize("args", [
-    ("zcl", "witness", "--m", "9", "--s", "9"),
+    ("zcl", "witness", "--m", "1", "--s", "2000000"),
     ("verify", "generators", "--m", "9", "--s", "9"),
 ])
 def test_ring_cap_exit_code(args):
-    # 10^9 basis monomials: refused before any ring is built
+    # refused before any work: the witness's 1999999 factors are never
+    # built, and neither is the slice table of 10^9 basis monomials
     t0 = time.perf_counter()
     result = run(*args)
     assert time.perf_counter() - t0 < 0.1
     assert result.exit_code == 2 and result.stdout == ""
-    assert result.stderr == (f"undetermined: (m+1)^s = 1000000000 exceeds the "
-                             f"cap of {zclrp.MAX_RING_BITS} basis monomials\n")
+    if args[0] == "zcl":
+        assert result.stderr == (
+            "undetermined: witness(1,2000000): the check's work bound reaches "
+            f"3999998 term products, over the cap of {zclrp.MAX_DP_CELLS}\n")
+    else:
+        assert result.stderr == (
+            "undetermined: (m+1)^s = 1000000000 exceeds the cap of "
+            f"{zclrp.MAX_RING_BITS} basis monomials\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -284,16 +313,33 @@ def test_ring_cap_exit_code(args):
     ("report", "--m-range", "1000..1000", "--s-range", "2000..2000"),
 ])
 def test_huge_ring_exits_2_with_one_line(args):
-    # 1001^2000 has over 6000 digits, past Python's int-to-str limit: the
-    # cap is decided from bit lengths and the size given as a power of 2
+    # each command meets its own cap: the verifier's work cap, the slice
+    # cap (1001^2000 has over 6000 digits, past Python's int-to-str limit,
+    # so the size is given as a power of 2) and the DP cap
     t0 = time.perf_counter()
     result = run(*args)
     assert time.perf_counter() - t0 < 0.1
     assert result.exit_code == 2 and result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.endswith(
-        f": (m+1)^s >= 2^18000 exceeds the cap of {zclrp.MAX_RING_BITS} "
-        "basis monomials\n")
+    assert result.stderr.endswith({
+        "zcl": ": the check's work bound reaches 126063936 term products, "
+               f"over the cap of {zclrp.MAX_DP_CELLS}\n",
+        "verify": f": (m+1)^s >= 2^18000 exceeds the cap of "
+                  f"{zclrp.MAX_RING_BITS} basis monomials\n",
+        "report": ": the DP needs 48023976 cells, over the cap of "
+                  f"{zclrp.MAX_DP_CELLS}\n",
+    }[args[0]])
+
+
+def test_slice_cap_bounds_verify_generators():
+    # 2^18 basis monomials, over MAX_RING_BITS = 2^16: the slice table the
+    # command would build costs tens of seconds and gigabytes
+    t0 = time.perf_counter()
+    result = run("verify", "generators", "--m", "1", "--s", "18")
+    assert time.perf_counter() - t0 < 0.1
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == ("undetermined: (m+1)^s = 262144 exceeds the cap "
+                             f"of {zclrp.MAX_RING_BITS} basis monomials\n")
 
 
 def test_report_with_cache(tmp_path):

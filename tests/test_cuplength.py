@@ -1,14 +1,16 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zclrp import (MAX_RING_BITS, GeneratorWord, UndeterminedError, Witness,
-                   explicit_witness, g_stabilization_probe, get_ring,
-                   verify_witness, word_nonzero, z_of, zcl_exact)
+from zclrp import (MAX_DP_CELLS, GeneratorWord, UndeterminedError, Witness,
+                   explicit_witness, g_stabilization_probe, verify_witness,
+                   word_nonzero, z_of, zcl_exact)
 from zclrp import cuplength
 
-from oracles import (brute_force_zcl, dense_factor_product, dense_mul,
-                     dense_verify_witness, enumerate_zcl, knapsack_zcl,
-                     min_residues_by_submasks)
+from oracles import (DENSE_RING_BITS, brute_force_zcl, dense_factor_product,
+                     dense_mul, dense_verify_witness, enumerate_zcl, get_ring,
+                     knapsack_zcl, min_residues_by_submasks)
 
 
 def ring_word_product(m, s, exponents):
@@ -237,11 +239,12 @@ def test_sparse_verifier_equals_dense_oracle(data, m, s):
 
 
 def test_sparse_verifier_equals_dense_oracle_on_table_grid():
-    # every DP witness of the report grid m <= 15, s <= 6 within the ring
-    # cap, and the same words with the certificate's x_s exponent lowered
+    # every DP witness of the report grid m <= 15, s <= 6 within the dense
+    # oracle's cap, and the same words with the certificate's x_s exponent
+    # lowered
     for m in range(1, 16):
         for s in range(2, 7):
-            if (m + 1) ** s > MAX_RING_BITS:
+            if (m + 1) ** s > DENSE_RING_BITS:
                 continue
             w = zcl_exact(m, s).witness
             product = set(dense_factor_product(m, s, w.factors).monomials())
@@ -250,6 +253,86 @@ def test_sparse_verifier_equals_dense_oracle_on_table_grid():
             if top:
                 lowered = Witness(m, s, w.factors, (*rest, top - 1))
                 assert verify_witness(lowered) == (lowered.certificate in product)
+
+
+@pytest.mark.parametrize("m,s", [(14, 6), (15, 6), (31, 8), (45, 8),
+                                 (100, 100), (511, 200)])
+def test_dp_witnesses_past_the_dense_oracle(m, s):
+    # shapes no dense ring can hold: the witness verifies, and a certificate
+    # moved by one unit in one coordinate, whose total degree then differs
+    # from the witness length, does not
+    w = zcl_exact(m, s).witness
+    assert verify_witness(w)
+    for v in range(s):
+        for step in (-1, 1):
+            moved = list(w.certificate)
+            moved[v] += step
+            if 0 <= moved[v] <= m:
+                assert not verify_witness(
+                    Witness(m, s, w.factors, tuple(moved))), (v, step)
+
+
+def test_dp_witness_bound_within_its_dp_size():
+    # at the largest s the DP cap admits, the check of the DP witness meets
+    # only x_s open, so its bound is at most (s-1)(m+1), within the DP size
+    for m in [2 ** b - 1 for b in range(4, 11)] + [16, 64, 256, 512,
+                                                   100, 300, 700, 1000]:
+        cells = (m + 1) * ((1 << m.bit_length()) - m)
+        s = MAX_DP_CELLS // cells + 1
+        w = zcl_exact(m, s).witness
+        assert cuplength._work_bound(w) <= (s - 1) * (m + 1) <= MAX_DP_CELLS, m
+    assert verify_witness(w)
+
+
+def test_long_dp_witness_verifies_fast():
+    # terms carry only the open variables, so s = 20000 costs little
+    w = zcl_exact(1, 20000).witness
+    t0 = time.perf_counter()
+    assert verify_witness(w)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_verify_witness_work_cap(monkeypatch):
+    # bounded from the factor list before any product; the cap is inclusive
+    def no_terms(m, k):
+        raise AssertionError("factor terms read for a witness over the cap")
+
+    w = Witness(1023, 1026, tuple((i, 1026, 1023) for i in range(1, 1026)),
+                (1023,) * 1025 + (0,))
+    monkeypatch.setattr(cuplength, "_binomial_terms", no_terms)
+    with pytest.raises(UndeterminedError, match="over the cap of 1048576"):
+        verify_witness(w)
+    monkeypatch.undo()
+    fits = Witness(1023, 1025, tuple((i, 1025, 1023) for i in range(1, 1025)),
+                   (1023,) * 1024 + (0,))
+    assert cuplength._work_bound(fits) == MAX_DP_CELLS
+    assert verify_witness(fits)
+
+
+def test_explicit_work_bound_matches_the_verifier():
+    # the closed-form bound of explicit_witness is verify_witness's bound
+    # of the witness it builds, and a shape over the cap is refused before
+    # its factors exist
+    shapes = [(m, s) for m in range(1, 40) for s in range(2, 40)]
+    shapes += [(255, 300), (383, 400), (1023, 1025), (1023, 1026),
+               (1024, 1025), (1024, 1026), (1000, 2000)]
+    for m, s in shapes:
+        bound = cuplength._explicit_work(m, s)
+        if bound > MAX_DP_CELLS:
+            with pytest.raises(UndeterminedError, match="over the cap"):
+                explicit_witness(m, s)
+            continue
+        w = explicit_witness(m, s)
+        assert bound == (0 if w is None else cuplength._work_bound(w)), (m, s)
+    t0 = time.perf_counter()
+    with pytest.raises(UndeterminedError) as exc:
+        explicit_witness(1, 2_000_000)
+    assert time.perf_counter() - t0 < 0.1
+    assert str(exc.value) == (
+        "witness(1,2000000): the check's work bound reaches 3999998 term "
+        "products, over the cap of 1048576")
+    with pytest.raises(UndeterminedError, match="reaches 126063936 term"):
+        explicit_witness(1000, 2000)
 
 
 def test_explicit_witness_block_case():

@@ -3,26 +3,31 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zclrp import (MAX_RING_BITS, RingSpec, SizeLimitError, SpecMismatchError,
-                   get_ring, monomial_from_text, monomial_to_text,
-                   poly_to_text, rank, unrank)
-from oracles import (RingKernel, dense_mul, naive_diagonal, naive_mul,
-                     naive_pow, poly_to_set, random_poly_set, set_to_poly)
+from zclrp import (MAX_RING_BITS, RingSpec, SizeLimitError, degree_slice,
+                   monomial_from_text, monomial_to_text, rank, unrank)
+from zclrp.cuplength import _binomial_terms, _term_count
+from zclrp.ring import graded_slices
+from oracles import (RingKernel, SpecMismatchError, dense_mul, get_ring,
+                     naive_diagonal, naive_mul, naive_pow, poly_to_set,
+                     poly_to_text, random_poly_set, set_to_poly)
 
 
 # -- spec and rank/unrank -------------------------------------------------------
 
 def test_spec_validation():
+    # a spec is a plain shape check; only the graded slice table is capped
     with pytest.raises(ValueError):
         RingSpec(0, 2)
     with pytest.raises(ValueError):
         RingSpec(3, 1)
+    assert RingSpec(9, 9).size == 10 ** 9
     with pytest.raises(SizeLimitError):
-        RingSpec(9, 9)
-    # the cap is inclusive: 2^23 basis monomials is the largest ring
-    assert RingSpec(1, 23).size == MAX_RING_BITS == 1 << 23
+        graded_slices(RingSpec(9, 9))
+    # the cap is inclusive: 2^16 basis monomials is the largest table
+    assert RingSpec(1, 16).size == MAX_RING_BITS == 1 << 16
+    assert sum(map(len, graded_slices(RingSpec(1, 16)))) == MAX_RING_BITS
     with pytest.raises(SizeLimitError):
-        RingSpec(1, 24)
+        graded_slices(RingSpec(1, 17))
     assert RingSpec(2, 3).size == 27
 
 
@@ -34,7 +39,7 @@ def test_spec_cap_message():
                          ((1000, 2000), "2^18000"),
                          ((1, 10 ** 6), "2^1000000")]:
         with pytest.raises(SizeLimitError) as exc:
-            RingSpec(m, s)
+            graded_slices(RingSpec(m, s))
         relation = ">=" if isinstance(size, str) else "="
         assert str(exc.value) == f"(m+1)^s {relation} {size} {cap}"
 
@@ -187,8 +192,8 @@ def test_grading():
         for _ in range(60):
             d1 = rng.randint(0, s * m)
             d2 = rng.randint(0, s * m)
-            ranks1 = ring.degree_ranks(d1)
-            ranks2 = ring.degree_ranks(d2)
+            ranks1 = degree_slice(spec, d1).ranks
+            ranks2 = degree_slice(spec, d2).ranks
             if not ranks1 or not ranks2:
                 continue
             p = ring.poly(sum(1 << r for r in rng.sample(ranks1, rng.randint(1, len(ranks1)))))
@@ -232,6 +237,8 @@ def test_pow_matches_naive_reference():
 
 
 def test_binomial_pow_equals_generic_pow():
+    # the closed-form terms verify_witness reads, and the dense oracle's
+    # binomial powers, against k-fold naive products
     for m, s in [(1, 2), (2, 2), (2, 3), (3, 3), (5, 3)]:
         ring = get_ring(m, s)
         for i in range(1, s + 1):
@@ -239,8 +246,16 @@ def test_binomial_pow_equals_generic_pow():
                 base = {tuple(int(v == i) for v in range(1, s + 1)),
                         tuple(int(v == j) for v in range(1, s + 1))}
                 for k in range(0, 2 * m + 2):
-                    assert poly_to_set(ring.binomial_pow(i, j, k)) == \
-                        naive_pow(m, s, base, k), (m, s, i, j, k)
+                    want = naive_pow(m, s, base, k)
+                    terms = set()
+                    for t in _binomial_terms(m, k):
+                        e = [0] * s
+                        e[i - 1], e[j - 1] = t, k - t
+                        terms.add(tuple(e))
+                    assert terms == want, (m, s, i, j, k)
+                    assert _term_count(m, k) == len(want), (m, s, k)
+                    assert poly_to_set(ring.binomial_pow(i, j, k)) == want, \
+                        (m, s, i, j, k)
 
 
 def test_binomial_pow_examples():
