@@ -3,8 +3,9 @@
 Exact computation of zcl_s(RP^m) in mod-2 cohomology -- by a residue
 knapsack DP whose witnesses are cross-checked by sparse GF(2) products of
 their factors' terms -- plus explicit lower-bound witnesses, structural
-verifications, and bound tables for the higher topological complexity
-TC_s(RP^m).
+verifications (the generators of the zero-divisor ideal, by a union-find
+over its two-term rows, and the join model), and bound tables for the
+higher topological complexity TC_s(RP^m).
 """
 
 __version__ = "0.1.0"
@@ -24,21 +25,18 @@ from .parity import (TwoAdicProfile, sigma_of, trailing_ones,
                      two_adic_profile, z_of)
 from .ring import (MAX_RING_BITS, RingSpec, monomial_from_text,
                    monomial_to_text, rank, unrank)
-from .zero_divisors import (DegreeCheck, DegreeSlice, SubspaceBasis,
-                            degree_slice, ideal_degree_basis, kernel_basis,
-                            verify_generators_lemma)
+from .zero_divisors import DegreeCheck, verify_generators_lemma
 
 __all__ = [
-    "BACKEND_NAME", "BoundsRow", "CacheEntry", "DegreeCheck", "DegreeSlice",
-    "ENGINE_VERSION", "GapProbe", "GeneratorWord", "GroupElem",
-    "InvariantViolationError", "JoinPoint", "JoinReport", "MAX_DP_CELLS",
-    "MAX_RING_BITS", "RingSpec", "SizeLimitError", "SubspaceBasis",
-    "TwoAdicProfile", "UndeterminedError", "Witness", "ZclError", "ZclResult",
-    "act", "build_row", "build_table", "cache_get", "cache_put",
-    "component_key", "degree_slice", "emit", "explicit_witness",
-    "g_stabilization_probe", "ideal_degree_basis", "in_U", "join_point",
-    "kernel_basis", "known_tc", "monomial_from_text", "monomial_to_text",
-    "rank", "sample_report", "segment_in_component", "sigma_of",
-    "trailing_ones", "two_adic_profile", "unrank", "verify_generators_lemma",
-    "verify_witness", "vertex", "word_nonzero", "z_of", "zcl_exact",
+    "BACKEND_NAME", "BoundsRow", "CacheEntry", "DegreeCheck", "ENGINE_VERSION",
+    "GapProbe", "GeneratorWord", "GroupElem", "InvariantViolationError",
+    "JoinPoint", "JoinReport", "MAX_DP_CELLS", "MAX_RING_BITS", "RingSpec",
+    "SizeLimitError", "TwoAdicProfile", "UndeterminedError", "Witness",
+    "ZclError", "ZclResult", "act", "build_row", "build_table", "cache_get",
+    "cache_put", "component_key", "emit", "explicit_witness",
+    "g_stabilization_probe", "in_U", "join_point", "known_tc",
+    "monomial_from_text", "monomial_to_text", "rank", "sample_report",
+    "segment_in_component", "sigma_of", "trailing_ones", "two_adic_profile",
+    "unrank", "verify_generators_lemma", "verify_witness", "vertex",
+    "word_nonzero", "z_of", "zcl_exact",
 ]

@@ -119,10 +119,20 @@ def _entry_to_json(entry: CacheEntry) -> str:
 
 
 def _entry_from_json(line: str) -> CacheEntry:
+    """The entry of one cache line; ValueError, KeyError or TypeError when
+    the line is corrupt.
+
+    A line with more than s*m factors is corrupt: every factor has degree at
+    least 1 and a product of degree above s*m vanishes in A(m, s), so such a
+    witness cannot verify.  It is refused before its factors are read.
+    """
     raw = json.loads(line)
     m, s = int(raw["m"]), int(raw["s"])
     spec = RingSpec(m, s)  # m >= 1 and s >= 2; no size cap
-    factors = tuple((int(i), int(j), int(e)) for i, j, e in raw["witness"]["factors"])
+    raw_factors = raw["witness"]["factors"]
+    if len(raw_factors) > s * m:
+        raise ValueError(f"{len(raw_factors)} factors, over s*m = {s * m}")
+    factors = tuple((int(i), int(j), int(e)) for i, j, e in raw_factors)
     certificate = monomial_from_text(spec, raw["witness"]["certificate"])
     witness = Witness(m, s, factors, certificate)
     return CacheEntry(m, s, int(raw["zcl"]), str(raw["method"]), witness,

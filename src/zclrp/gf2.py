@@ -1,41 +1,35 @@
-"""F2 linear algebra on int-packed row vectors (bit c of a row = column c)."""
+"""F2 spans of rows with at most two set bits, held as a union-find forest.
+
+A row e_a + e_b is an edge between vertices a and b; a row e_a marks a.
+Over a set of vertices that no edge leaves, the span of such rows is the
+set of vectors whose weight is even on every component that holds no mark:
+an edge adds 0 or 2 to the weight of one component, a mark adds 1 to its
+own, and within a component any even set of vertices is a sum of paths.
+So the span has dimension (number of vertices) - (number of unmarked
+components), and a vector lies outside it iff its weight is odd on some
+unmarked component.
+
+The forest is a parent list over the vertices, a root being its own parent.
+Linking hangs the larger root under the smaller, so every root is the least
+vertex of its component.
+"""
 
 from __future__ import annotations
 
-__all__ = ["rref"]
+__all__ = ["find", "components"]
 
 
-def rref(rows: list[int]) -> list[int]:
-    """Reduced row echelon form over F2.
+def find(parent: list[int], v: int) -> int:
+    """Root of v's component, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
 
-    The pivot of a row is its lowest set bit (column order 0, 1, 2, ...).
-    Returns the nonzero rows sorted by pivot column; this form is unique, so
-    two lists of rows span the same subspace iff their rrefs are equal.
 
-    Back-substitution visits the pivots once, highest first, and clears a
-    row only at its own set bits in pivot columns above its pivot, each with
-    one XOR of an already reduced row.  It costs one XOR per such bit rather
-    than a test of every pivot pair, which is quadratic in the rank even
-    when, as for the ideal rows, each row has a few bits.
-    """
-    pivots: dict[int, int] = {}
-    pivot_mask = 0
-    for row in rows:
-        while row:
-            c = (row & -row).bit_length() - 1
-            if c in pivots:
-                row ^= pivots[c]
-            else:
-                pivots[c] = row
-                pivot_mask |= 1 << c
-                break
-    order = sorted(pivots)
-    for c in reversed(order):
-        row = pivots[c]
-        hits = row & pivot_mask & -(2 << c)
-        while hits:
-            low = hits & -hits
-            hits ^= low
-            row ^= pivots[low.bit_length() - 1]
-        pivots[c] = row
-    return [pivots[c] for c in order]
+def components(parent: list[int], marked: bytes,
+               vertices: tuple[int, ...]) -> tuple[list[int], set[int]]:
+    """The root of each vertex, in order, and the roots of the components
+    among them with no marked vertex.  No edge may leave ``vertices``."""
+    roots = [find(parent, v) for v in vertices]
+    hit = {root for v, root in zip(vertices, roots) if marked[v]}
+    return roots, set(roots) - hit

@@ -6,9 +6,9 @@ rank  sum_i a_i * (m+1)^(i-1)  -- mixed radix with coordinate 1 least
 significant.  This module gives ranks, the graded slices of the basis by
 total degree and the text form of a monomial; it holds no ring elements.
 The package multiplies only sparse sets of exponent vectors
-(cuplength.verify_witness) or single monomials by generators
-(zero_divisors.ideal_degree_basis); dense elements and their product are
-test oracles in ``tests/oracles.py``.  The slice table is the one structure
+(cuplength.verify_witness) or single monomials by generators, as rank
+offsets (zero_divisors.verify_generators_lemma); dense elements and their
+product are test oracles in ``tests/oracles.py``.  The slice table is the one structure
 as large as the basis, so it alone is capped, at MAX_RING_BITS.
 """
 

@@ -2,113 +2,80 @@
 
 An element is a zero-divisor when it dies under the substitution
 x_i -> x into F2[x]/(x^(m+1)).  The ideal is generated by the degree-1
-elements x_i + x_s (1 <= i <= s-1); this module gives per-degree bases of
-the substitution kernel (in closed form) and of the span of generator
-multiples (by F2 row reduction), and checks that they agree -- a
-linear-algebra fact the rest of the package leans on.
+elements x_i + x_s (1 <= i <= s-1); this module checks, degree by degree,
+that the span of the generator multiples equals the substitution kernel --
+a linear-algebra fact the rest of the package leans on.
+
+Every generator multiple (x_i + x_s)*M has at most two monomials, so the
+multiples of one degree form a graph on the monomials of that degree (see
+gf2), and one union-find over all degrees gives each span's dimension.
+The kernel is known in closed form: every monomial of degree d substitutes
+to x^d, which survives for d <= m and dies for d > m, so the kernel is the
+even-weight vectors of the slice for d <= m and the whole slice above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .gf2 import rref
+from .gf2 import components
 from .ring import RingSpec, graded_slices, monomial_to_text, unrank
 
 
-@dataclass(frozen=True)
-class DegreeSlice:
-    """The graded piece of one total degree: its monomial ranks, increasing."""
+def _ideal_forest(spec: RingSpec, top_degree: int,
+                  generators: Iterable[int]) -> tuple[list[int], bytearray]:
+    """Union-find forest (parent list over ranks) and marks of the rows
+    (x_i + x_s)*M, for i in ``generators`` and M of degree below top_degree.
 
-    spec: RingSpec
-    degree: int
-    ranks: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.ranks)
-
-
-def degree_slice(spec: RingSpec, degree: int) -> DegreeSlice:
-    if not 0 <= degree <= spec.s * spec.m:
-        raise ValueError(f"degree {degree} outside [0, {spec.s * spec.m}]")
-    return DegreeSlice(spec, degree, graded_slices(spec)[degree])
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Rref basis of a subspace of one graded slice, in slice coordinates.
-
-    Bit c of a row refers to slice.ranks[c].  Rows are the unique reduced
-    echelon form, so two SubspaceBasis over the same slice describe the same
-    subspace iff their rows are equal.
-    """
-
-    slice: DegreeSlice
-    rows: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-
-def kernel_basis(spec: RingSpec, degree: int) -> SubspaceBasis:
-    """Basis of the degree-d zero-divisors, in closed form.
-
-    Every monomial of total degree d substitutes to x^d, which survives for
-    d <= m and dies for d > m.  So for d <= m the zero-divisors of the slice
-    are its even-weight vectors, whose rref basis is e_c + e_(n-1) for
-    c = 0..n-2 (n the slice dimension), and for d > m the kernel is the
-    whole slice, with the unit vectors as its rref basis.
-    """
-    sl = degree_slice(spec, degree)
-    n = sl.dimension
-    if degree <= spec.m:
-        last = 1 << (n - 1)
-        rows = tuple((1 << c) | last for c in range(n - 1))
-    else:
-        rows = tuple(1 << c for c in range(n))
-    return SubspaceBasis(sl, rows)
-
-
-def ideal_degree_basis(spec: RingSpec, degree: int) -> SubspaceBasis:
-    """Basis of the degree-d span of { (x_i + x_s) * M : M of degree d-1 }.
-
-    Each row is built from ranks, with no ring product: (x_i + x_s) * M is
+    Each row is built from ranks, with no ring product: (x_i + x_s)*M is
     M*x_i + M*x_s, a monomial times x_i being the rank plus (m+1)^(i-1),
-    kept only while M's i-th exponent is below m.  The two monomials differ,
-    so nothing cancels.
+    kept only while M's i-th exponent is below m.  The two monomials
+    differ, so a row with both is an edge and a row with one is a mark.
+    The find and link of gf2 are written out here: this loop runs once per
+    row, about (s-1)(m+1)^s times.
     """
-    if not 1 <= degree <= spec.s * spec.m:
-        raise ValueError(f"degree {degree} outside [1, {spec.s * spec.m}]")
+    slices = graded_slices(spec)    # the slice cap, before the arrays below
     m, radix = spec.m, spec.m + 1
-    below = graded_slices(spec)[degree - 1]
-    sl = degree_slice(spec, degree)
-    position = {r: c for c, r in enumerate(sl.ranks)}
     top = radix ** (spec.s - 1)
-    rows = []
-    for i in range(1, spec.s):
-        step = radix ** (i - 1)
-        for r in below:
-            row = 0
-            if r // step % radix < m:
-                row = 1 << position[r + step]
-            if r // top < m:
-                row |= 1 << position[r + top]
-            if row:
-                rows.append(row)
-    return SubspaceBasis(sl, tuple(rref(rows)))
+    top_open = m * top              # M's s-th exponent is below m iff r < top_open
+    # (step, block, limit): M's i-th exponent is below m iff r % block < limit
+    families = [(radix ** (i - 1), radix ** i, m * radix ** (i - 1))
+                for i in generators]
+    parent = list(range(spec.size))
+    marked = bytearray(spec.size)
+    for d in range(top_degree):
+        for r in slices[d]:
+            if r >= top_open:
+                for step, block, limit in families:
+                    if r % block < limit:
+                        marked[r + step] = 1
+                continue
+            b = r + top
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            for step, block, limit in families:
+                if r % block >= limit:
+                    marked[r + top] = 1
+                    continue
+                a = r + step
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                if a < b:
+                    parent[b] = b = a
+                elif b < a:
+                    parent[a] = b
+    return parent, marked
 
 
-def _row_text(sl: DegreeSlice, row: int) -> str:
-    """Text form of a nonzero row: its monomials in increasing rank order."""
-    return " + ".join(monomial_to_text(unrank(sl.spec, sl.ranks[c]))
-                      for c in range(row.bit_length()) if (row >> c) & 1)
+def _vector_text(spec: RingSpec, ranks: Iterable[int]) -> str:
+    """Text form of the sum of the monomials at the given increasing ranks."""
+    return " + ".join(monomial_to_text(unrank(spec, r)) for r in ranks)
 
 
 @dataclass(frozen=True)
 class DegreeCheck:
-    """Per-degree comparison of kernel vs generator-span bases."""
+    """Per-degree comparison of kernel vs generator span."""
 
     degree: int
     dim_kernel: int
@@ -125,20 +92,37 @@ def verify_generators_lemma(spec: RingSpec,
                             max_degree: int | None = None) -> list[DegreeCheck]:
     """Check kernel == generator span in every degree 1..max_degree.
 
-    Both sides are canonical rref bases, so subspace equality is row
-    equality.  A failing degree reports one vector present on exactly one
-    side (this would disprove the generation fact, i.e. flag a bug).
+    The span is contained in the kernel unless, for d <= m, a row has odd
+    weight, i.e. is a mark; containment and equal dimensions give equality.
+    A failing degree reports one vector present on exactly one side (this
+    would disprove the generation fact, i.e. flag a bug): for d <= m a
+    marked monomial, or else the sum of two monomials from different
+    components; for d > m a monomial of a component with no mark.
     """
-    top = spec.s * spec.m if max_degree is None else max_degree
+    top_degree = spec.s * spec.m if max_degree is None else max_degree
+    parent, marked = _ideal_forest(spec, top_degree, range(1, spec.s))
+    slices = graded_slices(spec)
     checks = []
-    for d in range(1, top + 1):
-        ker = kernel_basis(spec, d)
-        ideal = ideal_degree_basis(spec, d)
-        passed = ker.rows == ideal.rows
-        mismatch = None
-        if not passed:
-            diff = set(ker.rows).symmetric_difference(ideal.rows)
-            mismatch = _row_text(ker.slice, min(diff))
-        checks.append(DegreeCheck(d, ker.dimension, ideal.dimension,
-                                  passed, mismatch))
+    for d in range(1, top_degree + 1):
+        ranks = slices[d]
+        roots, unmarked = components(parent, marked, ranks)
+        n = len(ranks)
+        witness = None
+        if d <= spec.m:
+            dim_kernel = n - 1
+            odd = next((r for r in ranks if marked[r]), None)
+            if odd is not None:
+                witness = [odd]
+            elif len(unmarked) > 1:
+                other = next(r for r, root in zip(ranks, roots)
+                             if root != roots[0])
+                witness = [ranks[0], other]
+        else:
+            dim_kernel = n
+            if unmarked:
+                witness = [next(r for r, root in zip(ranks, roots)
+                                if root in unmarked)]
+        mismatch = None if witness is None else _vector_text(spec, witness)
+        checks.append(DegreeCheck(d, dim_kernel, n - len(unmarked),
+                                  witness is None, mismatch))
     return checks

@@ -3,15 +3,17 @@
 Deliberately naive: polynomials are sets of exponent tuples, products are
 formed pairwise with explicit truncation, and the cup-length brute force
 enumerates arbitrary kernel elements.  Nothing here shares code with the
-bit-packed implementation under test.  The exceptions are the dense ring
--- its elements, binomial powers and product, which the package no longer
-has and which check the sparse witness verifier and the directly built
-ideal rows -- the zcl enumerator and the textbook knapsack below, which
-check the knapsack DP against the word criterion it optimizes, the residue
-table, which checks the residue formula against the submask definition,
-the F2 nullspace, which derives kernel bases by row reduction for the
-closed form to match, the quadratic rref, which checks the sparse
-back-substitution, and the join model over Fraction coordinates, which
+bit-packed implementation under test.  The exceptions are the F2 row
+reduction and the rref bases of the kernel and the ideal rows, which the
+package no longer has and which check its union-find over the ideal rows;
+the dense ring -- its elements, binomial powers and product, which the
+package no longer has and which check the sparse witness verifier and the
+rank-built ideal rows; the zcl enumerator and the textbook knapsack below,
+which check the knapsack DP against the word criterion it optimizes; the
+residue table, which checks the residue formula against the submask
+definition; the F2 nullspace, which derives kernel bases by row reduction
+for the closed form to match; the quadratic rref, which checks the sparse
+back-substitution; and the join model over Fraction coordinates, which
 checks the integer weights.
 """
 
@@ -23,10 +25,162 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from zclrp import (GroupElem, JoinReport, RingSpec, SizeLimitError,
-                   SubspaceBasis, Witness, ZclError, ZclResult, degree_slice,
-                   kernel_basis, monomial_to_text, rank, unrank, word_nonzero)
-from zclrp.gf2 import rref
+from zclrp import (GroupElem, JoinReport, RingSpec, SizeLimitError, Witness,
+                   ZclError, ZclResult, monomial_from_text, monomial_to_text,
+                   rank, unrank, word_nonzero)
+from zclrp.ring import graded_slices
+
+
+# -- F2 row reduction and rref bases of the graded slices ---------------------
+# The package's generators check before it counted components of the ideal
+# rows: both sides of each degree as canonical rref bases, compared row by
+# row.  Tests check the union-find dimensions and mismatch vectors against
+# these bases.
+
+@dataclass(frozen=True)
+class DegreeSlice:
+    """The graded piece of one total degree: its monomial ranks, increasing."""
+
+    spec: RingSpec
+    degree: int
+    ranks: tuple[int, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.ranks)
+
+
+def degree_slice(spec: RingSpec, degree: int) -> DegreeSlice:
+    if not 0 <= degree <= spec.s * spec.m:
+        raise ValueError(f"degree {degree} outside [0, {spec.s * spec.m}]")
+    return DegreeSlice(spec, degree, graded_slices(spec)[degree])
+
+
+def rref(rows: list[int]) -> list[int]:
+    """Reduced row echelon form over F2.
+
+    The pivot of a row is its lowest set bit (column order 0, 1, 2, ...).
+    Returns the nonzero rows sorted by pivot column; this form is unique, so
+    two lists of rows span the same subspace iff their rrefs are equal.
+
+    Back-substitution visits the pivots once, highest first, and clears a
+    row only at its own set bits in pivot columns above its pivot, each with
+    one XOR of an already reduced row.  It costs one XOR per such bit rather
+    than a test of every pivot pair, which is quadratic in the rank even
+    when, as for the ideal rows, each row has a few bits.
+    """
+    pivots: dict[int, int] = {}
+    pivot_mask = 0
+    for row in rows:
+        while row:
+            c = (row & -row).bit_length() - 1
+            if c in pivots:
+                row ^= pivots[c]
+            else:
+                pivots[c] = row
+                pivot_mask |= 1 << c
+                break
+    order = sorted(pivots)
+    for c in reversed(order):
+        row = pivots[c]
+        hits = row & pivot_mask & -(2 << c)
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            row ^= pivots[low.bit_length() - 1]
+        pivots[c] = row
+    return [pivots[c] for c in order]
+
+
+@dataclass(frozen=True)
+class SubspaceBasis:
+    """Rref basis of a subspace of one graded slice, in slice coordinates.
+
+    Bit c of a row refers to slice.ranks[c].  Rows are the unique reduced
+    echelon form, so two SubspaceBasis over the same slice describe the same
+    subspace iff their rows are equal.
+    """
+
+    slice: DegreeSlice
+    rows: tuple[int, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.rows)
+
+
+def kernel_basis(spec: RingSpec, degree: int) -> SubspaceBasis:
+    """Basis of the degree-d zero-divisors, in closed form.
+
+    Every monomial of total degree d substitutes to x^d, which survives for
+    d <= m and dies for d > m.  So for d <= m the zero-divisors of the slice
+    are its even-weight vectors, whose rref basis is e_c + e_(n-1) for
+    c = 0..n-2 (n the slice dimension), and for d > m the kernel is the
+    whole slice, with the unit vectors as its rref basis.
+    """
+    sl = degree_slice(spec, degree)
+    n = sl.dimension
+    if degree <= spec.m:
+        last = 1 << (n - 1)
+        rows = tuple((1 << c) | last for c in range(n - 1))
+    else:
+        rows = tuple(1 << c for c in range(n))
+    return SubspaceBasis(sl, rows)
+
+
+def ideal_rows(spec: RingSpec, degree: int, generators=None) -> list[int]:
+    """The degree-d rows { (x_i + x_s) * M : M of degree d-1 }, for i in
+    ``generators`` (default: all of 1..s-1), in slice coordinates.
+
+    Each row is built from ranks, with no ring product: (x_i + x_s) * M is
+    M*x_i + M*x_s, a monomial times x_i being the rank plus (m+1)^(i-1),
+    kept only while M's i-th exponent is below m.  The two monomials differ,
+    so nothing cancels.
+    """
+    if not 1 <= degree <= spec.s * spec.m:
+        raise ValueError(f"degree {degree} outside [1, {spec.s * spec.m}]")
+    if generators is None:
+        generators = range(1, spec.s)
+    m, radix = spec.m, spec.m + 1
+    below = graded_slices(spec)[degree - 1]
+    position = {r: c for c, r in enumerate(graded_slices(spec)[degree])}
+    top = radix ** (spec.s - 1)
+    rows = []
+    for i in generators:
+        step = radix ** (i - 1)
+        for r in below:
+            row = 0
+            if r // step % radix < m:
+                row = 1 << position[r + step]
+            if r // top < m:
+                row |= 1 << position[r + top]
+            if row:
+                rows.append(row)
+    return rows
+
+
+def ideal_degree_basis(spec: RingSpec, degree: int,
+                       generators=None) -> SubspaceBasis:
+    """Rref basis of the span of ideal_rows(spec, degree, generators)."""
+    rows = ideal_rows(spec, degree, generators)
+    return SubspaceBasis(degree_slice(spec, degree), tuple(rref(rows)))
+
+
+def in_span(reduced: Sequence[int], row: int) -> bool:
+    """Whether a row lies in the span of rows in rref."""
+    for b in reduced:
+        if (row >> pivot_of(b)) & 1:
+            row ^= b
+    return row == 0
+
+
+def vector_from_text(spec: RingSpec, sl: DegreeSlice, text: str) -> int:
+    """A sum of monomials in text form, as a row in slice coordinates."""
+    position = {r: c for c, r in enumerate(sl.ranks)}
+    row = 0
+    for term in text.split(" + "):
+        row ^= 1 << position[rank(spec, monomial_from_text(spec, term))]
+    return row
 
 
 # -- the dense ring ------------------------------------------------------------

@@ -9,15 +9,14 @@ import time
 
 from click.testing import CliRunner
 
-from zclrp import (RingSpec, build_row, explicit_witness,
-                   g_stabilization_probe, ideal_degree_basis, rank,
-                   sample_report, sigma_of, trailing_ones,
-                   verify_generators_lemma, verify_witness, word_nonzero,
-                   z_of, zcl_exact)
+from zclrp import (MAX_RING_BITS, RingSpec, build_row, explicit_witness,
+                   g_stabilization_probe, rank, sample_report, sigma_of,
+                   trailing_ones, verify_generators_lemma, verify_witness,
+                   word_nonzero, z_of, zcl_exact)
 from zclrp.cli import main as cli_main
 
 from oracles import (brute_force_zcl, dense_mul, get_ring,
-                     ideal_basis_by_products)
+                     ideal_basis_by_products, ideal_degree_basis)
 
 
 def _announce(n, text):
@@ -87,17 +86,39 @@ GENERATOR_SHAPES = ([(1, s) for s in range(2, 10)]
                     + [(m, s) for m in range(5, 10) for s in (2, 3)])
 
 
+# every shape with (m+1)^s <= 2^12: 99 shapes
+LEMMA_SHAPES = [(m, s) for s in range(2, 13) for m in range(1, 64)
+                if (m + 1) ** s <= 1 << 12]
+
+# the largest shape of each s in 2, 4, 8, 16 at the slice cap
+CAP_SHAPES = [(255, 2), (15, 4), (3, 8), (1, 16)]
+
+
 def test_06_generator_span_equals_kernel():
     t0 = time.perf_counter()
-    for m, s in GENERATOR_SHAPES:
-        spec = RingSpec(m, s)
-        assert spec.size <= 10 ** 4
-        checks = verify_generators_lemma(spec)
+    for m, s in LEMMA_SHAPES:
+        checks = verify_generators_lemma(RingSpec(m, s))
+        assert len(checks) == s * m
         assert all(c.passed for c in checks), (m, s)
         assert all(c.dim_kernel == c.dim_ideal for c in checks)
     _announce(6, f"kernel = generator span in every degree on "
-                 f"{len(GENERATOR_SHAPES)} ring shapes "
+                 f"{len(LEMMA_SHAPES)} ring shapes "
                  f"({time.perf_counter() - t0:.2f}s)")
+
+
+def test_06_generator_span_at_the_slice_cap():
+    t0 = time.perf_counter()
+    for m, s in CAP_SHAPES:
+        spec = RingSpec(m, s)
+        assert spec.size == MAX_RING_BITS
+        checks = verify_generators_lemma(spec)
+        assert len(checks) == s * m
+        assert all(c.passed for c in checks), (m, s)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0
+    _announce(6, f"kernel = generator span in every degree at "
+                 f"{len(CAP_SHAPES)} shapes of (m+1)^s = {MAX_RING_BITS} "
+                 f"({elapsed:.2f}s)")
 
 
 def test_06_ideal_rows_match_dense_products():

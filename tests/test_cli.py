@@ -354,6 +354,27 @@ def test_report_with_cache(tmp_path):
     assert len(path.read_text().splitlines()) == 4
 
 
+def test_report_skips_a_cache_line_with_too_many_factors(tmp_path):
+    # 600,000 factors for (2,3), where s*m = 6: corrupt, refused before its
+    # factors are read, and the row is the one computed without the line
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps(
+        {"m": 2, "s": 3, "zcl": 600000, "method": "witness_lower_bound",
+         "witness": {"factors": [[1, 3, 1]] * 600000,
+                     "certificate": "x1^2*x2^2*x3^2"},
+         "engine_version": zclrp.ENGINE_VERSION, "timestamp": 0.0}) + "\n")
+    args = ("report", "--m-range", "2..2", "--s-range", "3..3",
+            "--policy", "witness-only")
+    plain = run(*args)
+    t0 = time.perf_counter()
+    with pytest.warns(UserWarning, match=":1: skipping corrupt cache line "
+                      r"\(600000 factors, over s\*m = 6\)"):
+        cached = run(*args, "--cache", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert cached.exit_code == plain.exit_code == 0
+    assert cached.stdout == plain.stdout
+
+
 def test_report_bad_range():
     assert run("report", "--m-range", "3..1", "--s-range", "2..3").exit_code == 64
     assert run("report", "--m-range", "x", "--s-range", "2..3").exit_code == 64

@@ -1,15 +1,51 @@
-"""Row reduction over F2: canonical form, agreement with the quadratic
-oracle, and the nullspace oracle built on it."""
+"""F2 linear algebra: the union-find span of two-term rows in the package
+against row reduction, and the row reduction oracle itself -- canonical
+form, agreement with the quadratic oracle, and the nullspace built on it."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import nullspace, pivot_of, rref_quadratic
-from zclrp import RingSpec, zero_divisors
-from zclrp.gf2 import rref
-from zclrp.zero_divisors import ideal_degree_basis
+import oracles
+from oracles import (ideal_degree_basis, in_span, nullspace, pivot_of, rref,
+                     rref_quadratic)
+from zclrp import RingSpec
+from zclrp.gf2 import components, find
+
+
+def _forest(n, rows):
+    """Parent list and marks of rows given as tuples of one or two columns,
+    linked the way the package links them: the larger root under the
+    smaller."""
+    parent, marked = list(range(n)), bytearray(n)
+    for row in rows:
+        if len(row) == 1:
+            marked[row[0]] = 1
+            continue
+        a, b = find(parent, row[0]), find(parent, row[1])
+        parent[max(a, b)] = min(a, b)
+    return parent, marked
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_two_term_span_matches_rref(data, n):
+    # dimension n - (unmarked components), and a unit vector lies outside
+    # the span exactly on an unmarked component
+    column = st.integers(0, n - 1)
+    rows = data.draw(st.lists(st.one_of(
+        st.tuples(column),
+        st.tuples(column, column).filter(lambda ab: ab[0] != ab[1])),
+        max_size=60))
+    parent, marked = _forest(n, rows)
+    vertices = tuple(range(n))
+    roots, unmarked = components(parent, marked, vertices)
+    reduced = rref([sum(1 << c for c in row) for row in rows])
+    assert n - len(unmarked) == len(reduced)
+    for v, root in zip(vertices, roots):
+        assert root == min(u for u, r in zip(vertices, roots) if r == root)
+        assert (root in unmarked) == (not in_span(reduced, 1 << v))
 
 
 def test_rref_canonical_properties():
@@ -70,6 +106,6 @@ def test_rref_matches_quadratic_oracle_sparse(data, width):
 def test_ideal_basis_matches_quadratic_oracle(monkeypatch, m, s):
     spec = RingSpec(m, s)
     got = [ideal_degree_basis(spec, d).rows for d in range(1, s * m + 1)]
-    monkeypatch.setattr(zero_divisors, "rref", rref_quadratic)
+    monkeypatch.setattr(oracles, "rref", rref_quadratic)
     want = [ideal_degree_basis(spec, d).rows for d in range(1, s * m + 1)]
     assert got == want

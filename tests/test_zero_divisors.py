@@ -1,10 +1,12 @@
 import pytest
 
-from oracles import (generator, get_ring, kernel_rows_by_nullspace,
-                     naive_diagonal, poly_to_set, poly_to_text, polys,
-                     row_as_poly)
-from zclrp import (RingSpec, SubspaceBasis, degree_slice, ideal_degree_basis,
-                   kernel_basis, verify_generators_lemma, zero_divisors)
+from oracles import (degree_slice, generator, get_ring, ideal_degree_basis,
+                     ideal_rows, in_span, kernel_basis,
+                     kernel_rows_by_nullspace, naive_diagonal, poly_to_set,
+                     polys, rref, vector_from_text)
+from zclrp import RingSpec, verify_generators_lemma, zero_divisors
+from zclrp.gf2 import find
+from zclrp.ring import graded_slices
 
 
 def is_zero_divisor(p):
@@ -122,30 +124,129 @@ def test_verify_generators_lemma_passes():
         assert set(d) == {"degree", "dim_kernel", "dim_ideal", "pass"}
 
 
-def test_verify_generators_lemma_mismatch_text(monkeypatch):
-    # with one ideal row dropped in every degree, each degree with a row
-    # fails and names the lowest row on one side only, in the dense
-    # oracle's text form
-    def short(spec, degree):
-        full = ideal_degree_basis(spec, degree)
-        return SubspaceBasis(full.slice, full.rows[1:])
+@pytest.mark.parametrize("m,s", [(4, 6), (2, 8), (6, 5), (3, 7), (1, 10)])
+def test_lemma_matches_rref_oracle(m, s):
+    # the union-find dimensions and verdicts against rref bases of both
+    # sides, in every degree
+    spec = RingSpec(m, s)
+    checks = verify_generators_lemma(spec)
+    assert [c.degree for c in checks] == list(range(1, s * m + 1))
+    for c in checks:
+        ker = kernel_basis(spec, c.degree)
+        ideal = ideal_degree_basis(spec, c.degree)
+        assert (c.dim_kernel, c.dim_ideal, c.passed) == \
+            (ker.dimension, ideal.dimension, ker.rows == ideal.rows), c
 
-    monkeypatch.setattr(zero_divisors, "ideal_degree_basis", short)
+
+@pytest.mark.parametrize("m,s", [(2, 3), (3, 3), (2, 4), (1, 5), (4, 2)])
+def test_ideal_forest_matches_oracle_rows(m, s):
+    # the forest joins exactly the monomials that the oracle's two-term
+    # rows connect, within one degree, and marks exactly its one-term rows
+    spec = RingSpec(m, s)
+    parent, marked = zero_divisors._ideal_forest(spec, s * m, range(1, s))
+    slices = graded_slices(spec)
+    for d in range(1, s * m + 1):
+        ranks = slices[d]
+        label = list(range(len(ranks)))   # the oracle's components
+
+        def root(c):
+            while label[c] != c:
+                c = label[c]
+            return c
+
+        singles = set()
+        for row in ideal_rows(spec, d):
+            bits = [c for c in range(len(ranks)) if (row >> c) & 1]
+            if len(bits) == 1:
+                singles.add(ranks[bits[0]])
+            else:
+                a, b = root(bits[0]), root(bits[1])
+                label[max(a, b)] = min(a, b)
+        assert {r for r in ranks if marked[r]} == singles, d
+        for c, r in enumerate(ranks):
+            assert find(parent, r) == ranks[root(c)], (d, r)
+
+
+def _faulty_forest(monkeypatch, fault):
+    """Make the lemma build its forest through fault(real, spec,
+    top_degree, generators)."""
+    real = zero_divisors._ideal_forest
+    monkeypatch.setattr(
+        zero_divisors, "_ideal_forest",
+        lambda spec, top_degree, generators:
+            fault(real, spec, top_degree, generators))
+
+
+def _check_mismatches(spec, checks, ideal_rows):
+    """Every check agrees with the oracle's bases, and every failing one
+    names a vector in exactly one of kernel and span; returns the number of
+    failing degrees."""
+    failed = 0
+    for c in checks:
+        ker = kernel_basis(spec, c.degree)
+        ideal = rref(ideal_rows(c.degree))
+        assert (c.dim_kernel, c.dim_ideal, c.passed) == \
+            (ker.dimension, len(ideal), list(ker.rows) == ideal), c
+        if c.passed:
+            assert c.mismatch is None
+            continue
+        failed += 1
+        v = vector_from_text(spec, ker.slice, c.mismatch)
+        assert in_span(ker.rows, v) != in_span(ideal, v), c
+    return failed
+
+
+def test_verify_generators_lemma_mismatch_text(monkeypatch):
+    # with the multiples of x_1 + x_s dropped, the span shrinks: degrees
+    # <= m split into components, higher degrees lose their marks
+    _faulty_forest(monkeypatch, lambda real, spec, top, generators:
+                   real(spec, top, [i for i in generators if i != 1]))
+    low = high = 0
+    for m, s in [(2, 3), (3, 2), (1, 4), (3, 3), (2, 4)]:
+        spec = RingSpec(m, s)
+        checks = verify_generators_lemma(spec)
+        assert _check_mismatches(
+            spec, checks,
+            lambda d: ideal_degree_basis(spec, d, range(2, s)).rows)
+        low += sum(not c.passed for c in checks if c.degree <= m)
+        high += sum(not c.passed for c in checks if c.degree > m)
+    assert low and high
+    assert verify_generators_lemma(RingSpec(2, 2))[1].mismatch == \
+        "x1^2 + x1^1*x2^1"
+
+
+def test_verify_generators_lemma_odd_row_fails(monkeypatch):
+    # a one-monomial row added in every degree: outside the kernel for
+    # d <= m, where it is named; no change above
+    def marked_last(real, spec, top, generators):
+        parent, marked = real(spec, top, generators)
+        for ranks in graded_slices(spec)[1:top + 1]:
+            marked[ranks[-1]] = 1
+        return parent, marked
+
+    _faulty_forest(monkeypatch, marked_last)
     for m, s in [(2, 3), (3, 2), (1, 4)]:
         spec = RingSpec(m, s)
-        for check in verify_generators_lemma(spec):
-            ker = kernel_basis(spec, check.degree)
-            assert not check.passed
-            assert check.dim_ideal == check.dim_kernel - 1
-            want = poly_to_text(row_as_poly(ker, ker.rows[0]))
-            assert check.mismatch == want
-    assert verify_generators_lemma(RingSpec(2, 2))[1].mismatch == \
-        "x1^2 + x2^2"
+        slices = graded_slices(spec)
+        checks = verify_generators_lemma(spec)
+        assert _check_mismatches(
+            spec, checks,
+            lambda d: ideal_degree_basis(spec, d).rows
+            + (1 << len(slices[d]) - 1,)) == m
+        assert [c.passed for c in checks] == \
+            [c.degree > m for c in checks]
+    assert verify_generators_lemma(RingSpec(2, 3))[0].mismatch == "x3^1"
 
 
 def test_verify_generators_lemma_max_degree():
     checks = verify_generators_lemma(RingSpec(2, 3), max_degree=3)
     assert [c.degree for c in checks] == [1, 2, 3]
+    # the forest holds no row of degree above the bound
+    spec = RingSpec(3, 3)
+    parent, marked = zero_divisors._ideal_forest(spec, 4, range(1, 3))
+    above = [r for ranks in graded_slices(spec)[5:] for r in ranks]
+    assert all(parent[r] == r and not marked[r] for r in above)
+    assert any(parent[r] != r for r in graded_slices(spec)[4])
 
 
 def test_low_degree_kernel_has_even_summands():
