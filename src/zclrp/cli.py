@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invariant violation (an internal certified check
-failed, i.e. a bug), 2 undetermined (a resource cap was hit before the
-answer was certified, or verify join passed every check but did not sample
-every component key), 64 bad input: an option value out of range, such as
---m 0, with one line on stderr, or a usage error that click reports itself,
-such as a missing option, a non-integer value or an unknown subcommand,
-with click's usage message on stderr.  --help and --version exit 0.
+failed, i.e. a bug), 2 undetermined (the work is over MAX_DP_CELLS,
+checked before any work, or verify join passed every check but did not
+sample every component key), 64 bad input: an option value out of range,
+such as --m 0, with one line on stderr, or a usage error that click
+reports itself, such as a missing option, a non-integer value or an
+unknown subcommand, with click's usage message on stderr.  --help and
+--version exit 0.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ._kernels import BACKEND_NAME
 from .bounds import build_table, emit
 from .cuplength import (ZclResult, explicit_witness, g_stabilization_probe,
                         zcl_exact)
-from .errors import InvariantViolationError, SizeLimitError, UndeterminedError
+from .errors import InvariantViolationError, UndeterminedError
 from .join_model import enough_samples, sample_report
 from .parity import two_adic_profile
 from .ring import RingSpec
@@ -38,7 +39,7 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (UndeterminedError, SizeLimitError) as exc:
+        except UndeterminedError as exc:
             click.echo(f"undetermined: {exc}", err=True)
             sys.exit(2)
         except InvariantViolationError as exc:
@@ -132,7 +133,7 @@ def zcl():
 def zcl_exact_cmd(m, s):
     """Exact cup-length by a residue knapsack DP, with a certified witness.
 
-    Shapes whose DP would exceed a fixed cell cap exit 2 before any work.
+    Shapes whose DP would exceed the work cap exit 2 before any work.
     """
     _at_least("--m", m, 1)
     _at_least("--s", s, 2)

@@ -37,13 +37,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvariantViolationError, UndeterminedError
+from .errors import MAX_DP_CELLS, InvariantViolationError, charge
 from .parity import trailing_ones
 from .ring import monomial_to_text
-
-MAX_DP_CELLS = 1 << 20
-"""Cap on the work of one (m, s): the DP size of zcl_exact (see
-_check_cells) and the term products of verify_witness (see _check_work)."""
 
 
 def _check_cells(m: int, s: int) -> None:
@@ -59,10 +55,7 @@ def _check_cells(m: int, s: int) -> None:
     if m < 1 or s < 2:
         raise ValueError("need m >= 1 and s >= 2")
     cells = (s - 1) * (m + 1) * ((1 << m.bit_length()) - m)
-    if cells > MAX_DP_CELLS:
-        raise UndeterminedError(
-            f"zcl({m},{s}): the DP needs {cells} cells, over the cap of "
-            f"{MAX_DP_CELLS}")
+    charge(cells, "zcl({},{}): the DP needs {work} cells", m, s)
 
 
 @functools.lru_cache(maxsize=None)
@@ -333,10 +326,8 @@ def _term_count(m: int, k: int) -> int:
 def _check_work(m: int, s: int, work: int) -> None:
     """Raise UndeterminedError when verify_witness's work bound for an
     (m, s) witness exceeds MAX_DP_CELLS."""
-    if work > MAX_DP_CELLS:
-        raise UndeterminedError(
-            f"witness({m},{s}): the check's work bound reaches {work} term "
-            f"products, over the cap of {MAX_DP_CELLS}")
+    charge(work, "witness({},{}): the check's work bound reaches {work} term "
+                 "products", m, s)
 
 
 def _uses(factors) -> tuple[dict[int, int], dict[int, int]]:

@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .errors import charge
+
 if TYPE_CHECKING:  # annotation only: importing fractions costs start-up time
     from fractions import Fraction
 
@@ -220,10 +222,13 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
     Collects the realized component keys (expected: all 2^(s-1) of them),
     checks that the label action permutes keys simply transitively, and runs
     one same-key segment check per sample.  Raises ValueError when samples
-    is below 2^(s-1), since not every key could then be found.
+    is below 2^(s-1), since not every key could then be found, then, before
+    any draw, charges samples*(k+9): two points of k+1 levels and a fixed 9.
     """
     if not enough_samples(s, samples):
         raise ValueError(f"samples must be >= 2^(s-1), got {samples} at s = {s}")
+    charge(samples * (k + 9),
+           "join({},{}): the sampling needs samples*(k+9) = {work} steps", s, k)
     rng = random.Random(seed)
     n_keys = 1 << (s - 1)
     seen: set[int] = set()

@@ -8,21 +8,14 @@ total degree and the text form of a monomial; it holds no ring elements.
 The package multiplies only sparse sets of exponent vectors
 (cuplength.verify_witness) or single monomials by generators, as rank
 offsets (zero_divisors.verify_generators_lemma); dense elements and their
-product are test oracles in ``tests/oracles.py``.  The slice table is the one structure
-as large as the basis, so it alone is capped, at MAX_RING_BITS.
+product are test oracles in ``tests/oracles.py``.  The slice table, the
+one structure as large as the basis, is charged by its caller.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
-
-from .errors import SizeLimitError
-
-MAX_RING_BITS = 1 << 16
-"""Cap on the basis cardinality (m+1)^s of a graded slice table, the work
-of ``verify generators``; no other path builds one."""
 
 
 @dataclass(frozen=True)
@@ -69,24 +62,9 @@ def unrank(spec: RingSpec, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
 def graded_slices(spec: RingSpec) -> tuple[tuple[int, ...], ...]:
-    """Entry d: all ranks of total degree d, increasing, for d = 0..s*m.
-
-    Built once per shape and kept.  Raises SizeLimitError, before any work,
-    when (m+1)^s exceeds MAX_RING_BITS; a shape whose size is at least
-    2^65 by the bit length of m+1 is refused without building (m+1)^s, its
-    size given as that power of 2.
-    """
-    low = spec.s * ((spec.m + 1).bit_length() - 1)
-    if low > 64:
-        raise SizeLimitError(
-            f"(m+1)^s >= 2^{low} exceeds the cap of {MAX_RING_BITS} "
-            f"basis monomials")
-    if spec.size > MAX_RING_BITS:
-        raise SizeLimitError(
-            f"(m+1)^s = {spec.size} exceeds the cap of {MAX_RING_BITS} "
-            f"basis monomials")
+    """Entry d: all ranks of total degree d, increasing, for d = 0..s*m;
+    uncapped and not kept, so the caller checks its size and holds it."""
     m, s = spec.m, spec.s
     table: list[list[int]] = [[] for _ in range(s * m + 1)]
     digits = [0] * s

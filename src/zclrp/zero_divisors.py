@@ -19,11 +19,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import charge
 from .gf2 import components
 from .ring import RingSpec, graded_slices, monomial_to_text, unrank
 
 
-def _ideal_forest(spec: RingSpec, top_degree: int,
+def _check_forest(spec: RingSpec) -> None:
+    """Charge s*(m+1)^s steps, per rank one parent and slice entry plus at
+    most s-1 rows, building nothing; a charge of 2^65 or more by bit
+    lengths is given as that power of 2, without computing (m+1)^s."""
+    m, s = spec.m, spec.s
+    low = s.bit_length() - 1 + s * ((m + 1).bit_length() - 1)
+    work = 1 << low if low > 64 else s * spec.size
+    shown = f">= 2^{low}" if low > 64 else f"= {work}"
+    charge(work, "generators({},{}): the check needs s*(m+1)^s {} steps",
+           m, s, shown)
+
+
+def _ideal_forest(spec: RingSpec, slices: tuple[tuple[int, ...], ...],
+                  top_degree: int,
                   generators: Iterable[int]) -> tuple[list[int], bytearray]:
     """Union-find forest (parent list over ranks) and marks of the rows
     (x_i + x_s)*M, for i in ``generators`` and M of degree below top_degree.
@@ -35,7 +49,6 @@ def _ideal_forest(spec: RingSpec, top_degree: int,
     The find and link of gf2 are written out here: this loop runs once per
     row, about (s-1)(m+1)^s times.
     """
-    slices = graded_slices(spec)    # the slice cap, before the arrays below
     m, radix = spec.m, spec.m + 1
     top = radix ** (spec.s - 1)
     top_open = m * top              # M's s-th exponent is below m iff r < top_open
@@ -97,11 +110,13 @@ def verify_generators_lemma(spec: RingSpec,
     A failing degree reports one vector present on exactly one side (this
     would disprove the generation fact, i.e. flag a bug): for d <= m a
     marked monomial, or else the sum of two monomials from different
-    components; for d > m a monomial of a component with no mark.
+    components; for d > m a monomial of a component with no mark.  A shape
+    over the work cap raises UndeterminedError first (_check_forest).
     """
+    _check_forest(spec)
     top_degree = spec.s * spec.m if max_degree is None else max_degree
-    parent, marked = _ideal_forest(spec, top_degree, range(1, spec.s))
     slices = graded_slices(spec)
+    parent, marked = _ideal_forest(spec, slices, top_degree, range(1, spec.s))
     checks = []
     for d in range(1, top_degree + 1):
         ranks = slices[d]

@@ -25,10 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from zclrp import (GroupElem, JoinReport, RingSpec, SizeLimitError, Witness,
-                   ZclError, ZclResult, monomial_from_text, monomial_to_text,
-                   rank, unrank, word_nonzero)
-from zclrp.ring import graded_slices
+from zclrp import (GroupElem, JoinReport, RingSpec, Witness, ZclError,
+                   ZclResult, monomial_from_text, monomial_to_text, rank,
+                   unrank, word_nonzero)
+from zclrp import ring
+
+# the package builds a slice table once per call and keeps none; the
+# oracles read one shape's table many times, so they keep theirs
+graded_slices = functools.lru_cache(maxsize=None)(ring.graded_slices)
 
 
 # -- F2 row reduction and rref bases of the graded slices ---------------------
@@ -196,6 +200,11 @@ class SpecMismatchError(ZclError, ValueError):
     """Operands belong to different rings."""
 
 
+class DenseSizeError(ZclError, ValueError):
+    """The dense ring A(m, s) would hold (m+1)^s bits per element, over
+    DENSE_RING_BITS."""
+
+
 class Poly:
     """Immutable element of A(m, s): a dense F2 coefficient bit vector.
 
@@ -267,7 +276,7 @@ class Ring:
 
     def __init__(self, spec: RingSpec):
         if spec.size > DENSE_RING_BITS:
-            raise SizeLimitError(
+            raise DenseSizeError(
                 f"(m+1)^s = {spec.size} exceeds the dense oracle's cap of "
                 f"{DENSE_RING_BITS} basis monomials")
         self.spec = spec
@@ -337,7 +346,7 @@ class Ring:
 @functools.lru_cache(maxsize=None)
 def get_ring(m: int, s: int) -> Ring:
     """The dense ring A(m, s), built once per (m, s) and kept; raises
-    SizeLimitError when (m+1)^s exceeds DENSE_RING_BITS."""
+    DenseSizeError when (m+1)^s exceeds DENSE_RING_BITS."""
     return Ring(RingSpec(m, s))
 
 

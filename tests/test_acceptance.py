@@ -9,7 +9,7 @@ import time
 
 from click.testing import CliRunner
 
-from zclrp import (MAX_RING_BITS, RingSpec, build_row, explicit_witness,
+from zclrp import (MAX_DP_CELLS, RingSpec, build_row, explicit_witness,
                    g_stabilization_probe, rank, sample_report, sigma_of,
                    trailing_ones, verify_generators_lemma, verify_witness,
                    word_nonzero, z_of, zcl_exact)
@@ -90,8 +90,9 @@ GENERATOR_SHAPES = ([(1, s) for s in range(2, 10)]
 LEMMA_SHAPES = [(m, s) for s in range(2, 13) for m in range(1, 64)
                 if (m + 1) ** s <= 1 << 12]
 
-# the largest shape of each s in 2, 4, 8, 16 at the slice cap
-CAP_SHAPES = [(255, 2), (15, 4), (3, 8), (1, 16)]
+# the largest shape of each s in 4..7 under the work cap's charge
+# s*(m+1)^s of the generators check
+CAP_SHAPES = [(21, 4), (10, 5), (6, 6), (4, 7)]
 
 
 def test_06_generator_span_equals_kernel():
@@ -106,18 +107,18 @@ def test_06_generator_span_equals_kernel():
                  f"({time.perf_counter() - t0:.2f}s)")
 
 
-def test_06_generator_span_at_the_slice_cap():
+def test_06_generator_span_at_the_work_cap():
     t0 = time.perf_counter()
     for m, s in CAP_SHAPES:
         spec = RingSpec(m, s)
-        assert spec.size == MAX_RING_BITS
+        assert s * spec.size <= MAX_DP_CELLS < s * (m + 2) ** s
         checks = verify_generators_lemma(spec)
         assert len(checks) == s * m
         assert all(c.passed for c in checks), (m, s)
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0
     _announce(6, f"kernel = generator span in every degree at "
-                 f"{len(CAP_SHAPES)} shapes of (m+1)^s = {MAX_RING_BITS} "
+                 f"{len(CAP_SHAPES)} shapes of s*(m+1)^s <= {MAX_DP_CELLS} "
                  f"({elapsed:.2f}s)")
 
 

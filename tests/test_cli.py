@@ -303,8 +303,8 @@ def test_ring_cap_exit_code(args):
             f"3999998 term products, over the cap of {zclrp.MAX_DP_CELLS}\n")
     else:
         assert result.stderr == (
-            "undetermined: (m+1)^s = 1000000000 exceeds the cap of "
-            f"{zclrp.MAX_RING_BITS} basis monomials\n")
+            "undetermined: generators(9,9): the check needs s*(m+1)^s = "
+            f"9000000000 steps, over the cap of {zclrp.MAX_DP_CELLS}\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -313,9 +313,10 @@ def test_ring_cap_exit_code(args):
     ("report", "--m-range", "1000..1000", "--s-range", "2000..2000"),
 ])
 def test_huge_ring_exits_2_with_one_line(args):
-    # each command meets its own cap: the verifier's work cap, the slice
-    # cap (1001^2000 has over 6000 digits, past Python's int-to-str limit,
-    # so the size is given as a power of 2) and the DP cap
+    # each command meets its own charge against the one work cap: the
+    # verifier's bound, the generators check's s*(m+1)^s (1001^2000 has
+    # over 6000 digits, past Python's int-to-str limit, so the charge is
+    # given as a power of 2) and the DP size
     t0 = time.perf_counter()
     result = run(*args)
     assert time.perf_counter() - t0 < 0.1
@@ -324,22 +325,45 @@ def test_huge_ring_exits_2_with_one_line(args):
     assert result.stderr.endswith({
         "zcl": ": the check's work bound reaches 126063936 term products, "
                f"over the cap of {zclrp.MAX_DP_CELLS}\n",
-        "verify": f": (m+1)^s >= 2^18000 exceeds the cap of "
-                  f"{zclrp.MAX_RING_BITS} basis monomials\n",
+        "verify": ": the check needs s*(m+1)^s >= 2^18010 steps, over the "
+                  f"cap of {zclrp.MAX_DP_CELLS}\n",
         "report": ": the DP needs 48023976 cells, over the cap of "
                   f"{zclrp.MAX_DP_CELLS}\n",
     }[args[0]])
 
 
-def test_slice_cap_bounds_verify_generators():
-    # 2^18 basis monomials, over MAX_RING_BITS = 2^16: the slice table the
-    # command would build costs tens of seconds and gigabytes
+def test_work_cap_bounds_verify_generators():
+    # 18 * 2^18 steps, over MAX_DP_CELLS = 2^20: refused before the slice
+    # table of 2^18 basis monomials is built
     t0 = time.perf_counter()
     result = run("verify", "generators", "--m", "1", "--s", "18")
     assert time.perf_counter() - t0 < 0.1
     assert result.exit_code == 2 and result.stdout == ""
-    assert result.stderr == ("undetermined: (m+1)^s = 262144 exceeds the cap "
-                             f"of {zclrp.MAX_RING_BITS} basis monomials\n")
+    assert result.stderr == ("undetermined: generators(1,18): the check needs "
+                             "s*(m+1)^s = 4718592 steps, over the cap of "
+                             f"{zclrp.MAX_DP_CELLS}\n")
+
+
+@pytest.mark.parametrize("s,k,samples,charge", [
+    (21, 0, 1 << 20, 9 << 20),        # the fewest samples accepted at s = 21
+    (2, 3000000, 2, 6000018),         # two samples of 3000001 levels each
+])
+def test_work_cap_bounds_verify_join(s, k, samples, charge):
+    # samples * (k + 9) is charged before any draw; unbounded, these ran
+    # for tens of seconds
+    t0 = time.perf_counter()
+    result = run("verify", "join", "--s", str(s), "--k", str(k),
+                 "--samples", str(samples))
+    assert time.perf_counter() - t0 < 0.1
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == (f"undetermined: join({s},{k}): the sampling "
+                             f"needs samples*(k+9) = {charge} steps, over the "
+                             f"cap of {zclrp.MAX_DP_CELLS}\n")
+    # too few samples is bad input, checked before the charge
+    result = run("verify", "join", "--s", str(s), "--k", str(k),
+                 "--samples", str((1 << s - 1) - 1))
+    assert result.exit_code == 64 and result.stdout == ""
+    assert result.stderr.startswith("bad input: --samples must be >= 2^(s-1)")
 
 
 def test_report_with_cache(tmp_path):

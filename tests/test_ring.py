@@ -3,45 +3,68 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zclrp import (MAX_RING_BITS, RingSpec, SizeLimitError,
+from zclrp import (MAX_DP_CELLS, RingSpec, UndeterminedError,
                    monomial_from_text, monomial_to_text, rank, unrank)
 from zclrp.cuplength import _binomial_terms, _term_count
 from zclrp.ring import graded_slices
-from oracles import (RingKernel, SpecMismatchError, dense_mul, get_ring,
-                     naive_diagonal, naive_mul, naive_pow, poly_to_set,
-                     poly_to_text, random_poly_set, set_to_poly)
+from zclrp.zero_divisors import _check_forest
+from oracles import (DENSE_RING_BITS, DenseSizeError, RingKernel,
+                     SpecMismatchError, dense_mul, get_ring, naive_diagonal,
+                     naive_mul, naive_pow, poly_to_set, poly_to_text,
+                     random_poly_set, set_to_poly)
 
 
 # -- spec and rank/unrank -------------------------------------------------------
 
 def test_spec_validation():
-    # a spec is a plain shape check; only the graded slice table is capped
+    # a spec is a plain shape check; the generators check charges
+    # s*(m+1)^s against the work cap before it builds the slice table
     with pytest.raises(ValueError):
         RingSpec(0, 2)
     with pytest.raises(ValueError):
         RingSpec(3, 1)
     assert RingSpec(9, 9).size == 10 ** 9
-    with pytest.raises(SizeLimitError):
-        graded_slices(RingSpec(9, 9))
-    # the cap is inclusive: 2^16 basis monomials is the largest table
-    assert RingSpec(1, 16).size == MAX_RING_BITS == 1 << 16
-    assert sum(map(len, graded_slices(RingSpec(1, 16)))) == MAX_RING_BITS
-    with pytest.raises(SizeLimitError):
-        graded_slices(RingSpec(1, 17))
+    with pytest.raises(UndeterminedError):
+        _check_forest(RingSpec(9, 9))
+    # the cap is inclusive: (1, 16) charges exactly 2^20
+    assert 16 * RingSpec(1, 16).size == MAX_DP_CELLS == 1 << 20
+    _check_forest(RingSpec(1, 16))
+    assert sum(map(len, graded_slices(RingSpec(1, 16)))) == 1 << 16
+    with pytest.raises(UndeterminedError):
+        _check_forest(RingSpec(1, 17))
     assert RingSpec(2, 3).size == 27
+    # the dense oracle keeps its own cap, with its own exception
+    with pytest.raises(DenseSizeError):
+        get_ring(1, DENSE_RING_BITS.bit_length())
 
 
 def test_spec_cap_message():
-    # the size in digits while (m+1)^s may be below 2^65, as a power of 2
-    # past that, so a huge shape never builds or prints its power
-    cap = f"exceeds the cap of {MAX_RING_BITS} basis monomials"
-    for (m, s), size in [((2, 64), 3 ** 64), ((1, 65), "2^65"),
-                         ((1000, 2000), "2^18000"),
-                         ((1, 10 ** 6), "2^1000000")]:
-        with pytest.raises(SizeLimitError) as exc:
-            graded_slices(RingSpec(m, s))
-        relation = ">=" if isinstance(size, str) else "="
-        assert str(exc.value) == f"(m+1)^s {relation} {size} {cap}"
+    # the charge in digits while its bit-length bound is at most 2^64, as
+    # a power of 2 past that, so a huge shape never builds or prints its
+    # power (1001^2000 has more digits than str() of an int may give)
+    cap = f"over the cap of {MAX_DP_CELLS}"
+    for (m, s), charge in [((1, 59), 59 * 2 ** 59), ((2, 64), "2^70"),
+                           ((1, 60), "2^65"), ((1000, 2000), "2^18010"),
+                           ((1, 10 ** 6), "2^1000019")]:
+        with pytest.raises(UndeterminedError) as exc:
+            _check_forest(RingSpec(m, s))
+        relation = ">=" if isinstance(charge, str) else "="
+        assert str(exc.value) == (f"generators({m},{s}): the check needs "
+                                  f"s*(m+1)^s {relation} {charge} steps, {cap}")
+
+
+def test_forest_charge_admits_the_old_slice_cap(monkeypatch):
+    # every shape the former cap (m+1)^s <= 2^16 admitted passes the
+    # charge, since it forces s <= 16; the check builds nothing
+    def no_table(spec):
+        raise AssertionError("the check built a slice table")
+
+    monkeypatch.setattr("zclrp.zero_divisors.graded_slices", no_table)
+    shapes = [(m, s) for s in range(2, 65) for m in range(1, 256)
+              if (m + 1) ** s <= 1 << 16]
+    assert max(s for _, s in shapes) == 16 and len(shapes) == 338
+    for m, s in shapes:
+        _check_forest(RingSpec(m, s))
 
 
 def test_poly_range():

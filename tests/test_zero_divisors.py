@@ -143,8 +143,9 @@ def test_ideal_forest_matches_oracle_rows(m, s):
     # the forest joins exactly the monomials that the oracle's two-term
     # rows connect, within one degree, and marks exactly its one-term rows
     spec = RingSpec(m, s)
-    parent, marked = zero_divisors._ideal_forest(spec, s * m, range(1, s))
     slices = graded_slices(spec)
+    parent, marked = zero_divisors._ideal_forest(spec, slices, s * m,
+                                                 range(1, s))
     for d in range(1, s * m + 1):
         ranks = slices[d]
         label = list(range(len(ranks)))   # the oracle's components
@@ -168,13 +169,13 @@ def test_ideal_forest_matches_oracle_rows(m, s):
 
 
 def _faulty_forest(monkeypatch, fault):
-    """Make the lemma build its forest through fault(real, spec,
+    """Make the lemma build its forest through fault(real, spec, slices,
     top_degree, generators)."""
     real = zero_divisors._ideal_forest
     monkeypatch.setattr(
         zero_divisors, "_ideal_forest",
-        lambda spec, top_degree, generators:
-            fault(real, spec, top_degree, generators))
+        lambda spec, slices, top_degree, generators:
+            fault(real, spec, slices, top_degree, generators))
 
 
 def _check_mismatches(spec, checks, ideal_rows):
@@ -199,8 +200,8 @@ def _check_mismatches(spec, checks, ideal_rows):
 def test_verify_generators_lemma_mismatch_text(monkeypatch):
     # with the multiples of x_1 + x_s dropped, the span shrinks: degrees
     # <= m split into components, higher degrees lose their marks
-    _faulty_forest(monkeypatch, lambda real, spec, top, generators:
-                   real(spec, top, [i for i in generators if i != 1]))
+    _faulty_forest(monkeypatch, lambda real, spec, slices, top, generators:
+                   real(spec, slices, top, [i for i in generators if i != 1]))
     low = high = 0
     for m, s in [(2, 3), (3, 2), (1, 4), (3, 3), (2, 4)]:
         spec = RingSpec(m, s)
@@ -218,9 +219,9 @@ def test_verify_generators_lemma_mismatch_text(monkeypatch):
 def test_verify_generators_lemma_odd_row_fails(monkeypatch):
     # a one-monomial row added in every degree: outside the kernel for
     # d <= m, where it is named; no change above
-    def marked_last(real, spec, top, generators):
-        parent, marked = real(spec, top, generators)
-        for ranks in graded_slices(spec)[1:top + 1]:
+    def marked_last(real, spec, slices, top, generators):
+        parent, marked = real(spec, slices, top, generators)
+        for ranks in slices[1:top + 1]:
             marked[ranks[-1]] = 1
         return parent, marked
 
@@ -243,10 +244,11 @@ def test_verify_generators_lemma_max_degree():
     assert [c.degree for c in checks] == [1, 2, 3]
     # the forest holds no row of degree above the bound
     spec = RingSpec(3, 3)
-    parent, marked = zero_divisors._ideal_forest(spec, 4, range(1, 3))
-    above = [r for ranks in graded_slices(spec)[5:] for r in ranks]
+    slices = graded_slices(spec)
+    parent, marked = zero_divisors._ideal_forest(spec, slices, 4, range(1, 3))
+    above = [r for ranks in slices[5:] for r in ranks]
     assert all(parent[r] == r and not marked[r] for r in above)
-    assert any(parent[r] != r for r in graded_slices(spec)[4])
+    assert any(parent[r] != r for r in slices[4])
 
 
 def test_low_degree_kernel_has_even_summands():
