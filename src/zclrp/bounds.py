@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .cuplength import (Witness, _check_cells, _check_work, _explicit_work,
                         explicit_witness, verify_witness, zcl_exact)
-from .errors import InvariantViolationError, UndeterminedError
+from .errors import InvariantViolationError, UndeterminedError, charge
 from .ring import RingSpec, monomial_from_text
 
 ENGINE_VERSION = "1"
@@ -290,7 +290,11 @@ def build_table(m_range: tuple[int, int], s_range: tuple[int, int],
                 ) -> tuple[list[BoundsRow], list[tuple[int, int, str]]]:
     """All rows over inclusive ranges.  A row over its policy's cap (see
     build_row) is skipped and reported as (m, s, reason) instead of
-    aborting the table."""
+    aborting the table.  A grid of more rows than MAX_DP_CELLS raises
+    UndeterminedError before any row."""
+    (a, b), (c, d) = m_range, s_range
+    charge(max(0, b - a + 1) * max(0, d - c + 1),
+           "table({}..{},{}..{}): the grid has {work} rows", a, b, c, d)
     rows, skipped = [], []
     for m in range(m_range[0], m_range[1] + 1):
         for s in range(s_range[0], s_range[1] + 1):

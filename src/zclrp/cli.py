@@ -1,24 +1,26 @@
-"""Command-line interface.
+"""Command-line interface, on the standard library's argparse.
 
-Exit codes: 0 success, 1 invariant violation (an internal certified check
-failed, i.e. a bug), 2 undetermined (the work is over MAX_DP_CELLS,
-checked before any work, or verify join passed every check but did not
-sample every component key), 64 bad input: an option value out of range,
-such as --m 0, with one line on stderr, or a usage error that click
-reports itself, such as a missing option, a non-integer value or an
-unknown subcommand, with click's usage message on stderr.  --help and
---version exit 0.
+The parser tree is built once, at import; each main() call only parses its
+arguments and runs one command.  Exit codes: 0 success, 1 invariant
+violation (an internal certified check failed, i.e. a bug), 2 undetermined
+(the work is over MAX_DP_CELLS, checked before any work, or verify join
+passed every check but did not sample every component key), 64 bad input:
+an option value out of range, such as --m 0, with one line on stderr, or a
+usage error, such as a missing option, a non-integer value, an unknown
+option or subcommand, or a group run without a subcommand, with a
+"Usage: " line and an "Error: " line on stderr.  --help and --version
+exit 0.
 """
 
 from __future__ import annotations
 
-import contextlib
+import argparse
 import functools
 import json
+import os
+import re
 import sys
 import time
-
-import click
 
 from . import __version__
 from ._kernels import BACKEND_NAME
@@ -40,39 +42,17 @@ def _guarded(fn):
         try:
             return fn(*args, **kwargs)
         except UndeterminedError as exc:
-            click.echo(f"undetermined: {exc}", err=True)
+            print(f"undetermined: {exc}", file=sys.stderr)
             sys.exit(2)
         except InvariantViolationError as exc:
-            click.echo(f"invariant violation: {exc}", err=True)
+            print(f"invariant violation: {exc}", file=sys.stderr)
             sys.exit(1)
     return wrapper
 
 
-@contextlib.contextmanager
-def _usage_errors_exit_usage():
-    try:
-        yield
-    except click.UsageError as exc:
-        exc.exit_code = EX_USAGE
-        raise
-
-
-class _Cli(click.Group):
-    """The root group.  Every command is parsed and run inside its
-    make_context and invoke, so click's usage errors exit EX_USAGE, not 2."""
-
-    def make_context(self, *args, **kwargs):
-        with _usage_errors_exit_usage():
-            return super().make_context(*args, **kwargs)
-
-    def invoke(self, ctx):
-        with _usage_errors_exit_usage():
-            return super().invoke(ctx)
-
-
 def _bad_input(message: str) -> None:
     """Exit EX_USAGE with one line on stderr."""
-    click.echo(f"bad input: {message}", err=True)
+    print(f"bad input: {message}", file=sys.stderr)
     sys.exit(EX_USAGE)
 
 
@@ -83,19 +63,21 @@ def _at_least(option: str, value: int, low: int) -> None:
 
 
 def _echo_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, separators=(",", ":")))
+    # flushed, so that stdout comes before a following stderr line when
+    # both go to one file
+    print(json.dumps(payload, separators=(",", ":")), flush=True)
 
 
-def _parse_range(_ctx, _param, value: str) -> tuple[int, int]:
+def _parse_range(value: str) -> tuple[int, int]:
     lo, sep, hi = value.partition("..")
     if not sep:
         lo = hi = value
     try:
         bounds = int(lo), int(hi)
     except ValueError:
-        raise click.BadParameter(f"expected A..B, got {value!r}")
+        raise argparse.ArgumentTypeError(f"expected A..B, got {value!r}")
     if bounds[0] > bounds[1]:
-        raise click.BadParameter(f"empty range {value!r}")
+        raise argparse.ArgumentTypeError(f"empty range {value!r}")
     return bounds
 
 
@@ -106,29 +88,18 @@ def _zcl_payload(result: ZclResult, elapsed_ms: float) -> dict:
             "elapsed_ms": round(elapsed_ms, 3)}
 
 
-@click.group(cls=_Cli)
-@click.version_option(version=__version__, message=f"%(prog)s %(version)s ({BACKEND_NAME} kernel)")
-def main():
-    """Zero-divisor cup-lengths of (RP^m)^s and TC_s bound tables."""
+# -- commands ---------------------------------------------------------------------
+# Each command looks the package functions it runs up as globals of this
+# module when it runs, so that a caller can rebind them here (tests,
+# benchmark tracing).
 
-
-@main.command()
-@click.option("--m", type=int, required=True)
 @_guarded
-def profile(m):
+def profile_cmd(m):
     """Dyadic profile of m: trailing-ones length e, z, and sigma."""
     _at_least("--m", m, 1)
     _echo_json(two_adic_profile(m).as_dict())
 
 
-@main.group()
-def zcl():
-    """Zero-divisor cup-length computations."""
-
-
-@zcl.command("exact")
-@click.option("--m", type=int, required=True)
-@click.option("--s", type=int, required=True)
 @_guarded
 def zcl_exact_cmd(m, s):
     """Exact cup-length by a residue knapsack DP, with a certified witness.
@@ -142,9 +113,6 @@ def zcl_exact_cmd(m, s):
     _echo_json(_zcl_payload(result, (time.perf_counter() - t0) * 1000))
 
 
-@zcl.command("witness")
-@click.option("--m", type=int, required=True)
-@click.option("--s", type=int, required=True)
 @_guarded
 def zcl_witness_cmd(m, s):
     """Closed-form lower-bound witness (no search); witness may be null."""
@@ -162,9 +130,6 @@ def zcl_witness_cmd(m, s):
                 "elapsed_ms": round(elapsed, 3)})
 
 
-@zcl.command("probe")
-@click.option("--m", type=int, required=True)
-@click.option("--s-max", type=int, required=True)
 @_guarded
 def zcl_probe_cmd(m, s_max):
     """Gap sequence s*m - zcl over s = 2..s-max, with stabilization flag."""
@@ -174,15 +139,6 @@ def zcl_probe_cmd(m, s_max):
     _echo_json(probe.as_dict())
 
 
-@main.group()
-def verify():
-    """Structural verifications (linear algebra, join model)."""
-
-
-@verify.command("generators")
-@click.option("--m", type=int, required=True)
-@click.option("--s", type=int, required=True)
-@click.option("--max-degree", type=int, default=None)
 @_guarded
 def verify_generators_cmd(m, s, max_degree):
     """Per degree: substitution kernel == span of (x_i + x_s) multiples."""
@@ -201,11 +157,6 @@ def verify_generators_cmd(m, s, max_degree):
         raise InvariantViolationError("some degree failed; see output")
 
 
-@verify.command("join")
-@click.option("--s", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--samples", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @_guarded
 def verify_join_cmd(s, k, samples, seed):
     """Sampled component structure of U_j inside the stage-k join."""
@@ -224,35 +175,158 @@ def verify_join_cmd(s, k, samples, seed):
                                 "component keys; raise --samples")
 
 
-@main.command()
-@click.option("--m-range", callback=_parse_range, required=True,
-              help="Inclusive range A..B of m values.")
-@click.option("--s-range", callback=_parse_range, required=True,
-              help="Inclusive range C..D of s values.")
-@click.option("--policy", type=click.Choice(["exact", "witness-only"]),
-              default="exact", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json", show_default=True)
-@click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
-              default=None, envvar="ZCLRP_CACHE",
-              help="Append-only JSONL result cache (default: $ZCLRP_CACHE).")
 @_guarded
-def report(m_range, s_range, policy, fmt, cache_path):
+def report_cmd(m_range, s_range, policy, fmt, cache_path):
     """Bound-table rows s*m >= TC_s >= secat >= zcl over the given ranges.
 
     Rows over the work cap -- the DP's size under --policy exact, the check
     of the closed-form witness under witness-only -- are skipped with a note
-    on stderr and exit code 2.
+    on stderr and exit code 2.  A grid of more rows than the cap exits 2
+    before any row.
     """
+    if cache_path is None:
+        cache_path = os.environ.get("ZCLRP_CACHE") or None
+    if cache_path is not None and os.path.isdir(cache_path):
+        _bad_input(f"the cache {cache_path!r} is a directory")
     _at_least("--m-range start", m_range[0], 1)
     _at_least("--s-range start", s_range[0], 2)
     rows, skipped = build_table(m_range, s_range, policy.replace("-", "_"),
                                 cache_path=cache_path)
-    click.echo(emit(rows, fmt).decode(), nl=False)
+    sys.stdout.write(emit(rows, fmt).decode())
+    sys.stdout.flush()
     if skipped:
         for m, s, reason in skipped:
-            click.echo(f"skipped ({m},{s}): {reason}", err=True)
+            print(f"skipped ({m},{s}): {reason}", file=sys.stderr)
         sys.exit(2)
+
+
+# -- the parser tree --------------------------------------------------------------
+
+class _Formatter(argparse.HelpFormatter):
+    """Help with a "Usage: " prefix and the paragraphs of a docstring kept."""
+
+    def _format_usage(self, usage, actions, groups, prefix):
+        # add_subparsers asks for a usage with prefix "" to make each
+        # subcommand's prog; only argparse's default, None, is replaced
+        if prefix is None:
+            prefix = "Usage: "
+        return super()._format_usage(usage, actions, groups, prefix)
+
+    def _fill_text(self, text, width, indent):
+        fill = super()._fill_text
+        return "\n\n".join(fill(p, width, indent) for p in text.split("\n\n"))
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit EX_USAGE with a "Usage: " line and an
+    "Error: " line on stderr, from the innermost subcommand.  Options are
+    never abbreviated (--sam is not --samples), help is --help alone, and a
+    value may start with "-" and a digit (--m-range -3..2 is bad input)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, allow_abbrev=False,
+                         add_help=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
+        self.add_argument("--help", action="help",
+                          help="Show this message and exit.")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand's parser is run by parse_known_args, so this refuses
+        # an unknown argument with that subcommand's usage
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"Error: {message}", file=sys.stderr)
+        sys.exit(EX_USAGE)
+
+
+def _subcommands(parser: _Parser, name: str):
+    # the namespace keys of subcommand names start with "_", so main can
+    # tell them from options
+    return parser.add_subparsers(dest=f"_{name}", metavar="COMMAND",
+                                 required=True)
+
+
+def _group(subparsers, name: str, doc: str):
+    return _subcommands(subparsers.add_parser(name, help=doc, description=doc),
+                        name)
+
+
+def _command(subparsers, name: str, handler) -> _Parser:
+    doc = handler.__doc__
+    parser = subparsers.add_parser(name, help=doc.split("\n", 1)[0],
+                                   description=doc)
+    parser.set_defaults(_handler=handler)
+    return parser
+
+
+def _build_parser() -> _Parser:
+    root = _Parser(prog="zclrp", description="Zero-divisor cup-lengths of "
+                   "(RP^m)^s and TC_s bound tables.")
+    root.add_argument("--version", action="version",
+                      version=f"zclrp {__version__} ({BACKEND_NAME} kernel)",
+                      help="Show the version and exit.")
+    commands = _subcommands(root, "command")
+
+    _command(commands, "profile", profile_cmd).add_argument(
+        "--m", type=int, required=True)
+
+    zcl = _group(commands, "zcl", "Zero-divisor cup-length computations.")
+    for name, handler in (("exact", zcl_exact_cmd), ("witness", zcl_witness_cmd)):
+        parser = _command(zcl, name, handler)
+        parser.add_argument("--m", type=int, required=True)
+        parser.add_argument("--s", type=int, required=True)
+    parser = _command(zcl, "probe", zcl_probe_cmd)
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--s-max", type=int, required=True)
+
+    verify = _group(commands, "verify",
+                    "Structural verifications (linear algebra, join model).")
+    parser = _command(verify, "generators", verify_generators_cmd)
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--s", type=int, required=True)
+    parser.add_argument("--max-degree", type=int, default=None)
+    parser = _command(verify, "join", verify_join_cmd)
+    parser.add_argument("--s", type=int, required=True)
+    parser.add_argument("--k", type=int, required=True)
+    parser.add_argument("--samples", type=int, default=1000,
+                        help="(default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="(default: %(default)s)")
+
+    report = _command(commands, "report", report_cmd)
+    report.add_argument("--m-range", type=_parse_range, required=True,
+                        metavar="A..B", help="Inclusive range A..B of m values.")
+    report.add_argument("--s-range", type=_parse_range, required=True,
+                        metavar="C..D", help="Inclusive range C..D of s values.")
+    report.add_argument("--policy", choices=("exact", "witness-only"),
+                        default="exact", help="(default: %(default)s)")
+    report.add_argument("--format", dest="fmt", choices=("json", "csv"),
+                        default="json", help="(default: %(default)s)")
+    report.add_argument("--cache", dest="cache_path", metavar="PATH",
+                        help="Append-only JSONL result cache "
+                             "(default: $ZCLRP_CACHE).")
+    return root
+
+
+_PARSER = _build_parser()
+
+
+def main(args: list[str] | None = None, *, standalone_mode: bool = True) -> None:
+    """Run the command that args (default: sys.argv[1:]) name.
+
+    Every exit code but 0 leaves by SystemExit, as do --help and --version.
+    standalone_mode changes nothing; it is accepted for callers written
+    against the click-based main of earlier versions.
+    """
+    options = vars(_PARSER.parse_args(args))
+    handler = options.pop("_handler")
+    handler(**{key: value for key, value in options.items()
+               if not key.startswith("_")})
 
 
 if __name__ == "__main__":

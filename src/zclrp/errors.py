@@ -7,7 +7,8 @@ the DP size (cuplength._check_cells); zcl witness, report --policy
 witness-only and every witness check, the verifier's term products
 (cuplength._work_bound); verify generators, s*(m+1)^s
 (zero_divisors._check_forest); verify join, samples*(k+9)
-(join_model.sample_report)."""
+(join_model.sample_report); report, besides each row's charge, the number
+of rows of its grid (bounds.build_table)."""
 
 
 class ZclError(Exception):

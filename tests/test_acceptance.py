@@ -7,14 +7,11 @@ Each test prints a single PASS line on success (visible with pytest -s or
 import json
 import time
 
-from click.testing import CliRunner
-
 from zclrp import (MAX_DP_CELLS, RingSpec, build_row, explicit_witness,
                    g_stabilization_probe, rank, sample_report, sigma_of,
                    trailing_ones, verify_generators_lemma, verify_witness,
                    word_nonzero, z_of, zcl_exact)
-from zclrp.cli import main as cli_main
-
+from cli_runner import invoke as run_cli
 from oracles import (brute_force_zcl, dense_mul, get_ring,
                      ideal_basis_by_products, ideal_degree_basis)
 
@@ -187,9 +184,8 @@ def test_09_join_component_structure():
 
 def test_10_report_chain_consistency():
     t0 = time.perf_counter()
-    result = CliRunner().invoke(
-        cli_main, ["report", "--m-range", "1..7", "--s-range", "2..5",
-                   "--policy", "exact"])
+    result = run_cli("report", "--m-range", "1..7", "--s-range", "2..5",
+                     "--policy", "exact")
     assert result.exit_code in (0, 2)
     rows = [json.loads(line) for line in result.stdout.splitlines()]
     assert result.exit_code == 0 and len(rows) == 28  # nothing skipped here

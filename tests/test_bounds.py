@@ -114,6 +114,21 @@ def test_build_table_skips_oversized_rows():
     assert all("over the cap of 1048576" in reason for *_, reason in skipped)
 
 
+def test_build_table_charges_its_row_count_before_any_row(monkeypatch):
+    # the grid's (B-A+1)*(D-C+1) rows meet the cap before the first row
+    calls = []
+    monkeypatch.setattr("zclrp.bounds.build_row",
+                        lambda m, s, policy, cache_path=None: calls.append((m, s)))
+    monkeypatch.setattr("zclrp.errors.MAX_DP_CELLS", 12)
+    rows, skipped = build_table((1, 3), (2, 5))
+    assert len(rows) == len(calls) == 12 and skipped == []
+    calls.clear()
+    with pytest.raises(UndeterminedError, match=r"^table\(1\.\.13,2\.\.2\): "
+                       "the grid has 13 rows, over the cap of 12$"):
+        build_table((1, 13), (2, 2))
+    assert calls == []
+
+
 # -- cache -----------------------------------------------------------------------
 
 def test_cache_roundtrip(tmp_path):

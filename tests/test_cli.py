@@ -7,16 +7,12 @@ import warnings
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import oracles
 import zclrp
+import zclrp.cli
+from cli_runner import invoke as run
 from zclrp import JoinReport
-from zclrp.cli import main
-
-
-def run(*args, **kwargs):
-    return CliRunner().invoke(main, list(args), **kwargs)
 
 
 def test_profile():
@@ -58,11 +54,19 @@ def test_zcl_exact_large_shapes():
     assert json.loads(probe.output)["g"] == [27, 9, 7, 5, 3, 1, 1, 1, 1, 1, 1]
 
 
-CLICK_USAGE_ERRORS = [
+USAGE_ERRORS = [
     ("zcl", "exact", "--m", "x", "--s", "3"),
     ("zcl", "exact", "--m", "3"),
     ("report", "--m-range", "x", "--s-range", "2..3"),
     ("nosuchcommand",),
+]
+
+# a group without a subcommand, an abbreviated option (--sam is not
+# --samples) and a stray argument
+STRICT_USAGE_ERRORS = [
+    ("zcl",),
+    ("verify", "join", "--s", "3", "--k", "2", "--sam", "5"),
+    ("zcl", "exact", "--m", "3", "--s", "3", "extra"),
 ]
 
 # the ring cap is a constant: --limit-bits is gone from all three commands
@@ -93,12 +97,13 @@ REMOVED_OPTION_ERRORS = [
     ("verify", "join", "--s", "3", "--k", "2", "--samples", "0"),
     ("report", "--m-range", "0..2", "--s-range", "2..3"),
     ("report", "--m-range", "1..2", "--s-range", "1..3"),
-    *CLICK_USAGE_ERRORS,
+    *USAGE_ERRORS,
     ("verify", "generators", "--m", "2", "--s", "2", "--max-degree", "100"),
     ("verify", "generators", "--m", "2", "--s", "2", "--max-degree", "5"),
     *REMOVED_OPTION_ERRORS,
     ("verify", "join", "--s", "200", "--k", "2", "--samples", "5"),
     ("verify", "join", "--s", "2", "--k", "0", "--samples", "1"),
+    *STRICT_USAGE_ERRORS,
 ])
 def test_bad_input_exit_code(args):
     result = run(*args)
@@ -106,7 +111,7 @@ def test_bad_input_exit_code(args):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     lines = result.stderr.splitlines()
-    if args in CLICK_USAGE_ERRORS + REMOVED_OPTION_ERRORS:
+    if args in USAGE_ERRORS + REMOVED_OPTION_ERRORS + STRICT_USAGE_ERRORS:
         assert lines[0].startswith("Usage: ") and lines[-1].startswith("Error: ")
     else:
         assert result.stderr.startswith("bad input: ")
@@ -168,10 +173,11 @@ def test_verify_join_failed_check_exits_bug_even_with_missed_keys(
 
 
 def test_cli_import_leaves_fractions_and_decimal_unloaded():
-    # together they cost about 4 ms of start-up, which every command pays
+    # together they cost about 4 ms of start-up, which every command pays;
+    # click cost about 31 ms
     src = str(Path(zclrp.__file__).resolve().parents[1])
     code = ("import sys, zclrp.cli; "
-            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+            "print(sorted({'click', 'fractions', 'decimal'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
@@ -182,9 +188,50 @@ def test_help_and_version_exit_zero():
     version = run("--version")
     assert version.exit_code == 0
     assert version.output.endswith(" (pure kernel)\n")
-    for args in [("--help",), ("zcl", "exact", "--help")]:
+    for args in [("--help",), ("zcl", "--help"), ("zcl", "exact", "--help"),
+                 ("report", "--help")]:
         result = run(*args)
         assert result.exit_code == 0 and result.output.startswith("Usage: ")
+        assert result.output.count("Usage: ") == 1 and result.stderr == ""
+    assert run("--version").output == "zclrp 0.1.0 (pure kernel)\n"
+
+
+def test_cli_runs_package_functions_through_the_module(monkeypatch):
+    # each command looks zcl_exact, build_table, emit and sample_report up in
+    # zclrp.cli when it runs, so that rebinding them there is seen
+    calls = []
+
+    def record(name):
+        real = getattr(zclrp.cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("zcl_exact", "build_table", "emit"):
+        monkeypatch.setattr(zclrp.cli, name, record(name))
+    assert run("zcl", "exact", "--m", "5", "--s", "3").exit_code == 0
+    assert calls == ["zcl_exact"]
+    result = run("report", "--m-range", "1..3", "--s-range", "2..3")
+    assert result.exit_code == 0 and len(result.stdout.splitlines()) == 6
+    assert calls == ["zcl_exact", "build_table", "emit"]
+
+
+def test_report_cache_that_is_a_directory_is_bad_input(tmp_path, monkeypatch):
+    # from --cache or from $ZCLRP_CACHE, refused before any row
+    args = ("report", "--m-range", "1..2", "--s-range", "2..3")
+    flag = run(*args, "--cache", str(tmp_path))
+    monkeypatch.setenv("ZCLRP_CACHE", str(tmp_path))
+    variable = run(*args)
+    for result in (flag, variable):
+        assert result.exit_code == 64 and result.stdout == ""
+        assert result.stderr == (f"bad input: the cache {str(tmp_path)!r} "
+                                 "is a directory\n")
+    # --cache wins over the variable
+    path = tmp_path / "cache.jsonl"
+    assert run(*args, "--cache", str(path)).exit_code == 0
+    assert len(path.read_text().splitlines()) == 4
 
 
 def test_zcl_witness():
@@ -330,6 +377,19 @@ def test_huge_ring_exits_2_with_one_line(args):
         "report": ": the DP needs 48023976 cells, over the cap of "
                   f"{zclrp.MAX_DP_CELLS}\n",
     }[args[0]])
+
+
+def test_report_grid_over_the_cap_exits_2_before_any_row():
+    # 99999999 rows: refused from the ranges alone, where every row past
+    # s = 2^19 used to be tried and skipped one by one
+    t0 = time.perf_counter()
+    result = run("report", "--m-range", "1..1", "--s-range", "2..100000000",
+                 "--policy", "witness-only")
+    assert time.perf_counter() - t0 < 0.1
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == ("undetermined: table(1..1,2..100000000): the grid "
+                             "has 99999999 rows, over the cap of "
+                             f"{zclrp.MAX_DP_CELLS}\n")
 
 
 def test_work_cap_bounds_verify_generators():
