@@ -186,8 +186,13 @@ def report_cmd(m_range, s_range, policy, fmt, cache_path):
     """
     if cache_path is None:
         cache_path = os.environ.get("ZCLRP_CACHE") or None
-    if cache_path is not None and os.path.isdir(cache_path):
-        _bad_input(f"the cache {cache_path!r} is a directory")
+    if cache_path == "":
+        _bad_input("the cache path is empty")
+    if cache_path is not None:
+        if os.path.isdir(cache_path):
+            _bad_input(f"the cache {cache_path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(cache_path) or "."):
+            _bad_input(f"the cache {cache_path!r} is in no existing directory")
     _at_least("--m-range start", m_range[0], 1)
     _at_least("--s-range start", s_range[0], 2)
     rows, skipped = build_table(m_range, s_range, policy.replace("-", "_"),

@@ -1,4 +1,4 @@
-"""F2 spans of rows with at most two set bits, held as a union-find forest.
+"""F2 spans of rows with at most two set bits, by closure over int bitsets.
 
 A row e_a + e_b is an edge between vertices a and b; a row e_a marks a.
 Over a set of vertices that no edge leaves, the span of such rows is the
@@ -9,27 +9,37 @@ So the span has dimension (number of vertices) - (number of unmarked
 components), and a vector lies outside it iff its weight is odd on some
 unmarked component.
 
-The forest is a parent list over the vertices, a root being its own parent.
-Linking hangs the larger root under the smaller, so every root is the least
-vertex of its component.
+A vertex is a bit position and a set of vertices is a Python int.  Edges
+come in shift families ``(lo, hi, d)``: ``lo`` is a set of vertices and
+``hi == lo << d``, and the family joins a to a + d for every a in ``lo``.
+One pass moves a set across every edge of a family at once, with a few
+shifts and masks of whole ints; passes repeat until the set stops growing.
 """
 
 from __future__ import annotations
 
-__all__ = ["find", "components"]
+from typing import Iterator, Sequence
+
+__all__ = ["closure", "flood"]
+
+Family = tuple[int, int, int]
 
 
-def find(parent: list[int], v: int) -> int:
-    """Root of v's component, halving the path on the way."""
-    while parent[v] != v:
-        parent[v] = v = parent[parent[v]]
-    return v
+def closure(x: int, families: Sequence[Family]) -> int:
+    """The union of the components that meet x."""
+    while True:
+        y = x
+        for lo, hi, d in families:
+            y |= ((y & hi) >> d) | ((y & lo) << d)
+        if y == x:
+            return x
+        x = y
 
 
-def components(parent: list[int], marked: bytes,
-               vertices: tuple[int, ...]) -> tuple[list[int], set[int]]:
-    """The root of each vertex, in order, and the roots of the components
-    among them with no marked vertex.  No edge may leave ``vertices``."""
-    roots = [find(parent, v) for v in vertices]
-    hit = {root for v, root in zip(vertices, roots) if marked[v]}
-    return roots, set(roots) - hit
+def flood(vertices: int, families: Sequence[Family]) -> Iterator[int]:
+    """The components that make up ``vertices``, by increasing least
+    vertex.  No edge may leave ``vertices``."""
+    while vertices:
+        part = closure(vertices & -vertices, families)
+        vertices ^= part
+        yield part

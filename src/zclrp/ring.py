@@ -3,13 +3,12 @@
 The basis consists of the monomials x_1^a_1 * ... * x_s^a_s with
 0 <= a_i <= m.  The monomial with exponent vector (a_1, ..., a_s) sits at
 rank  sum_i a_i * (m+1)^(i-1)  -- mixed radix with coordinate 1 least
-significant.  This module gives ranks, the graded slices of the basis by
-total degree and the text form of a monomial; it holds no ring elements.
-The package multiplies only sparse sets of exponent vectors
-(cuplength.verify_witness) or single monomials by generators, as rank
-offsets (zero_divisors.verify_generators_lemma); dense elements and their
-product are test oracles in ``tests/oracles.py``.  The slice table, the
-one structure as large as the basis, is charged by its caller.
+significant.  This module gives ranks and the text form of a monomial; it
+holds no ring elements.  The package multiplies only sparse sets of
+exponent vectors (cuplength.verify_witness) or every monomial at once by a
+generator, as shifts of a bitset over ranks
+(zero_divisors.verify_generators_lemma); dense elements and their product
+are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -60,26 +59,6 @@ def unrank(spec: RingSpec, r: int) -> tuple[int, ...]:
         r, e = divmod(r, radix)
         out.append(e)
     return tuple(out)
-
-
-def graded_slices(spec: RingSpec) -> tuple[tuple[int, ...], ...]:
-    """Entry d: all ranks of total degree d, increasing, for d = 0..s*m;
-    uncapped and not kept, so the caller checks its size and holds it."""
-    m, s = spec.m, spec.s
-    table: list[list[int]] = [[] for _ in range(s * m + 1)]
-    digits = [0] * s
-    deg = 0
-    for r in range(spec.size):
-        table[deg].append(r)
-        i = 0
-        while i < s and digits[i] == m:
-            deg -= m
-            digits[i] = 0
-            i += 1
-        if i < s:
-            digits[i] += 1
-            deg += 1
-    return tuple(tuple(ranks) for ranks in table)
 
 
 # -- canonical serialization ---------------------------------------------------

@@ -4,8 +4,9 @@ Deliberately naive: polynomials are sets of exponent tuples, products are
 formed pairwise with explicit truncation, and the cup-length brute force
 enumerates arbitrary kernel elements.  Nothing here shares code with the
 bit-packed implementation under test.  The exceptions are the F2 row
-reduction and the rref bases of the kernel and the ideal rows, which the
-package no longer has and which check its union-find over the ideal rows;
+reduction and the rref bases of the kernel and the ideal rows, and the
+union-find over the ideal rows that replaced them, which the package no
+longer has and which check its bitset closure over the ideal rows;
 the dense ring -- its elements, binomial powers and product, which the
 package no longer has and which check the sparse witness verifier and the
 rank-built ideal rows; the zcl enumerator and the textbook knapsack below,
@@ -23,23 +24,133 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from zclrp import (GroupElem, JoinReport, RingSpec, Witness, ZclError,
-                   ZclResult, monomial_from_text, monomial_to_text, rank,
-                   unrank, word_nonzero)
-from zclrp import ring
+from zclrp import (DegreeCheck, GroupElem, JoinReport, RingSpec, Witness,
+                   ZclError, ZclResult, monomial_from_text, monomial_to_text,
+                   rank, unrank, word_nonzero)
 
-# the package builds a slice table once per call and keeps none; the
-# oracles read one shape's table many times, so they keep theirs
-graded_slices = functools.lru_cache(maxsize=None)(ring.graded_slices)
+
+def slice_table(spec: RingSpec) -> tuple[tuple[int, ...], ...]:
+    """Entry d: all ranks of total degree d, increasing, for d = 0..s*m."""
+    m, s = spec.m, spec.s
+    table: list[list[int]] = [[] for _ in range(s * m + 1)]
+    digits = [0] * s
+    deg = 0
+    for r in range(spec.size):
+        table[deg].append(r)
+        i = 0
+        while i < s and digits[i] == m:
+            deg -= m
+            digits[i] = 0
+            i += 1
+        if i < s:
+            digits[i] += 1
+            deg += 1
+    return tuple(tuple(ranks) for ranks in table)
+
+
+# the oracles read one small shape's table many times, so they keep theirs;
+# a sweep over large shapes calls slice_table and keeps none
+graded_slices = functools.lru_cache(maxsize=None)(slice_table)
+
+
+# -- the generators check by union-find ---------------------------------------
+# The package's generators check before it closed bitsets of ranks: one
+# union-find forest over the two-term ideal rows of every degree, built one
+# row at a time from a slice table.  Tests check the bitset closure's
+# DegreeCheck lists against it, with and without faults in the rows.
+
+def find(parent: list[int], v: int) -> int:
+    """Root of v's component, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
+
+
+def components(parent: list[int], marked: bytes,
+               vertices: tuple[int, ...]) -> tuple[list[int], set[int]]:
+    """The root of each vertex, in order, and the roots of the components
+    among them with no marked vertex.  No edge may leave ``vertices``."""
+    roots = [find(parent, v) for v in vertices]
+    hit = {root for v, root in zip(vertices, roots) if marked[v]}
+    return roots, set(roots) - hit
+
+
+def ideal_forest(spec: RingSpec, slices: tuple[tuple[int, ...], ...],
+                 top_degree: int,
+                 generators: Iterable[int]) -> tuple[list[int], bytearray]:
+    """Union-find forest (parent list over ranks) and marks of the rows
+    (x_i + x_s)*M, for i in ``generators`` and M of degree below top_degree.
+    A root is the least rank of its component."""
+    m, radix = spec.m, spec.m + 1
+    top = radix ** (spec.s - 1)
+    top_open = m * top              # M's s-th exponent is below m iff r < top_open
+    # (step, block, limit): M's i-th exponent is below m iff r % block < limit
+    families = [(radix ** (i - 1), radix ** i, m * radix ** (i - 1))
+                for i in generators]
+    parent = list(range(spec.size))
+    marked = bytearray(spec.size)
+    for d in range(top_degree):
+        for r in slices[d]:
+            if r >= top_open:
+                for step, block, limit in families:
+                    if r % block < limit:
+                        marked[r + step] = 1
+                continue
+            b = find(parent, r + top)
+            for step, block, limit in families:
+                if r % block >= limit:
+                    marked[r + top] = 1
+                    continue
+                a = find(parent, r + step)
+                if a < b:
+                    parent[b] = b = a
+                elif b < a:
+                    parent[a] = b
+    return parent, marked
+
+
+def forest_lemma(spec: RingSpec, max_degree: int | None = None,
+                 forest=ideal_forest, slices=None) -> list[DegreeCheck]:
+    """verify_generators_lemma by union-find: each degree's span has
+    dimension n_d minus its unmarked components, built through
+    ``forest(spec, slices, top_degree, generators)``."""
+    top_degree = spec.s * spec.m if max_degree is None else max_degree
+    if slices is None:
+        slices = slice_table(spec)
+    parent, marked = forest(spec, slices, top_degree, range(1, spec.s))
+    checks = []
+    for d in range(1, top_degree + 1):
+        ranks = slices[d]
+        roots, unmarked = components(parent, marked, ranks)
+        n = len(ranks)
+        witness = None
+        if d <= spec.m:
+            dim_kernel = n - 1
+            odd = next((r for r in ranks if marked[r]), None)
+            if odd is not None:
+                witness = [odd]
+            elif len(unmarked) > 1:
+                other = next(r for r, root in zip(ranks, roots)
+                             if root != roots[0])
+                witness = [ranks[0], other]
+        else:
+            dim_kernel = n
+            if unmarked:
+                witness = [next(r for r, root in zip(ranks, roots)
+                                if root in unmarked)]
+        mismatch = None if witness is None else " + ".join(
+            monomial_to_text(unrank(spec, r)) for r in witness)
+        checks.append(DegreeCheck(d, dim_kernel, n - len(unmarked),
+                                  witness is None, mismatch))
+    return checks
 
 
 # -- F2 row reduction and rref bases of the graded slices ---------------------
-# The package's generators check before it counted components of the ideal
-# rows: both sides of each degree as canonical rref bases, compared row by
-# row.  Tests check the union-find dimensions and mismatch vectors against
-# these bases.
+# The package's generators check before the union-find: both sides of each
+# degree as canonical rref bases, compared row by row.  Tests check the
+# closure's dimensions and mismatch vectors against these bases.
 
 @dataclass(frozen=True)
 class DegreeSlice:

@@ -234,6 +234,34 @@ def test_report_cache_that_is_a_directory_is_bad_input(tmp_path, monkeypatch):
     assert len(path.read_text().splitlines()) == 4
 
 
+def test_report_cache_in_no_directory_is_bad_input(tmp_path, monkeypatch):
+    # an empty path, or a path whose directory does not exist, from --cache
+    # or from $ZCLRP_CACHE, is refused before any row is computed
+    def no_table(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(zclrp.cli, "build_table", no_table)
+    args = ("report", "--m-range", "1..1", "--s-range", "2..2")
+    missing = str(tmp_path / "missing" / "x.jsonl")
+    under_a_file = tmp_path / "file"
+    under_a_file.write_text("")
+    cases = [(("--cache", ""), None, "bad input: the cache path is empty\n")]
+    for path in (missing, str(under_a_file / "x.jsonl")):
+        line = f"bad input: the cache {path!r} is in no existing directory\n"
+        cases += [(("--cache", path), None, line), ((), path, line)]
+    for flags, variable, line in cases:
+        if variable is None:
+            monkeypatch.delenv("ZCLRP_CACHE", raising=False)
+        else:
+            monkeypatch.setenv("ZCLRP_CACHE", variable)
+        t0 = time.perf_counter()
+        result = run(*args, *flags)
+        assert time.perf_counter() - t0 < 0.1
+        assert (result.exit_code, result.stdout, result.stderr) == \
+            (64, "", line), (flags, variable)
+    assert not (tmp_path / "missing").exists()
+
+
 def test_zcl_witness():
     result = run("zcl", "witness", "--m", "11", "--s", "3")
     assert result.exit_code == 0

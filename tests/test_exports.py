@@ -8,7 +8,8 @@ from zclrp import (GroupElem, ZclResult, _kernels, errors, gf2, ring,
 # the rref bases of the generators check, all now oracles in
 # tests/oracles.py, then the slice cap MAX_RING_BITS and its
 # SizeLimitError, folded into the one work cap MAX_DP_CELLS and its
-# UndeterminedError -- and the methods that went with them; none may come
+# UndeterminedError, then the union-find of the generators check and its
+# slice table -- and the methods that went with them; none may come
 # back as a stale export.  Classes that left the package whole stand for
 # the methods listed before them: Ring and Poly for pow, square,
 # diagonal_restriction, mul, __pow__, __mul__, term_count, degree and
@@ -29,6 +30,8 @@ REMOVED_ATTRIBUTES = [
     (zero_divisors, "kernel_basis"), (zero_divisors, "rref"), (gf2, "rref"),
     (zero_divisors, "DegreeSlice"), (zero_divisors, "degree_slice"),
     (ring, "MAX_RING_BITS"), (errors, "SizeLimitError"),
+    (ring, "graded_slices"), (gf2, "find"), (gf2, "components"),
+    (zero_divisors, "_ideal_forest"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""F2 linear algebra: the union-find span of two-term rows in the package
+"""F2 linear algebra: the bitset closure of two-term rows in the package
 against row reduction, and the row reduction oracle itself -- canonical
 form, agreement with the quadratic oracle, and the nullspace built on it."""
 
@@ -11,21 +11,21 @@ import oracles
 from oracles import (ideal_degree_basis, in_span, nullspace, pivot_of, rref,
                      rref_quadratic)
 from zclrp import RingSpec
-from zclrp.gf2 import components, find
+from zclrp.gf2 import closure, flood
 
 
-def _forest(n, rows):
-    """Parent list and marks of rows given as tuples of one or two columns,
-    linked the way the package links them: the larger root under the
-    smaller."""
-    parent, marked = list(range(n)), bytearray(n)
+def _families(rows):
+    """Shift families and marks of rows given as tuples of one or two
+    columns: each edge joins its lower column a to a + d, and the edges of
+    one difference d make one family."""
+    lows, marks = {}, 0
     for row in rows:
         if len(row) == 1:
-            marked[row[0]] = 1
+            marks |= 1 << row[0]
             continue
-        a, b = find(parent, row[0]), find(parent, row[1])
-        parent[max(a, b)] = min(a, b)
-    return parent, marked
+        a, b = sorted(row)
+        lows[b - a] = lows.get(b - a, 0) | 1 << a
+    return [(lo, lo << d, d) for d, lo in lows.items()], marks
 
 
 @settings(max_examples=200, deadline=None)
@@ -38,14 +38,18 @@ def test_two_term_span_matches_rref(data, n):
         st.tuples(column),
         st.tuples(column, column).filter(lambda ab: ab[0] != ab[1])),
         max_size=60))
-    parent, marked = _forest(n, rows)
-    vertices = tuple(range(n))
-    roots, unmarked = components(parent, marked, vertices)
+    families, marks = _families(rows)
+    parts = list(flood((1 << n) - 1, families))
+    unmarked = [p for p in parts if not p & marks]
     reduced = rref([sum(1 << c for c in row) for row in rows])
     assert n - len(unmarked) == len(reduced)
-    for v, root in zip(vertices, roots):
-        assert root == min(u for u, r in zip(vertices, roots) if r == root)
-        assert (root in unmarked) == (not in_span(reduced, 1 << v))
+    assert sum(parts) == (1 << n) - 1
+    for v in range(n):
+        part = next(p for p in parts if p >> v & 1)
+        assert closure(1 << v, families) == part
+        assert (part in unmarked) == (not in_span(reduced, 1 << v))
+    lowest = [(p & -p).bit_length() - 1 for p in parts]
+    assert lowest == sorted(lowest)
 
 
 def test_rref_canonical_properties():

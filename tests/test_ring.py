@@ -6,32 +6,31 @@ from hypothesis import given, settings, strategies as st
 from zclrp import (MAX_DP_CELLS, RingSpec, UndeterminedError,
                    monomial_from_text, monomial_to_text, rank, unrank)
 from zclrp.cuplength import _binomial_terms, _term_count
-from zclrp.ring import graded_slices
-from zclrp.zero_divisors import _check_forest
+from zclrp.zero_divisors import _check_closure
 from oracles import (DENSE_RING_BITS, DenseSizeError, RingKernel,
-                     SpecMismatchError, dense_mul, get_ring, naive_diagonal,
-                     naive_mul, naive_pow, poly_to_set, poly_to_text,
-                     random_poly_set, set_to_poly)
+                     SpecMismatchError, dense_mul, get_ring, graded_slices,
+                     naive_diagonal, naive_mul, naive_pow, poly_to_set,
+                     poly_to_text, random_poly_set, set_to_poly, slice_table)
 
 
 # -- spec and rank/unrank -------------------------------------------------------
 
 def test_spec_validation():
     # a spec is a plain shape check; the generators check charges
-    # s*(m+1)^s against the work cap before it builds the slice table
+    # s*(m+1)^s against the work cap before it builds its rows
     with pytest.raises(ValueError):
         RingSpec(0, 2)
     with pytest.raises(ValueError):
         RingSpec(3, 1)
     assert RingSpec(9, 9).size == 10 ** 9
     with pytest.raises(UndeterminedError):
-        _check_forest(RingSpec(9, 9))
+        _check_closure(RingSpec(9, 9))
     # the cap is inclusive: (1, 16) charges exactly 2^20
     assert 16 * RingSpec(1, 16).size == MAX_DP_CELLS == 1 << 20
-    _check_forest(RingSpec(1, 16))
-    assert sum(map(len, graded_slices(RingSpec(1, 16)))) == 1 << 16
+    _check_closure(RingSpec(1, 16))
+    assert sum(map(len, slice_table(RingSpec(1, 16)))) == 1 << 16
     with pytest.raises(UndeterminedError):
-        _check_forest(RingSpec(1, 17))
+        _check_closure(RingSpec(1, 17))
     assert RingSpec(2, 3).size == 27
     # the dense oracle keeps its own cap, with its own exception
     with pytest.raises(DenseSizeError):
@@ -47,7 +46,7 @@ def test_spec_cap_message():
                            ((1, 60), "2^65"), ((1000, 2000), "2^18010"),
                            ((1, 10 ** 6), "2^1000019")]:
         with pytest.raises(UndeterminedError) as exc:
-            _check_forest(RingSpec(m, s))
+            _check_closure(RingSpec(m, s))
         relation = ">=" if isinstance(charge, str) else "="
         assert str(exc.value) == (f"generators({m},{s}): the check needs "
                                   f"s*(m+1)^s {relation} {charge} steps, {cap}")
@@ -56,15 +55,15 @@ def test_spec_cap_message():
 def test_forest_charge_admits_the_old_slice_cap(monkeypatch):
     # every shape the former cap (m+1)^s <= 2^16 admitted passes the
     # charge, since it forces s <= 16; the check builds nothing
-    def no_table(spec):
-        raise AssertionError("the check built a slice table")
+    def no_rows(spec, top_degree, generators):
+        raise AssertionError("the check built its rows")
 
-    monkeypatch.setattr("zclrp.zero_divisors.graded_slices", no_table)
+    monkeypatch.setattr("zclrp.zero_divisors._ideal_rows", no_rows)
     shapes = [(m, s) for s in range(2, 65) for m in range(1, 256)
               if (m + 1) ** s <= 1 << 16]
     assert max(s for _, s in shapes) == 16 and len(shapes) == 338
     for m, s in shapes:
-        _check_forest(RingSpec(m, s))
+        _check_closure(RingSpec(m, s))
 
 
 def test_poly_range():

@@ -1,12 +1,12 @@
 import pytest
 
-from oracles import (degree_slice, generator, get_ring, ideal_degree_basis,
+from oracles import (degree_slice, forest_lemma, generator, get_ring,
+                     graded_slices, ideal_degree_basis, ideal_forest,
                      ideal_rows, in_span, kernel_basis,
                      kernel_rows_by_nullspace, naive_diagonal, poly_to_set,
-                     polys, rref, vector_from_text)
+                     polys, rref, slice_table, vector_from_text)
 from zclrp import RingSpec, verify_generators_lemma, zero_divisors
-from zclrp.gf2 import find
-from zclrp.ring import graded_slices
+from zclrp.gf2 import closure
 
 
 def is_zero_divisor(p):
@@ -140,12 +140,11 @@ def test_lemma_matches_rref_oracle(m, s):
 
 @pytest.mark.parametrize("m,s", [(2, 3), (3, 3), (2, 4), (1, 5), (4, 2)])
 def test_ideal_forest_matches_oracle_rows(m, s):
-    # the forest joins exactly the monomials that the oracle's two-term
-    # rows connect, within one degree, and marks exactly its one-term rows
+    # the row masks join exactly the monomials that the oracle's two-term
+    # rows connect, within one degree, and mark exactly its one-term rows
     spec = RingSpec(m, s)
     slices = graded_slices(spec)
-    parent, marked = zero_divisors._ideal_forest(spec, slices, s * m,
-                                                 range(1, s))
+    families, marks = zero_divisors._ideal_rows(spec, s * m, range(1, s))
     for d in range(1, s * m + 1):
         ranks = slices[d]
         label = list(range(len(ranks)))   # the oracle's components
@@ -163,19 +162,71 @@ def test_ideal_forest_matches_oracle_rows(m, s):
             else:
                 a, b = root(bits[0]), root(bits[1])
                 label[max(a, b)] = min(a, b)
-        assert {r for r in ranks if marked[r]} == singles, d
+        assert {r for r in ranks if marks >> r & 1} == singles, d
         for c, r in enumerate(ranks):
-            assert find(parent, r) == ranks[root(c)], (d, r)
+            assert _lowest(closure(1 << r, families)) == ranks[root(c)], (d, r)
 
 
-def _faulty_forest(monkeypatch, fault):
-    """Make the lemma build its forest through fault(real, spec, slices,
-    top_degree, generators)."""
-    real = zero_divisors._ideal_forest
+def _lowest(x):
+    return (x & -x).bit_length() - 1
+
+
+# every shape with (m+1)^s <= 2^12: 99 shapes
+ORACLE_SHAPES = [(m, s) for s in range(2, 13) for m in range(1, 64)
+                 if (m + 1) ** s <= 1 << 12]
+
+
+def _max_degrees(m, s):
+    return [None] + sorted({1, m, min(m + 1, s * m), s * m - 1 or 1})
+
+
+def test_lemma_matches_forest_oracle():
+    # the closure's DegreeCheck lists equal the union-find's, with and
+    # without --max-degree
+    assert len(ORACLE_SHAPES) == 99
+    for m, s in ORACLE_SHAPES:
+        spec = RingSpec(m, s)
+        slices = graded_slices(spec)
+        for max_degree in _max_degrees(m, s):
+            assert verify_generators_lemma(spec, max_degree) == \
+                forest_lemma(spec, max_degree, slices=slices), (m, s, max_degree)
+
+
+@pytest.mark.slow
+def test_lemma_matches_forest_oracle_to_2_16():
+    # every shape with (m+1)^s <= 2^16, each at every degree bound
+    # _max_degrees gives; minutes, so outside tier 1
+    shapes = [(m, s) for s in range(2, 17) for m in range(1, 256)
+              if (m + 1) ** s <= 1 << 16]
+    assert len(shapes) == 338
+    for m, s in shapes:
+        spec = RingSpec(m, s)
+        slices = slice_table(spec)
+        for max_degree in _max_degrees(m, s):
+            assert verify_generators_lemma(spec, max_degree) == \
+                forest_lemma(spec, max_degree, slices=slices), (m, s, max_degree)
+
+
+def test_degree_masks_and_counts_match_slices():
+    for m, s in [(1, 2), (2, 3), (3, 3), (1, 7), (5, 2), (2, 5)]:
+        spec = RingSpec(m, s)
+        slices = graded_slices(spec)
+        assert zero_divisors._degree_counts(m, s) == [len(r) for r in slices]
+        below = 0
+        for d, ranks in enumerate(slices):
+            below |= sum(1 << r for r in ranks)
+            assert zero_divisors._degree_at_most(spec, d) == below, (m, s, d)
+            assert zero_divisors._least_rank(m, d) == ranks[0], (m, s, d)
+
+
+def _faulty_rows(monkeypatch, fault):
+    """Make the lemma build its rows through fault(real, spec, top_degree,
+    generators)."""
+    real = zero_divisors._ideal_rows
     monkeypatch.setattr(
-        zero_divisors, "_ideal_forest",
-        lambda spec, slices, top_degree, generators:
-            fault(real, spec, slices, top_degree, generators))
+        zero_divisors, "_ideal_rows",
+        lambda spec, top_degree, generators:
+            fault(real, spec, top_degree, generators))
 
 
 def _check_mismatches(spec, checks, ideal_rows):
@@ -199,13 +250,19 @@ def _check_mismatches(spec, checks, ideal_rows):
 
 def test_verify_generators_lemma_mismatch_text(monkeypatch):
     # with the multiples of x_1 + x_s dropped, the span shrinks: degrees
-    # <= m split into components, higher degrees lose their marks
-    _faulty_forest(monkeypatch, lambda real, spec, slices, top, generators:
-                   real(spec, slices, top, [i for i in generators if i != 1]))
+    # <= m split into components, higher degrees lose their marks; the
+    # union-find with the same rows dropped gives the same checks
+    def dropped(build, spec, *args):
+        *rest, generators = args
+        return build(spec, *rest, [i for i in generators if i != 1])
+
+    _faulty_rows(monkeypatch, dropped)
     low = high = 0
     for m, s in [(2, 3), (3, 2), (1, 4), (3, 3), (2, 4)]:
         spec = RingSpec(m, s)
         checks = verify_generators_lemma(spec)
+        assert checks == forest_lemma(
+            spec, forest=lambda *args: dropped(ideal_forest, *args))
         assert _check_mismatches(
             spec, checks,
             lambda d: ideal_degree_basis(spec, d, range(2, s)).rows)
@@ -218,18 +275,29 @@ def test_verify_generators_lemma_mismatch_text(monkeypatch):
 
 def test_verify_generators_lemma_odd_row_fails(monkeypatch):
     # a one-monomial row added in every degree: outside the kernel for
-    # d <= m, where it is named; no change above
-    def marked_last(real, spec, slices, top, generators):
-        parent, marked = real(spec, slices, top, generators)
+    # d <= m, where it is named; no change above; the union-find with the
+    # same marks added gives the same checks
+    def marked_last(real, spec, top, generators):
+        families, marks = real(spec, top, generators)
+        for ranks in graded_slices(spec)[1:top + 1]:
+            marks |= 1 << ranks[-1]
+        return families, marks
+
+    def forest_marked_last(spec, slices, top, generators):
+        parent, marked = ideal_forest(spec, slices, top, generators)
         for ranks in slices[1:top + 1]:
             marked[ranks[-1]] = 1
         return parent, marked
 
-    _faulty_forest(monkeypatch, marked_last)
+    _faulty_rows(monkeypatch, marked_last)
     for m, s in [(2, 3), (3, 2), (1, 4)]:
         spec = RingSpec(m, s)
         slices = graded_slices(spec)
         checks = verify_generators_lemma(spec)
+        assert checks == forest_lemma(spec, forest=forest_marked_last)
+        for max_degree in _max_degrees(m, s)[1:]:
+            assert verify_generators_lemma(spec, max_degree) == forest_lemma(
+                spec, max_degree, forest=forest_marked_last)
         assert _check_mismatches(
             spec, checks,
             lambda d: ideal_degree_basis(spec, d).rows
@@ -242,13 +310,15 @@ def test_verify_generators_lemma_odd_row_fails(monkeypatch):
 def test_verify_generators_lemma_max_degree():
     checks = verify_generators_lemma(RingSpec(2, 3), max_degree=3)
     assert [c.degree for c in checks] == [1, 2, 3]
-    # the forest holds no row of degree above the bound
+    # the rows hold no monomial of degree above the bound
     spec = RingSpec(3, 3)
     slices = graded_slices(spec)
-    parent, marked = zero_divisors._ideal_forest(spec, slices, 4, range(1, 3))
-    above = [r for ranks in slices[5:] for r in ranks]
-    assert all(parent[r] == r and not marked[r] for r in above)
-    assert any(parent[r] != r for r in slices[4])
+    families, marks = zero_divisors._ideal_rows(spec, 4, range(1, 3))
+    above = sum(1 << r for ranks in slices[5:] for r in ranks)
+    fourth = sum(1 << r for r in slices[4])
+    assert all((lo | hi) & above == 0 for lo, hi, _ in families)
+    assert marks & above == 0
+    assert any((lo | hi) & fourth for lo, hi, _ in families)
 
 
 def test_low_degree_kernel_has_even_summands():
