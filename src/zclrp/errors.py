@@ -6,7 +6,7 @@ MAX_DP_CELLS = 1 << 20
 the DP size (cuplength._check_cells); zcl witness, report --policy
 witness-only and every witness check, the verifier's term products
 (cuplength._work_bound); verify generators, s*(m+1)^s
-(zero_divisors._check_forest); verify join, samples*(k+9)
+(zero_divisors._check_closure); verify join, samples*(k+9)
 (join_model.sample_report); report, besides each row's charge, the number
 of rows of its grid (bounds.build_table)."""
 
