@@ -144,19 +144,15 @@ def _labels_compatible(p: JoinPoint, q: JoinPoint) -> bool:
     return True
 
 
-def _segment_inside_U(p: JoinPoint, q: JoinPoint, j: int) -> bool:
-    # t_j is affine along the segment, so it is positive on the whole
-    # segment iff it is positive at both endpoints.
-    return p.entries[j][0] > 0 and q.entries[j][0] > 0
-
-
 def segment_in_component(p: JoinPoint, q: JoinPoint, j: int) -> bool:
     """Exhibit a path from p to q inside U_j.
 
     The straight barycentric segment works whenever the two label sets agree
     on shared positive levels; otherwise the path routes through the shared
     level-j vertex (p -> vertex -> q), which is always label-compatible with
-    both endpoints.  Valid inputs (same component key) must give True; a
+    both endpoints.  t_j is affine along a segment and positive at its
+    ends (p and q lie in U_j, and the vertex has t_j = 1), so each segment
+    stays in U_j.  Valid inputs (same component key) must give True; a
     False is a defect.
     """
     if not (in_U(p, j) and in_U(q, j)):
@@ -165,10 +161,9 @@ def segment_in_component(p: JoinPoint, q: JoinPoint, j: int) -> bool:
     if component_key(q, j) != key:
         raise ValueError("points have different component keys")
     if _labels_compatible(p, q):
-        return _segment_inside_U(p, q, j)
+        return True
     v = vertex(p.k, j, key)
-    return (_labels_compatible(p, v) and _segment_inside_U(p, v, j)
-            and _labels_compatible(v, q) and _segment_inside_U(v, q, j))
+    return _labels_compatible(p, v) and _labels_compatible(v, q)
 
 
 # -- randomized verification --------------------------------------------------
@@ -221,10 +216,15 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
 
     Collects the realized component keys (expected: all 2^(s-1) of them),
     checks that the label action permutes keys simply transitively, and runs
-    one same-key segment check per sample.  Raises ValueError when samples
-    is below 2^(s-1), since not every key could then be found, then, before
-    any draw, charges samples*(k+9): two points of k+1 levels and a fixed 9.
+    one same-key segment check per sample.  Raises ValueError when s < 2,
+    k < 0 or samples is below 2^(s-1), since not every key could then be
+    found, then, before any draw, charges samples*(k+9): two points of k+1
+    levels and a fixed 9.
     """
+    if s < 2:
+        raise ValueError("need s >= 2")
+    if k < 0:
+        raise ValueError("need k >= 0")
     if not enough_samples(s, samples):
         raise ValueError(f"samples must be >= 2^(s-1), got {samples} at s = {s}")
     charge(samples * (k + 9),

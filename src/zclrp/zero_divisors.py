@@ -19,7 +19,6 @@ even-weight vectors of the slice for d <= m and the whole slice above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 from typing import Iterable
 
@@ -41,55 +40,23 @@ def _check_closure(spec: RingSpec) -> None:
            m, s, shown)
 
 
-def _concat(blocks: list[int], width: int) -> int:
-    """The blocks laid end to end, block k at bit k*width, merged in pairs
-    so that every bit is copied log(len(blocks)) times."""
-    while len(blocks) > 1:
-        pairs = [blocks[k] | blocks[k + 1] << width
-                 for k in range(0, len(blocks) - 1, 2)]
-        blocks = pairs + blocks[len(blocks) & ~1:]
-        width *= 2
-    return blocks[0]
-
-
-def _degree_at_most(spec: RingSpec, degree: int) -> int:
-    """The ranks of total degree <= degree, by recursion over coordinates:
-    ranks over coordinates 1..j are (m+1) blocks of the ranks over 1..j-1,
-    block a holding x_j^a."""
-    m, radix = spec.m, spec.m + 1
-
-    @cache
-    def mask(j: int, t: int) -> int:
-        if t >= j * m:
-            return (1 << radix ** j) - 1
-        if j == 1:
-            return (1 << t + 1) - 1
-        return _concat([mask(j - 1, t - a) for a in range(min(t, m) + 1)],
-                       radix ** (j - 1))
-
-    return mask(spec.s, degree)
-
-
-def _ideal_rows(spec: RingSpec, top_degree: int,
+def _ideal_rows(spec: RingSpec,
                 generators: Iterable[int]) -> tuple[list[Family], int]:
     """Shift families of the edges and the set of marks of the rows
-    (x_i + x_s)*M, for i in ``generators`` and M of degree below top_degree.
+    (x_i + x_s)*M, for i in ``generators`` and every monomial M.
 
     (x_i + x_s)*M is M*x_i + M*x_s: the rank plus step = (m+1)^(i-1), kept
     while M's i-th exponent is below m, and the rank plus top = (m+1)^(s-1),
     kept while r < m*top.  A row with both is an edge from r+step to r+top;
-    with one, a mark.  The ranks whose i-th exponent is below m are the low
-    m*step bits of each (m+1)*step-bit block, laid out by doubling.
+    with one, a mark; x1^m*...*xs^m gives no row.  The ranks whose i-th
+    exponent is below m are the low m*step bits of each (m+1)*step-bit
+    block, laid out by doubling.
     """
     m, s, size = spec.m, spec.s, spec.size
     radix = m + 1
     top = radix ** (s - 1)
-    if top_degree == s * m:          # every rank but x1^m*...*xs^m
-        domain = (1 << size - 1) - 1
-    else:
-        domain = _degree_at_most(spec, top_degree - 1)
-    s_open = domain & (1 << m * top) - 1
-    s_shut = domain ^ s_open
+    s_open = (1 << m * top) - 1
+    s_shut = ((1 << size - 1) - 1) ^ s_open
     families, marks = [], 0
     for i in generators:
         step = radix ** (i - 1)
@@ -152,17 +119,22 @@ def verify_generators_lemma(spec: RingSpec,
 
     The span is contained in the kernel unless, for d <= m, a row has odd
     weight, i.e. is a mark; containment and equal dimensions give equality.
-    The seeds are the least rank of each degree, x_1 filled first.  Every
-    degree is one component iff the closure of the seeds has sum n_d bits,
-    and then degree d's component is marked iff its seed lies in the
-    closure of the marks.  A degree fails when it is marked for d <= m or
-    unmarked above; then every component is flooded (_flooded_checks).  A
-    shape over the work cap raises UndeterminedError first (_check_closure).
+    The seeds are the least rank of each degree 1..max_degree, x_1 filled
+    first.  The rows are homogeneous, so the closure of the seeds stays in
+    those degrees, and every one of them is one component iff the closure
+    has sum n_d bits; then degree d's component is marked iff its seed lies
+    in the closure of the marks it holds.  A degree fails when it is marked
+    for d <= m or unmarked above; then every component is flooded
+    (_flooded_checks).  A max_degree outside [1, s*m] raises ValueError, and
+    then a shape over the work cap UndeterminedError (_check_closure),
+    before any work.
     """
-    _check_closure(spec)
     m, s = spec.m, spec.s
     top_degree = s * m if max_degree is None else max_degree
-    families, marks = _ideal_rows(spec, top_degree, range(1, s))
+    if not 1 <= top_degree <= s * m:
+        raise ValueError(f"max_degree {max_degree} outside [1, {s * m}]")
+    _check_closure(spec)
+    families, marks = _ideal_rows(spec, range(1, s))
     counts = _degree_counts(m, s)
     seeds = [_least_rank(m, d) for d in range(top_degree + 1)]
     bits = bytearray((spec.size + 7) // 8)
@@ -170,7 +142,7 @@ def verify_generators_lemma(spec: RingSpec,
         bits[r >> 3] |= 1 << (r & 7)
     seeded = closure(int.from_bytes(bits, "little"), families)
     if seeded.bit_count() == sum(counts[1:top_degree + 1]):
-        hit = closure(marks, families).to_bytes(len(bits), "little")
+        hit = closure(marks & seeded, families).to_bytes(len(bits), "little")
         checks = []
         for d in range(1, top_degree + 1):
             marked = hit[seeds[d] >> 3] >> (seeds[d] & 7) & 1
@@ -179,11 +151,11 @@ def verify_generators_lemma(spec: RingSpec,
                                       marked == (d > m)))
         if all(c.passed for c in checks):
             return checks
-    return _flooded_checks(spec, top_degree, families, marks, counts)
+    return _flooded_checks(spec, families, marks, counts)[:top_degree]
 
 
-def _flooded_checks(spec: RingSpec, top_degree: int, families: list[Family],
-                    marks: int, counts: list[int]) -> list[DegreeCheck]:
+def _flooded_checks(spec: RingSpec, families: list[Family], marks: int,
+                    counts: list[int]) -> list[DegreeCheck]:
     """Every degree's check from its components, flooded one at a time.
 
     A failing degree reports one vector present on exactly one side (this
@@ -191,12 +163,9 @@ def _flooded_checks(spec: RingSpec, top_degree: int, families: list[Family],
     marked monomial, or else the sum of the least monomials of the first
     two components; for d > m the least monomial of an unmarked component.
     """
-    if top_degree == spec.s * spec.m:
-        vertices = (1 << spec.size) - 2
-    else:
-        vertices = _degree_at_most(spec, top_degree) ^ 1
+    top_degree = spec.s * spec.m
     parts: list[list[int]] = [[] for _ in range(top_degree + 1)]
-    for part in flood(vertices, families):
+    for part in flood((1 << spec.size) - 2, families):
         parts[sum(unrank(spec, _lowest(part)))].append(part)
     checks = []
     for d in range(1, top_degree + 1):

@@ -181,6 +181,20 @@ def test_sample_report_needs_a_sample_per_key():
     assert sample_report(4, 1, samples=8).samples == 8
 
 
+def test_sample_report_rejects_bad_shape(monkeypatch):
+    # s < 2 or k < 0 is a ValueError in the package's words, before the
+    # charge and before any draw
+    def no_charge(*args):
+        raise AssertionError("charged a bad shape")
+
+    monkeypatch.setattr("zclrp.join_model.charge", no_charge)
+    for s, k, samples, message in [(3, -1, 4, "need k >= 0"),
+                                   (1, 0, 1, "need s >= 2"),
+                                   (0, 0, 1, "need s >= 2")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_report(s, k, samples=samples)
+
+
 def test_points_have_reduced_integer_weights():
     p = join_point(1, {0: (Fraction(2, 6), G(3, 1)), 1: (Fraction(4, 6), G(3, 2))})
     assert (p.entries, p.denom) == (((1, G(3, 1)), (2, G(3, 2))), 3)

@@ -55,7 +55,7 @@ def test_spec_cap_message():
 def test_forest_charge_admits_the_old_slice_cap(monkeypatch):
     # every shape the former cap (m+1)^s <= 2^16 admitted passes the
     # charge, since it forces s <= 16; the check builds nothing
-    def no_rows(spec, top_degree, generators):
+    def no_rows(spec, generators):
         raise AssertionError("the check built its rows")
 
     monkeypatch.setattr("zclrp.zero_divisors._ideal_rows", no_rows)

@@ -144,7 +144,7 @@ def test_ideal_forest_matches_oracle_rows(m, s):
     # rows connect, within one degree, and mark exactly its one-term rows
     spec = RingSpec(m, s)
     slices = graded_slices(spec)
-    families, marks = zero_divisors._ideal_rows(spec, s * m, range(1, s))
+    families, marks = zero_divisors._ideal_rows(spec, range(1, s))
     for d in range(1, s * m + 1):
         ranks = slices[d]
         label = list(range(len(ranks)))   # the oracle's components
@@ -212,21 +212,16 @@ def test_degree_masks_and_counts_match_slices():
         spec = RingSpec(m, s)
         slices = graded_slices(spec)
         assert zero_divisors._degree_counts(m, s) == [len(r) for r in slices]
-        below = 0
         for d, ranks in enumerate(slices):
-            below |= sum(1 << r for r in ranks)
-            assert zero_divisors._degree_at_most(spec, d) == below, (m, s, d)
             assert zero_divisors._least_rank(m, d) == ranks[0], (m, s, d)
 
 
 def _faulty_rows(monkeypatch, fault):
-    """Make the lemma build its rows through fault(real, spec, top_degree,
-    generators)."""
+    """Make the lemma build its rows through fault(real, spec, generators)."""
     real = zero_divisors._ideal_rows
     monkeypatch.setattr(
         zero_divisors, "_ideal_rows",
-        lambda spec, top_degree, generators:
-            fault(real, spec, top_degree, generators))
+        lambda spec, generators: fault(real, spec, generators))
 
 
 def _check_mismatches(spec, checks, ideal_rows):
@@ -277,9 +272,9 @@ def test_verify_generators_lemma_odd_row_fails(monkeypatch):
     # a one-monomial row added in every degree: outside the kernel for
     # d <= m, where it is named; no change above; the union-find with the
     # same marks added gives the same checks
-    def marked_last(real, spec, top, generators):
-        families, marks = real(spec, top, generators)
-        for ranks in graded_slices(spec)[1:top + 1]:
+    def marked_last(real, spec, generators):
+        families, marks = real(spec, generators)
+        for ranks in graded_slices(spec)[1:]:
             marks |= 1 << ranks[-1]
         return families, marks
 
@@ -310,15 +305,28 @@ def test_verify_generators_lemma_odd_row_fails(monkeypatch):
 def test_verify_generators_lemma_max_degree():
     checks = verify_generators_lemma(RingSpec(2, 3), max_degree=3)
     assert [c.degree for c in checks] == [1, 2, 3]
-    # the rows hold no monomial of degree above the bound
-    spec = RingSpec(3, 3)
-    slices = graded_slices(spec)
-    families, marks = zero_divisors._ideal_rows(spec, 4, range(1, 3))
-    above = sum(1 << r for ranks in slices[5:] for r in ranks)
-    fourth = sum(1 << r for r in slices[4])
-    assert all((lo | hi) & above == 0 for lo, hi, _ in families)
-    assert marks & above == 0
-    assert any((lo | hi) & fourth for lo, hi, _ in families)
+    # a degree bound gives the first checks of the whole ring, at every bound
+    for m, s in ORACLE_SHAPES:
+        spec = RingSpec(m, s)
+        checks = verify_generators_lemma(spec)
+        for max_degree in range(1, s * m + 1):
+            assert verify_generators_lemma(spec, max_degree) == \
+                checks[:max_degree], (m, s, max_degree)
+
+
+def test_verify_generators_lemma_bad_max_degree(monkeypatch):
+    # out of range is a ValueError naming the range, before the charge and
+    # before any row is built
+    def no_rows(spec, generators):
+        raise AssertionError("the check built its rows")
+
+    monkeypatch.setattr(zero_divisors, "_ideal_rows", no_rows)
+    for max_degree in (0, -1, 5, 100):
+        with pytest.raises(ValueError,
+                           match=rf"^max_degree {max_degree} outside \[1, 4\]$"):
+            verify_generators_lemma(RingSpec(2, 2), max_degree)
+    with pytest.raises(ValueError, match=r"outside \[1, 2000000\]$"):
+        verify_generators_lemma(RingSpec(1000, 2000), 0)
 
 
 def test_low_degree_kernel_has_even_summands():
