@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 from ._kernels import BACKEND_NAME
 from .bounds import (BoundsRow, CacheEntry, ENGINE_VERSION, build_row,
                      build_table, cache_get, cache_put, emit, known_tc)
-from .cuplength import (GapProbe, GeneratorWord, Witness, ZclResult,
-                        explicit_witness, g_stabilization_probe,
-                        verify_witness, word_nonzero, zcl_exact)
+from .cuplength import (GapProbe, Witness, ZclResult, explicit_witness,
+                        g_stabilization_probe, verify_witness, word_nonzero,
+                        zcl_exact)
 from .errors import (MAX_DP_CELLS, InvariantViolationError, UndeterminedError,
                      ZclError)
 from .join_model import (GroupElem, JoinPoint, JoinReport, act, component_key,
@@ -29,8 +29,8 @@ from .zero_divisors import DegreeCheck, verify_generators_lemma
 
 __all__ = [
     "BACKEND_NAME", "BoundsRow", "CacheEntry", "DegreeCheck", "ENGINE_VERSION",
-    "GapProbe", "GeneratorWord", "GroupElem", "InvariantViolationError",
-    "JoinPoint", "JoinReport", "MAX_DP_CELLS", "RingSpec", "TwoAdicProfile",
+    "GapProbe", "GroupElem", "InvariantViolationError", "JoinPoint",
+    "JoinReport", "MAX_DP_CELLS", "RingSpec", "TwoAdicProfile",
     "UndeterminedError", "Witness", "ZclError", "ZclResult", "act",
     "build_row", "build_table", "cache_get", "cache_put", "component_key",
     "emit", "explicit_witness", "g_stabilization_probe", "in_U", "join_point",

@@ -15,7 +15,6 @@ exit 0.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
@@ -34,20 +33,6 @@ from .ring import RingSpec
 from .zero_divisors import verify_generators_lemma
 
 EX_USAGE = 64
-
-
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except UndeterminedError as exc:
-            print(f"undetermined: {exc}", file=sys.stderr)
-            sys.exit(2)
-        except InvariantViolationError as exc:
-            print(f"invariant violation: {exc}", file=sys.stderr)
-            sys.exit(1)
-    return wrapper
 
 
 def _bad_input(message: str) -> None:
@@ -93,14 +78,12 @@ def _zcl_payload(result: ZclResult, elapsed_ms: float) -> dict:
 # module when it runs, so that a caller can rebind them here (tests,
 # benchmark tracing).
 
-@_guarded
 def profile_cmd(m):
     """Dyadic profile of m: trailing-ones length e, z, and sigma."""
     _at_least("--m", m, 1)
     _echo_json(two_adic_profile(m).as_dict())
 
 
-@_guarded
 def zcl_exact_cmd(m, s):
     """Exact cup-length by a residue knapsack DP, with a certified witness.
 
@@ -113,7 +96,6 @@ def zcl_exact_cmd(m, s):
     _echo_json(_zcl_payload(result, (time.perf_counter() - t0) * 1000))
 
 
-@_guarded
 def zcl_witness_cmd(m, s):
     """Closed-form lower-bound witness (no search); witness may be null."""
     _at_least("--m", m, 1)
@@ -125,12 +107,10 @@ def zcl_witness_cmd(m, s):
         _echo_json({"m": m, "s": s, "zcl": None, "method": None, "g": None,
                     "witness": None, "elapsed_ms": round(elapsed, 3)})
         return
-    _echo_json({"m": m, "s": s, "zcl": w.length, "method": "witness_lower_bound",
-                "g": s * m - w.length, "witness": w.as_dict(),
-                "elapsed_ms": round(elapsed, 3)})
+    result = ZclResult(m, s, w.length, "witness_lower_bound", w)
+    _echo_json(_zcl_payload(result, elapsed))
 
 
-@_guarded
 def zcl_probe_cmd(m, s_max):
     """Gap sequence s*m - zcl over s = 2..s-max, with stabilization flag."""
     _at_least("--m", m, 1)
@@ -139,7 +119,6 @@ def zcl_probe_cmd(m, s_max):
     _echo_json(probe.as_dict())
 
 
-@_guarded
 def verify_generators_cmd(m, s, max_degree):
     """Per degree: substitution kernel == span of (x_i + x_s) multiples."""
     _at_least("--m", m, 1)
@@ -157,7 +136,6 @@ def verify_generators_cmd(m, s, max_degree):
         raise InvariantViolationError("some degree failed; see output")
 
 
-@_guarded
 def verify_join_cmd(s, k, samples, seed):
     """Sampled component structure of U_j inside the stage-k join."""
     _at_least("--s", s, 2)
@@ -175,7 +153,6 @@ def verify_join_cmd(s, k, samples, seed):
                                 "component keys; raise --samples")
 
 
-@_guarded
 def report_cmd(m_range, s_range, policy, fmt, cache_path):
     """Bound-table rows s*m >= TC_s >= secat >= zcl over the given ranges.
 
@@ -330,8 +307,15 @@ def main(args: list[str] | None = None, *, standalone_mode: bool = True) -> None
     """
     options = vars(_PARSER.parse_args(args))
     handler = options.pop("_handler")
-    handler(**{key: value for key, value in options.items()
-               if not key.startswith("_")})
+    try:
+        handler(**{key: value for key, value in options.items()
+                   if not key.startswith("_")})
+    except UndeterminedError as exc:
+        print(f"undetermined: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except InvariantViolationError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -58,6 +58,20 @@ def _check_cells(m: int, s: int) -> None:
     charge(cells, "zcl({},{}): the DP needs {work} cells", m, s)
 
 
+def _largest_submask(k: int, x: int) -> int:
+    """The largest submask of k that is at most x >= 0.
+
+    x itself when it is a submask of k.  Otherwise let h be the highest bit
+    x has and k lacks: keep x's bits above h, clear h and take all of k's
+    bits below it.
+    """
+    missing = x & ~k
+    if not missing:
+        return x
+    h = 1 << (missing.bit_length() - 1)
+    return (x & -(h << 1)) | (k & (h - 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _min_residues(m: int) -> tuple[int, ...]:
     """For v = 0..2m: the least r with r a submask of v and v - r <= m.
@@ -67,23 +81,11 @@ def _min_residues(m: int) -> tuple[int, ...]:
     with v > 2m has every admissible residue > m and kills the product,
     hence the 2m cap on word exponents.
 
-    For v > m the answer is the least submask of v that is >= t = v - m:
-    t itself when t is a submask of v.  Otherwise let h be the highest bit
-    t has and v lacks, and i the lowest bit above h that v has and t lacks
-    (one exists because v > t): keep t's bits above i, set bit i and clear
-    the rest.
+    v - r is a submask of v too, so the least r leaves the largest submask
+    of v that is at most m.
     """
-    out = [0] * (m + 1)
-    for v in range(m + 1, 2 * m + 1):
-        t = v - m
-        missing = t & ~v
-        if not missing:
-            out.append(t)
-            continue
-        free = v & ~t & -(1 << missing.bit_length())
-        low = free & -free
-        out.append((t & -(low << 1)) | low)
-    return tuple(out)
+    return (0,) * (m + 1) + tuple(v - _largest_submask(v, m)
+                                  for v in range(m + 1, 2 * m + 1))
 
 
 def _gain_rows(m: int, parts: int) -> list[list[int]]:
@@ -116,47 +118,33 @@ def _gain_rows(m: int, parts: int) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
-    """Multiset of pivot-form factors: exponents[i-1] copies of (x_i + x_s)."""
-
-    m: int
-    s: int
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.m < 1 or self.s < 2:
-            raise ValueError("need m >= 1 and s >= 2")
-        if len(self.exponents) != self.s - 1:
-            raise ValueError(
-                f"expected {self.s - 1} exponents, got {len(self.exponents)}")
-        for b in self.exponents:
-            if not 0 <= b <= 2 * self.m:
-                raise ValueError(f"factor exponent {b} outside [0, {2 * self.m}]")
-        if self.length > self.s * self.m:
-            raise ValueError(
-                f"word length {self.length} exceeds the top degree {self.s * self.m}")
-
-    @property
-    def length(self) -> int:
-        return sum(self.exponents)
-
-
 def word_nonzero(m: int, s: int,
                  exponents: Sequence[int]) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether prod_i (x_i + x_s)^b_i is nonzero in A(m, s).
 
+    exponents[i-1] is the number of copies of (x_i + x_s): s-1 of them, each
+    in [0, 2m], summing to at most s*m; anything else raises ValueError.
     Returns (True, certificate-exponent-vector) or (False, None).  The
     certificate is the surviving basis monomial built from the minimal
     residues, x_1^j_1 ... x_s^(total residue).
     """
-    word = GeneratorWord(m, s, tuple(exponents))
+    exponents = tuple(exponents)
+    if m < 1 or s < 2:
+        raise ValueError("need m >= 1 and s >= 2")
+    if len(exponents) != s - 1:
+        raise ValueError(f"expected {s - 1} exponents, got {len(exponents)}")
+    for b in exponents:
+        if not 0 <= b <= 2 * m:
+            raise ValueError(f"factor exponent {b} outside [0, {2 * m}]")
+    length = sum(exponents)
+    if length > s * m:
+        raise ValueError(f"word length {length} exceeds the top degree {s * m}")
     table = _min_residues(m)
-    residues = [table[b] for b in word.exponents]
+    residues = [table[b] for b in exponents]
     total = sum(residues)
     if total > m:
         return False, None
-    certificate = tuple(b - r for b, r in zip(word.exponents, residues)) + (total,)
+    certificate = tuple(b - r for b, r in zip(exponents, residues)) + (total,)
     return True, certificate
 
 
@@ -261,20 +249,6 @@ def zcl_exact(m: int, s: int) -> ZclResult:
             f"zcl({m},{s}): the DP word {word} is zero; this is a bug")
     factors = tuple((i + 1, s, e) for i, e in enumerate(word) if e)
     return ZclResult(m, s, value, "exact", Witness(m, s, factors, certificate))
-
-
-def _largest_submask(k: int, x: int) -> int:
-    """The largest submask of k that is at most x >= 0.
-
-    x itself when it is a submask of k.  Otherwise let h be the highest bit
-    x has and k lacks: keep x's bits above h, clear h and take all of k's
-    bits below it.
-    """
-    missing = x & ~k
-    if not missing:
-        return x
-    h = 1 << (missing.bit_length() - 1)
-    return (x & -(h << 1)) | (k & (h - 1))
 
 
 def _binomial_terms(m: int, k: int) -> list[int]:

@@ -23,6 +23,8 @@ if TYPE_CHECKING:  # annotation only: importing fractions costs start-up time
 
 Entry = tuple[int, "GroupElem | None"]
 
+MAX_WEIGHT = 16  # sample_point draws each weight from [1, MAX_WEIGHT]
+
 
 @dataclass(frozen=True)
 class GroupElem:
@@ -193,12 +195,11 @@ class JoinReport:
                 "segment_checks_passed": self.segment_checks_passed}
 
 
-def sample_point(rng: random.Random, s: int, k: int, j: int,
-                 max_numerator: int = 16) -> JoinPoint:
-    """Random point of U_j: weights in [1, max_numerator] at level j and at
+def sample_point(rng: random.Random, s: int, k: int, j: int) -> JoinPoint:
+    """Random point of U_j: weights in [1, MAX_WEIGHT] at level j and at
     each other level with probability 1/2, over their sum."""
     levels = [l for l in range(k + 1) if l == j or rng.random() < 0.5]
-    weights = {l: rng.randint(1, max_numerator) for l in levels}
+    weights = {l: rng.randint(1, MAX_WEIGHT) for l in levels}
     entries: list[Entry] = [(0, None)] * (k + 1)
     for l, w in weights.items():
         entries[l] = (w, GroupElem(s, rng.randrange(1 << (s - 1))))

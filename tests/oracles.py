@@ -711,6 +711,29 @@ def min_residues_by_submasks(m):
     return tuple(out)
 
 
+def min_residues_closed_form(m: int) -> tuple[int, ...]:
+    """For v = 0..2m: the least r with r a submask of v and v - r <= m.
+
+    The package's closed form before it read the residue off the largest
+    submask of v at most m.  For v > m the answer is the least submask of v
+    that is >= t = v - m: t itself when t is a submask of v.  Otherwise let
+    h be the highest bit t has and v lacks, and i the lowest bit above h
+    that v has and t lacks (one exists because v > t): keep t's bits above
+    i, set bit i and clear the rest.
+    """
+    out = [0] * (m + 1)
+    for v in range(m + 1, 2 * m + 1):
+        t = v - m
+        missing = t & ~v
+        if not missing:
+            out.append(t)
+            continue
+        free = v & ~t & -(1 << missing.bit_length())
+        low = free & -free
+        out.append((t & -(low << 1)) | low)
+    return tuple(out)
+
+
 def _sorted_words(total, parts, cap, floor=0):
     """Nondecreasing tuples with the given sum, entries in [floor, cap],
     in ascending lexicographic order."""

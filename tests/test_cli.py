@@ -273,6 +273,64 @@ def test_zcl_witness():
     assert json.loads(absent.output)["witness"] is None
 
 
+@pytest.mark.parametrize("m,s,line", [
+    (11, 3, '{"m":11,"s":3,"zcl":30,"method":"witness_lower_bound","g":3,'
+            '"witness":{"factors":[[1,3,15],[2,3,15]],'
+            '"certificate":"x1^11*x2^11*x3^8"}}'),
+    # the m = 2^e - 1 shape
+    (7, 4, '{"m":7,"s":4,"zcl":21,"method":"witness_lower_bound","g":7,'
+           '"witness":{"factors":[[1,4,7],[2,4,7],[3,4,7]],'
+           '"certificate":"x1^7*x2^7*x3^7"}}'),
+    # s < sigma: no witness
+    (5, 2, '{"m":5,"s":2,"zcl":null,"method":null,"g":null,"witness":null}'),
+])
+def test_zcl_witness_stdout(m, s, line):
+    # every key, in order; only the time varies, and it comes last
+    result = run("zcl", "witness", "--m", str(m), "--s", str(s))
+    assert (result.exit_code, result.stderr) == (0, "")
+    head, sep, tail = result.stdout.rpartition(',"elapsed_ms":')
+    assert sep and tail.endswith("}\n") and float(tail[:-2]) >= 0
+    assert head + "}" == line
+
+
+def test_zcl_witness_over_the_cap_is_one_line():
+    result = run("zcl", "witness", "--m", "1", "--s", "2000000")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == ("undetermined: witness(1,2000000): the check's "
+                             "work bound reaches 3999998 term products, over "
+                             "the cap of 1048576\n")
+
+
+# each command, with the package function it looks up in zclrp.cli
+COMMAND_FUNCTIONS = [
+    (("profile", "--m", "3"), "two_adic_profile"),
+    (("zcl", "exact", "--m", "3", "--s", "3"), "zcl_exact"),
+    (("zcl", "witness", "--m", "3", "--s", "3"), "explicit_witness"),
+    (("zcl", "probe", "--m", "3", "--s-max", "3"), "g_stabilization_probe"),
+    (("verify", "generators", "--m", "2", "--s", "2"),
+     "verify_generators_lemma"),
+    (("verify", "join", "--s", "3", "--k", "2"), "sample_report"),
+    (("report", "--m-range", "1..2", "--s-range", "2..3"), "build_table"),
+]
+
+
+@pytest.mark.parametrize("args,name", COMMAND_FUNCTIONS)
+@pytest.mark.parametrize("error,code,prefix", [
+    (zclrp.UndeterminedError("x"), 2, "undetermined: x\n"),
+    (zclrp.InvariantViolationError("y"), 1, "invariant violation: y\n"),
+])
+def test_exit_code_of_each_command(monkeypatch, args, name, error, code,
+                                   prefix):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.delenv("ZCLRP_CACHE", raising=False)
+    monkeypatch.setattr(zclrp.cli, name, fail)
+    result = run(*args)
+    assert (result.exit_code, result.stdout, result.stderr) == \
+        (code, "", prefix)
+
+
 def test_zcl_probe():
     result = run("zcl", "probe", "--m", "5", "--s-max", "4")
     assert result.exit_code == 0

@@ -3,14 +3,15 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zclrp import (MAX_DP_CELLS, GeneratorWord, UndeterminedError, Witness,
-                   explicit_witness, g_stabilization_probe, verify_witness,
-                   word_nonzero, z_of, zcl_exact)
+from zclrp import (MAX_DP_CELLS, UndeterminedError, Witness, explicit_witness,
+                   g_stabilization_probe, verify_witness, word_nonzero, z_of,
+                   zcl_exact)
 from zclrp import cuplength
 
 from oracles import (DENSE_RING_BITS, brute_force_zcl, dense_factor_product,
                      dense_mul, dense_verify_witness, enumerate_zcl, get_ring,
-                     knapsack_zcl, min_residues_by_submasks)
+                     knapsack_zcl, min_residues_by_submasks,
+                     min_residues_closed_form)
 
 
 def ring_word_product(m, s, exponents):
@@ -50,13 +51,15 @@ def test_word_nonzero_examples():
 
 
 def test_generator_word_validation():
-    with pytest.raises(ValueError):
-        GeneratorWord(2, 3, (5, 0))          # exponent above 2m
-    with pytest.raises(ValueError):
-        GeneratorWord(2, 3, (3, 3, 3))       # wrong arity
-    with pytest.raises(ValueError):
-        GeneratorWord(2, 3, (4, 4))          # length above s*m
-    assert GeneratorWord(2, 3, (3, 2)).length == 5
+    with pytest.raises(ValueError, match=r"^factor exponent 5 outside \[0, 4\]$"):
+        word_nonzero(2, 3, (5, 0))           # exponent above 2m
+    with pytest.raises(ValueError, match="^expected 2 exponents, got 3$"):
+        word_nonzero(2, 3, (3, 3, 3))        # wrong arity
+    with pytest.raises(ValueError,
+                       match="^word length 8 exceeds the top degree 6$"):
+        word_nonzero(2, 3, (4, 4))           # length above s*m
+    with pytest.raises(ValueError, match="^need m >= 1 and s >= 2$"):
+        word_nonzero(2, 1, ())
 
 
 def test_word_nonzero_agrees_with_ring_product():
@@ -137,6 +140,19 @@ def test_zcl_budget_exhaustion(monkeypatch):
 def test_min_residues_match_submask_definition():
     for m in range(1, 130):
         assert cuplength._min_residues(m) == min_residues_by_submasks(m), m
+
+
+def test_min_residues_match_the_old_closed_form():
+    residues = cuplength._min_residues.__wrapped__   # not kept in the cache
+    for m in range(1, 513):
+        assert residues(m) == min_residues_closed_form(m), m
+
+
+@pytest.mark.slow
+def test_min_residues_match_the_old_closed_form_to_4096():
+    residues = cuplength._min_residues.__wrapped__
+    for m in range(1, 4097):
+        assert residues(m) == min_residues_closed_form(m), m
 
 
 def test_dp_matches_enumerator_oracle():
