@@ -18,7 +18,7 @@ from .cuplength import (GapProbe, Witness, ZclResult, explicit_witness,
                         zcl_exact)
 from .errors import (MAX_DP_CELLS, InvariantViolationError, UndeterminedError,
                      ZclError)
-from .join_model import (GroupElem, JoinPoint, JoinReport, act, component_key,
+from .join_model import (JoinPoint, JoinReport, act, component_key,
                          in_U, join_point, sample_report,
                          segment_in_component, vertex)
 from .parity import (TwoAdicProfile, sigma_of, trailing_ones,
@@ -29,7 +29,7 @@ from .zero_divisors import DegreeCheck, verify_generators_lemma
 
 __all__ = [
     "BACKEND_NAME", "BoundsRow", "CacheEntry", "DegreeCheck", "ENGINE_VERSION",
-    "GapProbe", "GroupElem", "InvariantViolationError", "JoinPoint",
+    "GapProbe", "InvariantViolationError", "JoinPoint",
     "JoinReport", "MAX_DP_CELLS", "RingSpec", "TwoAdicProfile",
     "UndeterminedError", "Witness", "ZclError", "ZclResult", "act",
     "build_row", "build_table", "cache_get", "cache_put", "component_key",

@@ -3,10 +3,11 @@
 A stage-k join point is a formal convex combination sum_l t_l g_l over
 levels l = 0..k, stored as integer weights over a common denominator
 (t_l = weight_l / denom, so t_j > 0 is an integer compare and never depends
-on float tolerance), with a group label at every positive level.  The group
-acts diagonally on labels, preserving coordinates.  U_j denotes the open set
-{t_j > 0}; its connected components are indexed by the level-j label, and the
-label action is simply transitive on them.
+on float tolerance), with a group label at every positive level: an int
+whose bit i-1 is the i-th sign generator.  The group acts diagonally on
+labels by XOR, preserving coordinates.  U_j denotes the open set {t_j > 0};
+its connected components are indexed by the level-j label, and the label
+action is simply transitive on them.
 """
 
 from __future__ import annotations
@@ -21,28 +22,9 @@ from .errors import charge
 if TYPE_CHECKING:  # annotation only: importing fractions costs start-up time
     from fractions import Fraction
 
-Entry = tuple[int, "GroupElem | None"]
+Entry = tuple[int, int | None]
 
 MAX_WEIGHT = 16  # sample_point draws each weight from [1, MAX_WEIGHT]
-
-
-@dataclass(frozen=True)
-class GroupElem:
-    """Element of (Z/2)^(s-1), bit i-1 for the i-th sign generator."""
-
-    s: int
-    bits: int
-
-    def __post_init__(self):
-        if self.s < 2:
-            raise ValueError("need s >= 2")
-        if not 0 <= self.bits < (1 << (self.s - 1)):
-            raise ValueError(f"bits {self.bits} outside [0, 2^{self.s - 1})")
-
-    def __add__(self, other: "GroupElem") -> "GroupElem":
-        if self.s != other.s:
-            raise ValueError("group elements of different rank")
-        return GroupElem(self.s, self.bits ^ other.bits)
 
 
 @dataclass(frozen=True)
@@ -51,21 +33,26 @@ class JoinPoint:
 
     The coordinate at level l is weight_l / denom: weights are nonnegative
     integers summing to the positive integer denom, reduced by their common
-    gcd so that equal points compare equal.  The label is a GroupElem exactly
-    at positive weights and None elsewhere.
+    gcd so that equal points compare equal.  The label is an int in
+    [0, 2^(s-1)) exactly at positive weights and None elsewhere.
     """
 
+    s: int
     k: int
     entries: tuple[Entry, ...]
     denom: int = 1
 
     def __post_init__(self):
+        if self.s < 2:
+            raise ValueError("need s >= 2")
         if self.k < 0:
             raise ValueError("need k >= 0")
         if len(self.entries) != self.k + 1:
             raise ValueError(f"expected {self.k + 1} entries, got {len(self.entries)}")
+        if self.denom < 1:
+            raise ValueError(f"denominator {self.denom} is not positive")
+        n_keys = 1 << (self.s - 1)
         total = 0
-        ranks = set()
         for w, g in self.entries:
             if not isinstance(w, int):
                 raise ValueError(f"weight {w!r} is not an integer")
@@ -73,52 +60,49 @@ class JoinPoint:
                 raise ValueError("negative barycentric coordinate")
             if (w > 0) != (g is not None):
                 raise ValueError("label must be present exactly at positive coordinates")
-            if g is not None:
-                ranks.add(g.s)
+            if g is not None and not 0 <= g < n_keys:
+                raise ValueError(f"label {g} outside [0, 2^{self.s - 1})")
             total += w
         if total != self.denom:
             raise ValueError(f"coordinates sum to {total}/{self.denom}, not 1")
-        if len(ranks) != 1:
-            raise ValueError("labels must share one group rank")
         common = math.gcd(self.denom, *(w for w, _ in self.entries))
         if common > 1:
             object.__setattr__(self, "entries", tuple(
                 (w // common, g) for w, g in self.entries))
             object.__setattr__(self, "denom", self.denom // common)
 
-    @property
-    def s(self) -> int:
-        for _, g in self.entries:
-            if g is not None:
-                return g.s
-        raise AssertionError("unreachable: some coordinate is positive")
 
-
-def join_point(k: int, parts: dict[int, tuple[int | Fraction, GroupElem]]) -> JoinPoint:
+def join_point(s: int, k: int,
+               parts: dict[int, tuple[int | Fraction, int]]) -> JoinPoint:
     """Build a JoinPoint from its positive levels only.
 
     Coordinates are ints or Fractions, read through .numerator and
     .denominator and scaled to integer weights over their least common
-    denominator.  A level outside [0, k] raises ValueError.
+    denominator.  A level outside [0, k] or a coordinate without an int
+    numerator and denominator raises ValueError.
     """
+    for t, _ in parts.values():
+        if not (isinstance(getattr(t, "numerator", None), int)
+                and isinstance(getattr(t, "denominator", None), int)):
+            raise ValueError(f"coordinate {t!r} has no int numerator and denominator")
     denom = math.lcm(*(t.denominator for t, _ in parts.values()))
     entries: list[Entry] = [(0, None)] * (k + 1)
     for level, (t, g) in parts.items():
         if not 0 <= level <= k:
             raise ValueError(f"level {level} outside [0, {k}]")
         entries[level] = (t.numerator * (denom // t.denominator), g)
-    return JoinPoint(k, tuple(entries), denom)
+    return JoinPoint(s, k, tuple(entries), denom)
 
 
-def vertex(k: int, level: int, g: GroupElem) -> JoinPoint:
+def vertex(s: int, k: int, level: int, g: int) -> JoinPoint:
     """The vertex point with all weight at one level."""
-    return join_point(k, {level: (1, g)})
+    return join_point(s, k, {level: (1, g)})
 
 
-def act(g: GroupElem, p: JoinPoint) -> JoinPoint:
+def act(g: int, p: JoinPoint) -> JoinPoint:
     """Diagonal action on labels; coordinates untouched."""
-    return JoinPoint(p.k, tuple(
-        (w, None if h is None else g + h) for w, h in p.entries), p.denom)
+    return JoinPoint(p.s, p.k, tuple(
+        (w, None if h is None else g ^ h) for w, h in p.entries), p.denom)
 
 
 def in_U(p: JoinPoint, j: int) -> bool:
@@ -128,13 +112,11 @@ def in_U(p: JoinPoint, j: int) -> bool:
     return p.entries[j][0] > 0
 
 
-def component_key(p: JoinPoint, j: int) -> GroupElem:
+def component_key(p: JoinPoint, j: int) -> int:
     """The level-j label; constant on each connected component of U_j."""
     if not in_U(p, j):
         raise ValueError(f"point is not in U_{j}")
-    g = p.entries[j][1]
-    assert g is not None
-    return g
+    return p.entries[j][1]
 
 
 def _labels_compatible(p: JoinPoint, q: JoinPoint) -> bool:
@@ -154,9 +136,11 @@ def segment_in_component(p: JoinPoint, q: JoinPoint, j: int) -> bool:
     level-j vertex (p -> vertex -> q), which is always label-compatible with
     both endpoints.  t_j is affine along a segment and positive at its
     ends (p and q lie in U_j, and the vertex has t_j = 1), so each segment
-    stays in U_j.  Valid inputs (same component key) must give True; a
-    False is a defect.
+    stays in U_j.  Points of different joins (s or k) raise ValueError.
+    Valid inputs (same component key) must give True; a False is a defect.
     """
+    if (p.s, p.k) != (q.s, q.k):
+        raise ValueError(f"points of different joins {(p.s, p.k)} and {(q.s, q.k)}")
     if not (in_U(p, j) and in_U(q, j)):
         raise ValueError(f"both points must lie in U_{j}")
     key = component_key(p, j)
@@ -164,7 +148,7 @@ def segment_in_component(p: JoinPoint, q: JoinPoint, j: int) -> bool:
         raise ValueError("points have different component keys")
     if _labels_compatible(p, q):
         return True
-    v = vertex(p.k, j, key)
+    v = vertex(p.s, p.k, j, key)
     return _labels_compatible(p, v) and _labels_compatible(v, q)
 
 
@@ -202,8 +186,8 @@ def sample_point(rng: random.Random, s: int, k: int, j: int) -> JoinPoint:
     weights = {l: rng.randint(1, MAX_WEIGHT) for l in levels}
     entries: list[Entry] = [(0, None)] * (k + 1)
     for l, w in weights.items():
-        entries[l] = (w, GroupElem(s, rng.randrange(1 << (s - 1))))
-    return JoinPoint(k, tuple(entries), sum(weights.values()))
+        entries[l] = (w, rng.randrange(1 << (s - 1)))
+    return JoinPoint(s, k, tuple(entries), sum(weights.values()))
 
 
 def enough_samples(s: int, samples: int) -> bool:
@@ -239,19 +223,19 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
         j = rng.randrange(k + 1)
         p = sample_point(rng, s, k, j)
         key = component_key(p, j)
-        seen.add(key.bits)
-        g = GroupElem(s, rng.randrange(n_keys))
-        if component_key(act(g, p), j) != g + key:
+        seen.add(key)
+        g = rng.randrange(n_keys)
+        if component_key(act(g, p), j) != g ^ key:
             equivariant = False
         q = sample_point(rng, s, k, j)
         if component_key(q, j) != key:
-            q = act(key + component_key(q, j), q)
+            q = act(key ^ component_key(q, j), q)
         if segment_in_component(p, q, j):
             segments_ok += 1
     # Orbit of any key under the whole group is the full key set; n_keys is
     # at most samples, so this loop costs no more than the sampling.
-    orbit = {(GroupElem(s, g) + GroupElem(s, next(iter(seen)))).bits
-             for g in range(n_keys)}
+    first = next(iter(seen))
+    orbit = {g ^ first for g in range(n_keys)}
     equivariant = equivariant and orbit == set(range(n_keys))
     transitive = len(seen) == n_keys and equivariant
     return JoinReport(s, k, samples, len(seen), transitive, segments_ok,

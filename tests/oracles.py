@@ -14,8 +14,8 @@ which check the knapsack DP against the word criterion it optimizes; the
 residue table, which checks the residue formula against the submask
 definition; the F2 nullspace, which derives kernel bases by row reduction
 for the closed form to match; the quadratic rref, which checks the sparse
-back-substitution; and the join model over Fraction coordinates, which
-checks the integer weights.
+back-substitution; and the join model over Fraction coordinates with its
+GroupElem labels, which checks the integer weights and the int labels.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from zclrp import (DegreeCheck, GroupElem, JoinReport, RingSpec, Witness,
-                   ZclError, ZclResult, monomial_from_text, monomial_to_text,
-                   rank, unrank, word_nonzero)
+from zclrp import (DegreeCheck, JoinReport, RingSpec, Witness, ZclError,
+                   ZclResult, monomial_from_text, monomial_to_text, rank,
+                   unrank, word_nonzero)
 
 
 def slice_table(spec: RingSpec) -> tuple[tuple[int, ...], ...]:
@@ -831,10 +831,30 @@ def kernel_rows_by_nullspace(spec, degree):
 
 
 # -- the join model over Fraction coordinates ---------------------------------
-# The package's model before it stored integer weights over one denominator,
-# kept verbatim: tests compare points, segments and reports against it.
+# The package's model before it stored integer weights over one denominator
+# and plain int labels, kept verbatim: tests compare points, segments and
+# reports against it, reading a GroupElem label as its bits.
 
 Entry = tuple[Fraction, "GroupElem | None"]
+
+
+@dataclass(frozen=True)
+class GroupElem:
+    """Element of (Z/2)^(s-1), bit i-1 for the i-th sign generator."""
+
+    s: int
+    bits: int
+
+    def __post_init__(self):
+        if self.s < 2:
+            raise ValueError("need s >= 2")
+        if not 0 <= self.bits < (1 << (self.s - 1)):
+            raise ValueError(f"bits {self.bits} outside [0, 2^{self.s - 1})")
+
+    def __add__(self, other: "GroupElem") -> "GroupElem":
+        if self.s != other.s:
+            raise ValueError("group elements of different rank")
+        return GroupElem(self.s, self.bits ^ other.bits)
 
 
 @dataclass(frozen=True)

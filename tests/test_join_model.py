@@ -1,55 +1,83 @@
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zclrp import (GroupElem, JoinPoint, act, component_key, in_U, join_point,
+from zclrp import (JoinPoint, act, component_key, in_U, join_point,
                    sample_report, segment_in_component, vertex)
 from zclrp.join_model import _labels_compatible, sample_point
 
 
-def G(s, bits):
-    return GroupElem(s, bits)
-
-
-def test_group_elem_arithmetic():
-    a, b = G(4, 0b101), G(4, 0b011)
-    assert (a + b).bits == 0b110
-    assert (a + a).bits == 0
-    assert a + GroupElem(4, 0) == a
-    with pytest.raises(ValueError):
-        G(4, 8)
-    with pytest.raises(ValueError):
-        G(3, 1) + G(4, 1)
+def test_labels_are_ints_in_range_with_xor_as_group_law():
+    p = vertex(4, 1, 0, 0b101)
+    assert component_key(act(0b011, p), 0) == 0b110
+    assert act(0b101, p) == vertex(4, 1, 0, 0)
+    assert act(0, p) == p
+    for bad in (8, -1):  # labels of s = 4 lie in [0, 8)
+        with pytest.raises(ValueError, match=f"^label {bad} outside \\[0, 2\\^3\\)$"):
+            vertex(4, 1, 0, bad)
+        with pytest.raises(ValueError, match=f"^label {bad ^ 0b101} outside"):
+            act(bad, p)
+    with pytest.raises(ValueError):  # a label of s = 4 is too big for s = 3
+        vertex(3, 1, 0, 4)
+    with pytest.raises(ValueError, match="^need s >= 2$"):
+        JoinPoint(1, 0, ((1, 0),))
 
 
 def test_join_point_validation():
     half = Fraction(1, 2)
-    ok = join_point(1, {0: (half, G(3, 1)), 1: (half, G(3, 2))})
+    ok = join_point(3, 1, {0: (half, 1), 1: (half, 2)})
     assert ok.s == 3
     with pytest.raises(ValueError):  # does not sum to 1
-        join_point(1, {0: (half, G(3, 1))})
+        join_point(3, 1, {0: (half, 1)})
     with pytest.raises(ValueError):  # label at a zero coordinate
-        JoinPoint(1, ((1, G(3, 0)), (0, G(3, 1))))
+        JoinPoint(3, 1, ((1, 0), (0, 1)))
     with pytest.raises(ValueError):  # weights must be integers
-        JoinPoint(1, ((Fraction(1, 2), G(3, 0)), (Fraction(1, 2), G(3, 1))))
+        JoinPoint(3, 1, ((Fraction(1, 2), 0), (Fraction(1, 2), 1)))
     with pytest.raises(ValueError):  # negative coordinate
-        join_point(1, {0: (Fraction(3, 2), G(3, 0)), 1: (-half, G(3, 1))})
-    with pytest.raises(ValueError):  # mixed group ranks
-        join_point(1, {0: (half, G(3, 0)), 1: (half, G(4, 1))})
+        join_point(3, 1, {0: (Fraction(3, 2), 0), 1: (-half, 1)})
+    with pytest.raises(ValueError):  # a label outside the point's group
+        join_point(3, 1, {0: (half, 0), 1: (half, 4)})
     for level in (-1, 2):  # levels run 0..k
         with pytest.raises(ValueError, match=f"level {level} outside \\[0, 1\\]"):
-            join_point(1, {level: (1, G(3, 1))})
+            join_point(3, 1, {level: (1, 1)})
     with pytest.raises(ValueError):
-        vertex(2, 3, G(3, 1))
-    assert join_point(1, {1: (1, G(3, 1))}).entries == ((0, None), (1, G(3, 1)))
+        vertex(3, 2, 3, 1)
+    assert join_point(3, 1, {1: (1, 1)}).entries == ((0, None), (1, 1))
+
+
+@pytest.mark.parametrize("t", [0.5, Decimal("0.5"), "1/2", None,
+                               SimpleNamespace(numerator=0.5, denominator=1),
+                               SimpleNamespace(numerator=1, denominator=0.5)])
+def test_join_point_names_a_coordinate_that_is_no_ratio_of_ints(t):
+    # a float has no .numerator; it is bad input, not an AttributeError
+    with pytest.raises(ValueError, match=f"^{re.escape(f'coordinate {t!r}')} "
+                                         "has no int numerator and denominator$"):
+        join_point(3, 1, {0: (t, 1), 1: (t, 2)})
+
+
+@pytest.mark.parametrize("denom", [0, 1])
+def test_point_needs_a_positive_weight(denom):
+    for k in (0, 2):
+        with pytest.raises(ValueError):
+            JoinPoint(3, k, ((0, None),) * (k + 1), denom)
+    with pytest.raises(ValueError):
+        join_point(3, 2, {})
 
 
 def coordinates(p):
     return [(Fraction(w, p.denom), g) for w, g in p.entries]
+
+
+def oracle_coordinates(fp):
+    """An oracle point's entries with each GroupElem read as its bits."""
+    return [(t, None if g is None else g.bits) for t, g in fp.entries]
 
 
 def test_act_is_an_action_preserving_coordinates():
@@ -60,19 +88,20 @@ def test_act_is_an_action_preserving_coordinates():
         twin.setstate(rng.getstate())
         p = sample_point(rng, s, k, j)
         fp = oracles.sample_point(twin, s, k, j)
-        g = G(s, rng.randrange(1 << (s - 1)))
-        h = G(s, rng.randrange(1 << (s - 1)))
-        assert act(GroupElem(s, 0), p) == p
+        g = rng.randrange(1 << (s - 1))
+        h = rng.randrange(1 << (s - 1))
+        assert act(0, p) == p
         assert act(g, act(g, p)) == p
-        assert act(g + h, p) == act(g, act(h, p))
+        assert act(g ^ h, p) == act(g, act(h, p))
         assert [t for t, _ in act(g, p).entries] == [t for t, _ in p.entries]
         assert act(g, p).denom == p.denom
         assert sum(w for w, _ in act(g, p).entries) == p.denom
-        assert coordinates(act(g, p)) == list(oracles.act(g, fp).entries)
+        assert (coordinates(act(g, p))
+                == oracle_coordinates(oracles.act(oracles.GroupElem(s, g), fp)))
 
 
 def test_in_U_examples():
-    v = vertex(3, 2, G(2, 1))
+    v = vertex(2, 3, 2, 1)
     assert in_U(v, 2)
     assert not in_U(v, 0) and not in_U(v, 1) and not in_U(v, 3)
     with pytest.raises(ValueError):
@@ -84,7 +113,7 @@ def test_in_U_is_action_invariant():
     for _ in range(50):
         s, k = rng.randint(2, 4), rng.randint(0, 4)
         p = sample_point(rng, s, k, rng.randrange(k + 1))
-        g = G(s, rng.randrange(1 << (s - 1)))
+        g = rng.randrange(1 << (s - 1))
         for j in range(k + 1):
             assert in_U(p, j) == in_U(act(g, p), j)
 
@@ -95,10 +124,10 @@ def test_component_key_equivariance():
         s, k = rng.randint(2, 5), rng.randint(0, 4)
         j = rng.randrange(k + 1)
         p = sample_point(rng, s, k, j)
-        g = G(s, rng.randrange(1 << (s - 1)))
-        assert component_key(act(g, p), j) == g + component_key(p, j)
+        g = rng.randrange(1 << (s - 1))
+        assert component_key(act(g, p), j) == g ^ component_key(p, j)
     with pytest.raises(ValueError):
-        component_key(vertex(2, 0, G(2, 0)), 1)
+        component_key(vertex(2, 2, 0, 0), 1)
 
 
 def test_keys_realized_and_action_transitive():
@@ -106,40 +135,52 @@ def test_keys_realized_and_action_transitive():
     for s in range(2, 6):
         for k in range(0, 5):
             j = rng.randrange(k + 1)
-            keys = {component_key(sample_point(rng, s, k, j), j).bits
+            keys = {component_key(sample_point(rng, s, k, j), j)
                     for _ in range(300)}
             assert keys == set(range(1 << (s - 1))), (s, k)
             # the action on keys is simply transitive: one orbit, free
-            base = G(s, 0)
-            orbit = {(g_bits, (G(s, g_bits) + base).bits)
-                     for g_bits in range(1 << (s - 1))}
+            base = 0
+            orbit = {(g, g ^ base) for g in range(1 << (s - 1))}
             assert {t for _, t in orbit} == set(range(1 << (s - 1)))
 
 
 def test_segment_trivial_cases():
-    p = join_point(2, {0: (Fraction(1, 3), G(3, 1)), 1: (Fraction(2, 3), G(3, 2))})
+    p = join_point(3, 2, {0: (Fraction(1, 3), 1), 1: (Fraction(2, 3), 2)})
     assert segment_in_component(p, p, 0)
-    q = vertex(2, 0, G(3, 1))
+    q = vertex(3, 2, 0, 1)
     assert segment_in_component(p, q, 0)
 
 
 def test_segment_routed_through_vertex():
     half = Fraction(1, 2)
     # same key at level 0, clashing labels at level 1
-    p = join_point(1, {0: (half, G(3, 1)), 1: (half, G(3, 2))})
-    q = join_point(1, {0: (half, G(3, 1)), 1: (half, G(3, 3))})
+    p = join_point(3, 1, {0: (half, 1), 1: (half, 2)})
+    q = join_point(3, 1, {0: (half, 1), 1: (half, 3)})
     assert segment_in_component(p, q, 0)
 
 
 def test_segment_preconditions():
     half = Fraction(1, 2)
-    p = join_point(1, {0: (half, G(3, 1)), 1: (half, G(3, 2))})
-    bad_key = join_point(1, {0: (half, G(3, 0)), 1: (half, G(3, 2))})
+    p = join_point(3, 1, {0: (half, 1), 1: (half, 2)})
+    bad_key = join_point(3, 1, {0: (half, 0), 1: (half, 2)})
     with pytest.raises(ValueError):
         segment_in_component(p, bad_key, 0)
-    outside = vertex(1, 1, G(3, 0))
+    outside = vertex(3, 1, 1, 0)
     with pytest.raises(ValueError):
         segment_in_component(p, outside, 0)
+
+
+def test_segment_refuses_points_of_different_joins():
+    # the same level-0 key, but another k, then another s: the entries
+    # must not be zipped, nor the labels compared, across two joins
+    half = Fraction(1, 2)
+    p = join_point(3, 1, {0: (half, 1), 1: (half, 2)})
+    for q in (join_point(3, 3, {0: (half, 1), 3: (half, 0)}),
+              join_point(4, 1, {0: (half, 1), 1: (half, 2)})):
+        for a, b in [(p, q), (q, p)]:
+            for j in range(4):  # checked before in_U or a key is read
+                with pytest.raises(ValueError, match="^points of different joins"):
+                    segment_in_component(a, b, j)
 
 
 def test_segment_random_same_key_pairs():
@@ -149,7 +190,7 @@ def test_segment_random_same_key_pairs():
         j = rng.randrange(k + 1)
         p = sample_point(rng, s, k, j)
         q = sample_point(rng, s, k, j)
-        q = act(component_key(p, j) + component_key(q, j), q)
+        q = act(component_key(p, j) ^ component_key(q, j), q)
         assert segment_in_component(p, q, j)
 
 
@@ -196,14 +237,14 @@ def test_sample_report_rejects_bad_shape(monkeypatch):
 
 
 def test_points_have_reduced_integer_weights():
-    p = join_point(1, {0: (Fraction(2, 6), G(3, 1)), 1: (Fraction(4, 6), G(3, 2))})
-    assert (p.entries, p.denom) == (((1, G(3, 1)), (2, G(3, 2))), 3)
-    assert JoinPoint(1, ((2, G(3, 1)), (4, G(3, 2))), 6) == p
+    p = join_point(3, 1, {0: (Fraction(2, 6), 1), 1: (Fraction(4, 6), 2)})
+    assert (p.entries, p.denom) == (((1, 1), (2, 2)), 3)
+    assert JoinPoint(3, 1, ((2, 1), (4, 2)), 6) == p
     # the common denominator is the lcm 12, not the largest denominator 6
-    q = join_point(3, {0: (Fraction(1, 4), G(3, 0)), 1: (Fraction(1, 6), G(3, 1)),
-                       2: (Fraction(1, 3), G(3, 2)), 3: (Fraction(1, 4), G(3, 3))})
+    q = join_point(3, 3, {0: (Fraction(1, 4), 0), 1: (Fraction(1, 6), 1),
+                          2: (Fraction(1, 3), 2), 3: (Fraction(1, 4), 3)})
     assert ([w for w, _ in q.entries], q.denom) == ([3, 2, 4, 3], 12)
-    assert (vertex(2, 1, G(2, 1)).entries[1], vertex(2, 1, G(2, 1)).denom) == ((1, G(2, 1)), 1)
+    assert (vertex(2, 2, 1, 1).entries[1], vertex(2, 2, 1, 1).denom) == ((1, 1), 1)
 
 
 @pytest.mark.parametrize("s", range(2, 8))
@@ -233,12 +274,12 @@ def test_points_and_segments_match_fraction_oracle():
         assert twin.randrange(k + 1) == j
         p, fp = sample_point(rng, s, k, j), oracles.sample_point(twin, s, k, j)
         q, fq = sample_point(rng, s, k, j), oracles.sample_point(twin, s, k, j)
-        assert coordinates(p) == list(fp.entries)
-        assert coordinates(q) == list(fq.entries)
+        assert coordinates(p) == oracle_coordinates(fp)
+        assert coordinates(q) == oracle_coordinates(fq)
         # q moved to p's key at j; at other levels the keys may differ or a
         # point may lie outside U, and both models must then raise
-        g = component_key(p, j) + component_key(q, j)
-        q_same, fq_same = act(g, q), oracles.act(g, fq)
+        g = component_key(p, j) ^ component_key(q, j)
+        q_same, fq_same = act(g, q), oracles.act(oracles.GroupElem(s, g), fq)
         routed += not _labels_compatible(p, q_same)
         for a, b, fa, fb in [(p, q_same, fp, fq_same), (p, q, fp, fq)]:
             for level in range(k + 1):
@@ -247,14 +288,15 @@ def test_points_and_segments_match_fraction_oracle():
     assert routed > 50
 
 
-def _labels():
-    return st.one_of(st.none(), st.builds(GroupElem, st.just(3), st.integers(0, 3)),
-                     st.builds(GroupElem, st.just(4), st.integers(0, 7)))
+def _labels(s):
+    # in range, and out of range on either side
+    return st.one_of(st.none(), st.integers(0, (1 << (s - 1)) - 1),
+                     st.integers(-3, (1 << s) + 1))
 
 
 @st.composite
 def _join_inputs(draw):
-    k = draw(st.integers(-1, 4))
+    s, k = draw(st.integers(1, 4)), draw(st.integers(-1, 4))
     levels = sorted(draw(st.sets(st.integers(0, k)))) if k >= 0 else []
     # coordinates w/denom, each reduced on its own
     denom = draw(st.integers(1, 12))
@@ -265,24 +307,26 @@ def _join_inputs(draw):
     for level, w in zip(levels, weights):
         t = Fraction(w, denom) if denom > 1 else w
         # mostly a label exactly where the coordinate is positive
-        g = draw(_labels()) if draw(st.booleans()) else (
-            GroupElem(3, draw(st.integers(0, 3))) if w > 0 else None)
+        g = draw(_labels(s)) if draw(st.booleans()) else (
+            draw(st.integers(0, (1 << (s - 1)) - 1)) if w > 0 else None)
         parts[level] = (t, g)
-    return k, parts
+    return s, k, parts
 
 
 @settings(max_examples=150, deadline=None)
 @given(_join_inputs())
-@example((3, {0: (Fraction(1, 4), G(3, 0)), 1: (Fraction(1, 6), G(3, 1)),
-              2: (Fraction(1, 3), G(3, 2)), 3: (Fraction(1, 4), G(3, 3))}))
+@example((3, 3, {0: (Fraction(1, 4), 0), 1: (Fraction(1, 6), 1),
+                 2: (Fraction(1, 3), 2), 3: (Fraction(1, 4), 3)}))
 def test_join_point_rejects_what_the_fraction_oracle_rejects(args):
-    k, parts = args
-    try:
-        expected = list(oracles.join_point(k, parts).entries)
+    s, k, parts = args
+    try:  # an out-of-range label fails already as a GroupElem
+        expected = oracle_coordinates(oracles.join_point(k, {
+            level: (t, None if g is None else oracles.GroupElem(s, g))
+            for level, (t, g) in parts.items()}))
     except ValueError:
         expected = None
     try:
-        got = coordinates(join_point(k, parts))
+        got = coordinates(join_point(s, k, parts))
     except ValueError:
         got = None
     assert got == expected
