@@ -21,11 +21,10 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass
 
 from .cuplength import (Witness, _check_cells, _check_work, _explicit_work,
                         explicit_witness, verify_witness, zcl_exact)
-from .errors import InvariantViolationError, UndeterminedError, charge
+from .errors import InvariantViolationError, Record, UndeterminedError, charge
 from .ring import RingSpec, monomial_from_text
 
 ENGINE_VERSION = "1"
@@ -53,8 +52,7 @@ def known_tc(m: int, s: int) -> tuple[int, str] | None:
     return None
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(Record):
     """One (m, s) row of the bound table.
 
     upper is the trivial bound s*m; zcl carries its method tag; known_tc is
@@ -64,14 +62,19 @@ class BoundsRow:
     bracketed by [zcl, upper].
     """
 
-    m: int
-    s: int
-    upper: int
-    zcl: int
-    zcl_method: str
-    known_tc: int | None
-    tc_source: str | None
-    equality: bool
+    __slots__ = ("m", "s", "upper", "zcl", "zcl_method", "known_tc",
+                 "tc_source", "equality")
+
+    def __init__(self, m: int, s: int, upper: int, zcl: int, zcl_method: str,
+                 known_tc: int | None, tc_source: str | None, equality: bool):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "zcl", zcl)
+        object.__setattr__(self, "zcl_method", zcl_method)
+        object.__setattr__(self, "known_tc", known_tc)
+        object.__setattr__(self, "tc_source", tc_source)
+        object.__setattr__(self, "equality", equality)
 
     def validate(self) -> None:
         if self.upper != self.m * self.s:
@@ -96,17 +99,21 @@ class BoundsRow:
 
 # -- result cache ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CacheEntry:
+class CacheEntry(Record):
     """One cached zcl computation; the witness re-verifies on load."""
 
-    m: int
-    s: int
-    zcl: int
-    method: str
-    witness: Witness
-    engine_version: str
-    timestamp: float
+    __slots__ = ("m", "s", "zcl", "method", "witness", "engine_version",
+                 "timestamp")
+
+    def __init__(self, m: int, s: int, zcl: int, method: str, witness: Witness,
+                 engine_version: str, timestamp: float):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "zcl", zcl)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "engine_version", engine_version)
+        object.__setattr__(self, "timestamp", timestamp)
 
 
 def _entry_to_json(entry: CacheEntry) -> str:

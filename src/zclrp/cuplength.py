@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .errors import MAX_DP_CELLS, InvariantViolationError, charge
+from .errors import MAX_DP_CELLS, InvariantViolationError, Record, charge
 from .parity import trailing_ones
 from .ring import monomial_to_text
 
@@ -148,8 +147,7 @@ def word_nonzero(m: int, s: int,
     return True, certificate
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A product of binomial factors with a surviving basis monomial.
 
     factors: multiset of (i, j, exponent) encoding (x_i + x_j)^exponent with
@@ -158,22 +156,24 @@ class Witness:
     verify_witness via plain ring arithmetic.
     """
 
-    m: int
-    s: int
-    factors: tuple[tuple[int, int, int], ...]
-    certificate: tuple[int, ...]
+    __slots__ = ("m", "s", "factors", "certificate")
 
-    def __post_init__(self):
-        for i, j, e in self.factors:
-            if not 1 <= i < j <= self.s:
-                raise ValueError(f"factor indices ({i},{j}) need 1 <= i < j <= {self.s}")
+    def __init__(self, m: int, s: int, factors: tuple[tuple[int, int, int], ...],
+                 certificate: tuple[int, ...]):
+        for i, j, e in factors:
+            if not 1 <= i < j <= s:
+                raise ValueError(f"factor indices ({i},{j}) need 1 <= i < j <= {s}")
             if e < 1:
                 raise ValueError(f"factor exponent {e} must be >= 1")
-        if len(self.certificate) != self.s:
+        if len(certificate) != s:
             raise ValueError("certificate length differs from s")
-        for e in self.certificate:
-            if not 0 <= e <= self.m:
-                raise ValueError(f"certificate exponent {e} outside [0, {self.m}]")
+        for e in certificate:
+            if not 0 <= e <= m:
+                raise ValueError(f"certificate exponent {e} outside [0, {m}]")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "certificate", certificate)
 
     @property
     def length(self) -> int:
@@ -189,20 +189,22 @@ class Witness:
                 "certificate": self.certificate_text}
 
 
-@dataclass(frozen=True)
-class ZclResult:
+class ZclResult(Record):
     """A zcl value with its provenance and certifying witness.
 
     method "exact" asserts both directions: the witness product is nonzero
-    and the DP found no longer nonzero word.  A lower-bound method asserts
-    only the witness.
+    and the DP found no longer nonzero word.  method "witness_lower_bound"
+    asserts only the witness.
     """
 
-    m: int
-    s: int
-    value: int
-    method: str  # "exact" | "witness_lower_bound"
-    witness: Witness
+    __slots__ = ("m", "s", "value", "method", "witness")
+
+    def __init__(self, m: int, s: int, value: int, method: str, witness: Witness):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def g(self) -> int:
@@ -471,8 +473,7 @@ def explicit_witness(m: int, s: int) -> Witness | None:
     return w
 
 
-@dataclass(frozen=True)
-class GapProbe:
+class GapProbe(Record):
     """The gap sequence g(s) = s*m - zcl for s = 2..s_max.
 
     The sequence is nonincreasing and nonnegative (each extra variable adds
@@ -480,12 +481,17 @@ class GapProbe:
     records whether the last value equals 2^e - 1, the known stable value.
     """
 
-    m: int
-    s_max: int
-    zcl_values: tuple[int, ...]
-    g_values: tuple[int, ...]
-    stable_gap: int
-    reached_stable: bool
+    __slots__ = ("m", "s_max", "zcl_values", "g_values", "stable_gap",
+                 "reached_stable")
+
+    def __init__(self, m: int, s_max: int, zcl_values: tuple[int, ...],
+                 g_values: tuple[int, ...], stable_gap: int, reached_stable: bool):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s_max", s_max)
+        object.__setattr__(self, "zcl_values", zcl_values)
+        object.__setattr__(self, "g_values", g_values)
+        object.__setattr__(self, "stable_gap", stable_gap)
+        object.__setattr__(self, "reached_stable", reached_stable)
 
     def as_dict(self) -> dict:
         return {"m": self.m, "s_max": self.s_max,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one work cap."""
+"""Exceptions, the one work cap and the value-class base of the package."""
 
 MAX_DP_CELLS = 1 << 20
 """Cap on the work of one command, charged from its inputs before any work
@@ -33,3 +33,37 @@ def charge(work: int, needs: str, *args) -> None:
     if work > MAX_DP_CELLS:
         raise UndeterminedError(f"{needs.format(*args, work=work)}, over the "
                                 f"cap of {MAX_DP_CELLS}")
+
+
+class Record:
+    """Base of the package's immutable value classes, in place of frozen
+    dataclasses, whose import and class creation cost start-up time.  A
+    subclass names its fields in __slots__ and sets each one in __init__
+    with object.__setattr__; equality, hash, repr and pickling read the
+    fields in that order, as those of a frozen dataclass do."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return self.__class__, self._astuple()

@@ -18,7 +18,7 @@ shifts and masks of whole ints; passes repeat until the set stops growing.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 __all__ = ["closure", "flood"]
 

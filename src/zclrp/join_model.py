@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .errors import charge
+from .errors import Record, charge
 
+TYPE_CHECKING = False  # read as True by type checkers; typing is not imported
 if TYPE_CHECKING:  # annotation only: importing fractions costs start-up time
     from fractions import Fraction
 
@@ -27,8 +26,7 @@ Entry = tuple[int, int | None]
 MAX_WEIGHT = 16  # sample_point draws each weight from [1, MAX_WEIGHT]
 
 
-@dataclass(frozen=True)
-class JoinPoint:
+class JoinPoint(Record):
     """Point of the stage-k join: k+1 entries (weight, label) over denom.
 
     The coordinate at level l is weight_l / denom: weights are nonnegative
@@ -37,39 +35,44 @@ class JoinPoint:
     [0, 2^(s-1)) exactly at positive weights and None elsewhere.
     """
 
-    s: int
-    k: int
-    entries: tuple[Entry, ...]
-    denom: int = 1
+    __slots__ = ("s", "k", "entries", "denom")
 
-    def __post_init__(self):
-        if self.s < 2:
+    def __init__(self, s: int, k: int, entries: tuple[Entry, ...], denom: int = 1):
+        if s < 2:
             raise ValueError("need s >= 2")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("need k >= 0")
-        if len(self.entries) != self.k + 1:
-            raise ValueError(f"expected {self.k + 1} entries, got {len(self.entries)}")
-        if self.denom < 1:
-            raise ValueError(f"denominator {self.denom} is not positive")
-        n_keys = 1 << (self.s - 1)
+        if len(entries) != k + 1:
+            raise ValueError(f"expected {k + 1} entries, got {len(entries)}")
+        if not isinstance(denom, int):
+            raise ValueError(f"denominator {denom!r} is not an integer")
+        if denom < 1:
+            raise ValueError(f"denominator {denom} is not positive")
+        n_keys = 1 << (s - 1)
         total = 0
-        for w, g in self.entries:
+        for w, g in entries:
             if not isinstance(w, int):
                 raise ValueError(f"weight {w!r} is not an integer")
             if w < 0:
                 raise ValueError("negative barycentric coordinate")
             if (w > 0) != (g is not None):
                 raise ValueError("label must be present exactly at positive coordinates")
-            if g is not None and not 0 <= g < n_keys:
-                raise ValueError(f"label {g} outside [0, 2^{self.s - 1})")
+            if g is not None:
+                if not isinstance(g, int):
+                    raise ValueError(f"label {g!r} is not an integer")
+                if not 0 <= g < n_keys:
+                    raise ValueError(f"label {g} outside [0, 2^{s - 1})")
             total += w
-        if total != self.denom:
-            raise ValueError(f"coordinates sum to {total}/{self.denom}, not 1")
-        common = math.gcd(self.denom, *(w for w, _ in self.entries))
+        if total != denom:
+            raise ValueError(f"coordinates sum to {total}/{denom}, not 1")
+        common = math.gcd(denom, *(w for w, _ in entries))
         if common > 1:
-            object.__setattr__(self, "entries", tuple(
-                (w // common, g) for w, g in self.entries))
-            object.__setattr__(self, "denom", self.denom // common)
+            entries = tuple((w // common, g) for w, g in entries)
+            denom //= common
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "denom", denom)
 
 
 def join_point(s: int, k: int,
@@ -154,8 +157,7 @@ def segment_in_component(p: JoinPoint, q: JoinPoint, j: int) -> bool:
 
 # -- randomized verification --------------------------------------------------
 
-@dataclass(frozen=True)
-class JoinReport:
+class JoinReport(Record):
     """Outcome of the sampled component-structure checks at one (s, k).
 
     equivariant, which as_dict leaves out, says whether the label action
@@ -165,13 +167,18 @@ class JoinReport:
     keys.
     """
 
-    s: int
-    k: int
-    samples: int
-    keys_found: int
-    transitive: bool
-    segment_checks_passed: int
-    equivariant: bool
+    __slots__ = ("s", "k", "samples", "keys_found", "transitive",
+                 "segment_checks_passed", "equivariant")
+
+    def __init__(self, s: int, k: int, samples: int, keys_found: int,
+                 transitive: bool, segment_checks_passed: int, equivariant: bool):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "keys_found", keys_found)
+        object.__setattr__(self, "transitive", transitive)
+        object.__setattr__(self, "segment_checks_passed", segment_checks_passed)
+        object.__setattr__(self, "equivariant", equivariant)
 
     def as_dict(self) -> dict:
         return {"s": self.s, "k": self.k, "samples": self.samples,

@@ -6,7 +6,7 @@ anywhere (``z_of`` in particular is computed from bit lengths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import Record
 
 
 def trailing_ones(m: int) -> int:
@@ -38,14 +38,16 @@ def sigma_of(m: int) -> int | None:
     return (m + 1) >> e
 
 
-@dataclass(frozen=True)
-class TwoAdicProfile:
+class TwoAdicProfile(Record):
     """The dyadic data attached to m: e, z and (when defined) sigma."""
 
-    m: int
-    e: int
-    z: int
-    sigma: int | None
+    __slots__ = ("m", "e", "z", "sigma")
+
+    def __init__(self, m: int, e: int, z: int, sigma: int | None):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "sigma", sigma)
 
     def as_dict(self) -> dict:
         return {"m": self.m, "e": self.e, "z": self.z, "sigma": self.sigma}

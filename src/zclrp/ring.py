@@ -13,22 +13,23 @@ are test oracles in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
+
+from .errors import Record
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Record):
     """Shape of the algebra: factor dimension m and number of factors s."""
 
-    m: int
-    s: int
+    __slots__ = ("m", "s")
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.s < 2:
-            raise ValueError(f"s must be >= 2, got {self.s}")
+    def __init__(self, m: int, s: int):
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        if s < 2:
+            raise ValueError(f"s must be >= 2, got {s}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
 
     @property
     def size(self) -> int:

@@ -18,11 +18,10 @@ even-weight vectors of the slice for d <= m and the whole slice above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import accumulate
-from typing import Iterable
 
-from .errors import charge
+from .errors import Record, charge
 from .gf2 import Family, closure, flood
 from .ring import RingSpec, monomial_to_text, unrank
 
@@ -98,15 +97,18 @@ def _vector_text(spec: RingSpec, ranks: Iterable[int]) -> str:
     return " + ".join(monomial_to_text(unrank(spec, r)) for r in ranks)
 
 
-@dataclass(frozen=True)
-class DegreeCheck:
+class DegreeCheck(Record):
     """Per-degree comparison of kernel vs generator span."""
 
-    degree: int
-    dim_kernel: int
-    dim_ideal: int
-    passed: bool
-    mismatch: str | None = None
+    __slots__ = ("degree", "dim_kernel", "dim_ideal", "passed", "mismatch")
+
+    def __init__(self, degree: int, dim_kernel: int, dim_ideal: int,
+                 passed: bool, mismatch: str | None = None):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "dim_kernel", dim_kernel)
+        object.__setattr__(self, "dim_ideal", dim_ideal)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "mismatch", mismatch)
 
     def as_dict(self) -> dict:
         return {"degree": self.degree, "dim_kernel": self.dim_kernel,

@@ -184,6 +184,19 @@ def test_cli_import_leaves_fractions_and_decimal_unloaded():
     assert out.stdout == "[]\n"
 
 
+def test_cli_import_loads_no_dataclasses_or_typing():
+    # -S keeps site from loading any of them first; dataclasses with inspect,
+    # ast and copy cost about 10 ms of start-up, typing 3-4 ms
+    src = str(Path(zclrp.__file__).resolve().parents[1])
+    unwanted = {"dataclasses", "inspect", "typing", "copy", "ast", "fractions",
+                "decimal", "click"}
+    code = f"import sys, zclrp.cli; print(sorted({unwanted!r} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "[]\n"
+
+
 def test_help_and_version_exit_zero():
     version = run("--version")
     assert version.exit_code == 0

@@ -1,5 +1,13 @@
+import copy
+import pickle
+
+import pytest
+
 import zclrp
-from zclrp import ZclResult, _kernels, errors, gf2, ring, zero_divisors
+from zclrp import (CacheEntry, DegreeCheck, JoinPoint, RingSpec, ZclResult,
+                   _kernels, build_row, errors, g_stabilization_probe, gf2,
+                   ring, sample_report, two_adic_profile,
+                   verify_generators_lemma, zcl_exact, zero_divisors)
 
 # Public names removed from the package -- test-only algebra, the default
 # of the ring cap that became the constant MAX_RING_BITS, the dense ring
@@ -49,3 +57,69 @@ def test_removed_names_are_gone():
     assert [n for n in REMOVED_NAMES if n in zclrp.__all__] == []
     assert [(owner.__name__, n) for owner, n in REMOVED_ATTRIBUTES
             if hasattr(owner, n)] == []
+
+
+def _value_samples():
+    # (an instance built through the public API, its fields in order, its
+    # repr, and one field with another valid value)
+    witness = zcl_exact(3, 3).witness
+    w = "Witness(m=3, s=3, factors=((1, 3, 3), (2, 3, 3)), certificate=(3, 3, 0))"
+    return [
+        (RingSpec(4, 3), dict(m=4, s=3), "RingSpec(m=4, s=3)", ("s", 4)),
+        (two_adic_profile(12), dict(m=12, e=0, z=4, sigma=13),
+         "TwoAdicProfile(m=12, e=0, z=4, sigma=13)", ("sigma", None)),
+        (witness, dict(m=3, s=3, factors=((1, 3, 3), (2, 3, 3)),
+                       certificate=(3, 3, 0)), w, ("certificate", (3, 2, 1))),
+        (zcl_exact(3, 3), dict(m=3, s=3, value=6, method="exact", witness=witness),
+         f"ZclResult(m=3, s=3, value=6, method='exact', witness={w})",
+         ("method", "witness_lower_bound")),
+        (g_stabilization_probe(5, 4),
+         dict(m=5, s_max=4, zcl_values=(7, 14, 19), g_values=(3, 1, 1),
+              stable_gap=1, reached_stable=True),
+         "GapProbe(m=5, s_max=4, zcl_values=(7, 14, 19), g_values=(3, 1, 1), "
+         "stable_gap=1, reached_stable=True)", ("reached_stable", False)),
+        (build_row(3, 3),
+         dict(m=3, s=3, upper=9, zcl=6, zcl_method="exact", known_tc=6,
+              tc_source="hopf", equality=False),
+         "BoundsRow(m=3, s=3, upper=9, zcl=6, zcl_method='exact', known_tc=6, "
+         "tc_source='hopf', equality=False)", ("known_tc", None)),
+        (CacheEntry(3, 3, 6, "exact", witness, "test", 1.5),
+         dict(m=3, s=3, zcl=6, method="exact", witness=witness,
+              engine_version="test", timestamp=1.5),
+         f"CacheEntry(m=3, s=3, zcl=6, method='exact', witness={w}, "
+         "engine_version='test', timestamp=1.5)", ("timestamp", 2.5)),
+        (JoinPoint(3, 2, ((2, 1), (0, None), (4, 3)), 6),  # reduced by 2
+         dict(s=3, k=2, entries=((1, 1), (0, None), (2, 3)), denom=3),
+         "JoinPoint(s=3, k=2, entries=((1, 1), (0, None), (2, 3)), denom=3)",
+         ("entries", ((1, 0), (0, None), (2, 3)))),
+        (sample_report(3, 1, 32),
+         dict(s=3, k=1, samples=32, keys_found=4, transitive=True,
+              segment_checks_passed=32, equivariant=True),
+         "JoinReport(s=3, k=1, samples=32, keys_found=4, transitive=True, "
+         "segment_checks_passed=32, equivariant=True)", ("keys_found", 3)),
+        (verify_generators_lemma(RingSpec(2, 3))[0],
+         dict(degree=1, dim_kernel=2, dim_ideal=2, passed=True, mismatch=None),
+         "DegreeCheck(degree=1, dim_kernel=2, dim_ideal=2, passed=True, "
+         "mismatch=None)", ("mismatch", "x_1")),
+    ]
+
+
+def test_value_classes_compare_hash_print_and_copy_as_frozen_records():
+    samples = _value_samples()
+    assert len({type(x) for x, *_ in samples}) == 10
+    for x, fields, text, (name, other) in samples:
+        cls, values = type(x), tuple(fields.values())
+        assert x == cls(**fields) == cls(*values) and not x != cls(**fields)
+        assert x != cls(**{**fields, name: other})
+        assert x != values and hash(x) == hash(values)
+        assert repr(x) == text
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(x, f, getattr(x, f))
+            with pytest.raises(AttributeError):
+                delattr(x, f)
+        for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x),
+                     copy.deepcopy(x)):
+            assert type(twin) is cls and twin == x and repr(twin) == text
+    assert DegreeCheck(1, 2, 2, True) == samples[-1][0]  # mismatch=None
+    assert JoinPoint(3, 0, ((1, 0),)).denom == 1

@@ -44,6 +44,12 @@ def test_join_point_validation():
         join_point(3, 1, {0: (Fraction(3, 2), 0), 1: (-half, 1)})
     with pytest.raises(ValueError):  # a label outside the point's group
         join_point(3, 1, {0: (half, 0), 1: (half, 4)})
+    with pytest.raises(ValueError, match=r"^label 1\.0 is not an integer$"):
+        JoinPoint(3, 0, ((1, 1.0),))
+    with pytest.raises(ValueError, match=r"^denominator 1\.0 is not an integer$"):
+        JoinPoint(3, 0, ((1, 0),), 1.0)
+    # bools are ints, as they are for weights
+    assert JoinPoint(3, 0, ((True, True),), True).entries == ((1, 1),)
     for level in (-1, 2):  # levels run 0..k
         with pytest.raises(ValueError, match=f"level {level} outside \\[0, 1\\]"):
             join_point(3, 1, {level: (1, 1)})
