@@ -1,7 +1,9 @@
 """Command-line interface, on the standard library's argparse.
 
-The parser tree is built once, at import; each main() call only parses its
-arguments and runs one command.  Exit codes: 0 success, 1 invariant
+Commands live in one flat table from their command words to a handler and
+its options, with one parser per entry built at import.  main() takes the
+leading words while they name an entry, parses the rest with that entry's
+parser alone and runs its handler.  Exit codes: 0 success, 1 invariant
 violation (an internal certified check failed, i.e. a bug), 2 undetermined
 (the work is over MAX_DP_CELLS, checked before any work, or verify join
 passed every check but did not sample every component key), 64 bad input:
@@ -182,28 +184,33 @@ def report_cmd(m_range, s_range, policy, fmt, cache_path):
         sys.exit(2)
 
 
-# -- the parser tree --------------------------------------------------------------
+# -- the command table ------------------------------------------------------------
 
 class _Formatter(argparse.HelpFormatter):
-    """Help with a "Usage: " prefix and the paragraphs of a docstring kept."""
+    """Help with a "Usage: " prefix, the paragraphs of a docstring kept and
+    each word of a group's COMMAND listed with its summary."""
 
     def _format_usage(self, usage, actions, groups, prefix):
-        # add_subparsers asks for a usage with prefix "" to make each
-        # subcommand's prog; only argparse's default, None, is replaced
-        if prefix is None:
-            prefix = "Usage: "
-        return super()._format_usage(usage, actions, groups, prefix)
+        return super()._format_usage(usage, actions, groups, "Usage: ")
 
     def _fill_text(self, text, width, indent):
         fill = super()._fill_text
         return "\n\n".join(fill(p, width, indent) for p in text.split("\n\n"))
 
+    def _iter_indented_subactions(self, action):
+        # a group's COMMAND has a dict of choices, word -> summary
+        if isinstance(action.choices, dict):
+            self._indent()
+            for word, summary in action.choices.items():
+                yield argparse.Action((), word, help=summary)
+            self._dedent()
+
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors exit EX_USAGE with a "Usage: " line and an
-    "Error: " line on stderr, from the innermost subcommand.  Options are
-    never abbreviated (--sam is not --samples), help is --help alone, and a
-    value may start with "-" and a digit (--m-range -3..2 is bad input)."""
+    "Error: " line on stderr.  Options are never abbreviated (--sam is not
+    --samples), help is --help alone, and a value may start with "-" and a
+    digit (--m-range -3..2 is bad input)."""
 
     def __init__(self, **kwargs):
         super().__init__(formatter_class=_Formatter, allow_abbrev=False,
@@ -212,90 +219,70 @@ class _Parser(argparse.ArgumentParser):
         self.add_argument("--help", action="help",
                           help="Show this message and exit.")
 
-    def parse_known_args(self, args=None, namespace=None):
-        # a subcommand's parser is run by parse_known_args, so this refuses
-        # an unknown argument with that subcommand's usage
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
-
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"Error: {message}", file=sys.stderr)
         sys.exit(EX_USAGE)
 
 
-def _subcommands(parser: _Parser, name: str):
-    # the namespace keys of subcommand names start with "_", so main can
-    # tell them from options
-    return parser.add_subparsers(dest=f"_{name}", metavar="COMMAND",
-                                 required=True)
+_INT = {"type": int, "required": True}
+_DEFAULT = "(default: %(default)s)"
+
+# command words -> (the command's handler, or a group's one-line doc; its
+# options as add_argument keywords).  The groups are the root, zcl and verify.
+_TABLE = {
+    (): ("Zero-divisor cup-lengths of (RP^m)^s and TC_s bound tables.", {
+        "--version": {"action": "version",
+                      "version": f"zclrp {__version__} ({BACKEND_NAME} kernel)",
+                      "help": "Show the version and exit."}}),
+    ("profile",): (profile_cmd, {"--m": _INT}),
+    ("zcl",): ("Zero-divisor cup-length computations.", {}),
+    ("zcl", "exact"): (zcl_exact_cmd, {"--m": _INT, "--s": _INT}),
+    ("zcl", "witness"): (zcl_witness_cmd, {"--m": _INT, "--s": _INT}),
+    ("zcl", "probe"): (zcl_probe_cmd, {"--m": _INT, "--s-max": _INT}),
+    ("verify",): ("Structural verifications (linear algebra, join model).", {}),
+    ("verify", "generators"): (verify_generators_cmd, {
+        "--m": _INT, "--s": _INT, "--max-degree": {"type": int}}),
+    ("verify", "join"): (verify_join_cmd, {
+        "--s": _INT, "--k": _INT,
+        "--samples": {"type": int, "default": 1000, "help": _DEFAULT},
+        "--seed": {"type": int, "default": 0, "help": _DEFAULT}}),
+    ("report",): (report_cmd, {
+        "--m-range": {"type": _parse_range, "required": True, "metavar": "A..B",
+                      "help": "Inclusive range A..B of m values."},
+        "--s-range": {"type": _parse_range, "required": True, "metavar": "C..D",
+                      "help": "Inclusive range C..D of s values."},
+        "--policy": {"choices": ("exact", "witness-only"), "default": "exact",
+                     "help": _DEFAULT},
+        "--format": {"dest": "fmt", "choices": ("json", "csv"),
+                     "default": "json", "help": _DEFAULT},
+        "--cache": {"dest": "cache_path", "metavar": "PATH",
+                    "help": "Append-only JSONL result cache "
+                            "(default: $ZCLRP_CACHE)."}}),
+}
 
 
-def _group(subparsers, name: str, doc: str):
-    return _subcommands(subparsers.add_parser(name, help=doc, description=doc),
-                        name)
+def _doc(head) -> str:
+    return head if isinstance(head, str) else head.__doc__
 
 
-def _command(subparsers, name: str, handler) -> _Parser:
-    doc = handler.__doc__
-    parser = subparsers.add_parser(name, help=doc.split("\n", 1)[0],
-                                   description=doc)
-    parser.set_defaults(_handler=handler)
+def _build(words: tuple[str, ...], head, options: dict) -> _Parser:
+    parser = _Parser(prog=" ".join(("zclrp", *words)), description=_doc(head))
+    for option, kwargs in options.items():
+        parser.add_argument(option, **kwargs)
+    if isinstance(head, str):
+        # main runs a group's parser only when the next word names none of
+        # its commands, so it ends in help or a usage error; nargs=PARSER
+        # keeps a "--" as that word and ends the usage with "COMMAND ..."
+        parser.add_argument("command", metavar="COMMAND", nargs=argparse.PARSER,
+                            choices={key[-1]: _doc(entry).split("\n", 1)[0]
+                                     for key, (entry, _) in _TABLE.items()
+                                     if key and key[:-1] == words})
     return parser
 
 
-def _build_parser() -> _Parser:
-    root = _Parser(prog="zclrp", description="Zero-divisor cup-lengths of "
-                   "(RP^m)^s and TC_s bound tables.")
-    root.add_argument("--version", action="version",
-                      version=f"zclrp {__version__} ({BACKEND_NAME} kernel)",
-                      help="Show the version and exit.")
-    commands = _subcommands(root, "command")
-
-    _command(commands, "profile", profile_cmd).add_argument(
-        "--m", type=int, required=True)
-
-    zcl = _group(commands, "zcl", "Zero-divisor cup-length computations.")
-    for name, handler in (("exact", zcl_exact_cmd), ("witness", zcl_witness_cmd)):
-        parser = _command(zcl, name, handler)
-        parser.add_argument("--m", type=int, required=True)
-        parser.add_argument("--s", type=int, required=True)
-    parser = _command(zcl, "probe", zcl_probe_cmd)
-    parser.add_argument("--m", type=int, required=True)
-    parser.add_argument("--s-max", type=int, required=True)
-
-    verify = _group(commands, "verify",
-                    "Structural verifications (linear algebra, join model).")
-    parser = _command(verify, "generators", verify_generators_cmd)
-    parser.add_argument("--m", type=int, required=True)
-    parser.add_argument("--s", type=int, required=True)
-    parser.add_argument("--max-degree", type=int, default=None)
-    parser = _command(verify, "join", verify_join_cmd)
-    parser.add_argument("--s", type=int, required=True)
-    parser.add_argument("--k", type=int, required=True)
-    parser.add_argument("--samples", type=int, default=1000,
-                        help="(default: %(default)s)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="(default: %(default)s)")
-
-    report = _command(commands, "report", report_cmd)
-    report.add_argument("--m-range", type=_parse_range, required=True,
-                        metavar="A..B", help="Inclusive range A..B of m values.")
-    report.add_argument("--s-range", type=_parse_range, required=True,
-                        metavar="C..D", help="Inclusive range C..D of s values.")
-    report.add_argument("--policy", choices=("exact", "witness-only"),
-                        default="exact", help="(default: %(default)s)")
-    report.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                        default="json", help="(default: %(default)s)")
-    report.add_argument("--cache", dest="cache_path", metavar="PATH",
-                        help="Append-only JSONL result cache "
-                             "(default: $ZCLRP_CACHE).")
-    return root
-
-
-_PARSER = _build_parser()
+_COMMANDS = {words: (head, _build(words, head, options))
+             for words, (head, options) in _TABLE.items()}
 
 
 def main(args: list[str] | None = None, *, standalone_mode: bool = True) -> None:
@@ -305,11 +292,17 @@ def main(args: list[str] | None = None, *, standalone_mode: bool = True) -> None
     standalone_mode changes nothing; it is accepted for callers written
     against the click-based main of earlier versions.
     """
-    options = vars(_PARSER.parse_args(args))
-    handler = options.pop("_handler")
+    if args is None:
+        args = sys.argv[1:]
+    words = ()
+    for word in args:
+        if words + (word,) not in _COMMANDS:
+            break
+        words += (word,)
+    handler, parser = _COMMANDS[words]
+    options = vars(parser.parse_args(args[len(words):]))
     try:
-        handler(**{key: value for key, value in options.items()
-                   if not key.startswith("_")})
+        handler(**options)
     except UndeterminedError as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         sys.exit(2)

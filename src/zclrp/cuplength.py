@@ -160,7 +160,16 @@ class Witness(Record):
 
     def __init__(self, m: int, s: int, factors: tuple[tuple[int, int, int], ...],
                  certificate: tuple[int, ...]):
+        if not isinstance(m, int):
+            raise ValueError(f"m {m!r} is not an integer")
+        if not isinstance(s, int):
+            raise ValueError(f"s {s!r} is not an integer")
         for i, j, e in factors:
+            for index in (i, j):
+                if not isinstance(index, int):
+                    raise ValueError(f"factor index {index!r} is not an integer")
+            if not isinstance(e, int):
+                raise ValueError(f"factor exponent {e!r} is not an integer")
             if not 1 <= i < j <= s:
                 raise ValueError(f"factor indices ({i},{j}) need 1 <= i < j <= {s}")
             if e < 1:
@@ -168,6 +177,8 @@ class Witness(Record):
         if len(certificate) != s:
             raise ValueError("certificate length differs from s")
         for e in certificate:
+            if not isinstance(e, int):
+                raise ValueError(f"certificate exponent {e!r} is not an integer")
             if not 0 <= e <= m:
                 raise ValueError(f"certificate exponent {e} outside [0, {m}]")
         object.__setattr__(self, "m", m)

@@ -38,6 +38,10 @@ class JoinPoint(Record):
     __slots__ = ("s", "k", "entries", "denom")
 
     def __init__(self, s: int, k: int, entries: tuple[Entry, ...], denom: int = 1):
+        if not isinstance(s, int):
+            raise ValueError(f"s {s!r} is not an integer")
+        if not isinstance(k, int):
+            raise ValueError(f"k {k!r} is not an integer")
         if s < 2:
             raise ValueError("need s >= 2")
         if k < 0:

@@ -24,6 +24,10 @@ class RingSpec(Record):
     __slots__ = ("m", "s")
 
     def __init__(self, m: int, s: int):
+        if not isinstance(m, int):
+            raise ValueError(f"m {m!r} is not an integer")
+        if not isinstance(s, int):
+            raise ValueError(f"s {s!r} is not an integer")
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         if s < 2:

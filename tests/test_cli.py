@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -62,11 +63,16 @@ USAGE_ERRORS = [
 ]
 
 # a group without a subcommand, an abbreviated option (--sam is not
-# --samples) and a stray argument
+# --samples), a stray argument, a "--" before a command word (it is not
+# dropped: the group reads "--" as its COMMAND) and an option where a group
+# wants its COMMAND
 STRICT_USAGE_ERRORS = [
     ("zcl",),
     ("verify", "join", "--s", "3", "--k", "2", "--sam", "5"),
     ("zcl", "exact", "--m", "3", "--s", "3", "extra"),
+    ("--", "zcl"),
+    ("zcl", "--", "exact"),
+    ("zcl", "--m", "3"),
 ]
 
 # the ring cap is a constant: --limit-bits is gone from all three commands
@@ -197,7 +203,7 @@ def test_cli_import_loads_no_dataclasses_or_typing():
     assert out.stdout == "[]\n"
 
 
-def test_help_and_version_exit_zero():
+def test_help_and_version_exit_zero(monkeypatch):
     version = run("--version")
     assert version.exit_code == 0
     assert version.output.endswith(" (pure kernel)\n")
@@ -207,6 +213,61 @@ def test_help_and_version_exit_zero():
         assert result.exit_code == 0 and result.output.startswith("Usage: ")
         assert result.output.count("Usage: ") == 1 and result.stderr == ""
     assert run("--version").output == "zclrp 0.1.0 (pure kernel)\n"
+    # a group's help lists each command word at the start of its own line,
+    # followed by its one-line summary, wrapped to the terminal's width; a
+    # narrow one would break a summary at a hyphen
+    monkeypatch.setenv("COLUMNS", "80")
+    for args, usage, summaries in [
+            (("--help",), "zclrp [--help] [--version] COMMAND ...", {
+                "profile": "Dyadic profile of m: trailing-ones length e, z, "
+                           "and sigma.",
+                "zcl": "Zero-divisor cup-length computations.",
+                "verify": "Structural verifications (linear algebra, join "
+                          "model).",
+                "report": "Bound-table rows s*m >= TC_s >= secat >= zcl over "
+                          "the given ranges."}),
+            (("zcl", "--help"), "zclrp zcl [--help] COMMAND ...", {
+                "exact": "Exact cup-length by a residue knapsack DP, with a "
+                         "certified witness.",
+                "witness": "Closed-form lower-bound witness (no search); "
+                           "witness may be null.",
+                "probe": "Gap sequence s*m - zcl over s = 2..s-max, with "
+                         "stabilization flag."})]:
+        help_text = run(*args).stdout
+        words = " ".join(help_text.split())
+        assert words.startswith(f"Usage: {usage} ")
+        for word, summary in summaries.items():
+            assert any(line.split()[:1] == [word]
+                       for line in help_text.splitlines()), word
+            assert f" {word} {summary} " in words, word
+
+
+def test_readme_examples_from_a_shell():
+    # as a shell runs it: main() reads sys.argv in a fresh interpreter
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    src = str(Path(zclrp.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("ZCLRP_")}
+    env["PYTHONPATH"] = src
+
+    def example(command):
+        # the lines after "$ zclrp <command>" in the README, up to a blank
+        # line or the end of the code block
+        lines = readme.split(f"$ zclrp {command}\n", 1)[1].splitlines()
+        block = "".join(line + "\n" for line in itertools.takewhile(
+            lambda line: line not in ("", "```"), lines))
+        out = subprocess.run([sys.executable, "-m", "zclrp.cli",
+                              *command.split()], capture_output=True,
+                             text=True, env=env)
+        assert (out.returncode, out.stderr) == (0, ""), command
+        return block, out.stdout
+
+    readme_csv, csv = example("report --m-range 1..3 --s-range 2..3 --format csv")
+    assert csv == readme_csv
+    readme_json, line = example("zcl exact --m 5 --s 3")
+    want, got = json.loads(readme_json), json.loads(line)
+    assert want.pop("elapsed_ms") >= 0 and got.pop("elapsed_ms") >= 0
+    assert got == want
 
 
 def test_cli_runs_package_functions_through_the_module(monkeypatch):

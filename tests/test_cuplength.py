@@ -217,6 +217,19 @@ def test_witness_validation():
         Witness(2, 3, ((1, 3, 2),), (3, 0, 0))     # certificate exponent > m
 
 
+def test_witness_rejects_non_int_entries():
+    for args, message in [
+            ((3.0, 3, ((1, 2, 1),), (0, 0, 0)), "m 3.0"),
+            ((3, "3", ((1, 2, 1),), (0, 0, 0)), "s '3'"),
+            ((3, 3, ((1.0, 2, 1),), (0, 0, 0)), "factor index 1.0"),
+            ((3, 3, ((1, 2.0, 1),), (0, 0, 0)), "factor index 2.0"),
+            ((3, 3, ((1, 2, 1.5),), (0, 0, 0)), "factor exponent 1.5"),
+            ((3, 3, ((1, 2, 1),), (0, 0.5, 0)), "certificate exponent 0.5")]:
+        with pytest.raises(ValueError) as info:
+            Witness(*args)
+        assert str(info.value) == f"{message} is not an integer"
+
+
 def test_verify_witness_rejects_dead_factor():
     # a factor power above 2m vanishes, so the product cannot contain anything
     w = Witness(2, 3, ((1, 3, 5), (2, 3, 1)), (2, 2, 2))

@@ -30,6 +30,14 @@ def test_labels_are_ints_in_range_with_xor_as_group_law():
         JoinPoint(1, 0, ((1, 0),))
 
 
+def test_join_point_rejects_non_int_s_and_k():
+    # checked before 1 << (s - 1) can raise TypeError on a float s
+    with pytest.raises(ValueError, match=r"^s 3\.0 is not an integer$"):
+        JoinPoint(3.0, 0, ((1, 0),))
+    with pytest.raises(ValueError, match=r"^k 0\.0 is not an integer$"):
+        JoinPoint(3, 0.0, ((1, 0),))
+
+
 def test_join_point_validation():
     half = Fraction(1, 2)
     ok = join_point(3, 1, {0: (half, 1), 1: (half, 2)})

@@ -37,6 +37,14 @@ def test_spec_validation():
         get_ring(1, DENSE_RING_BITS.bit_length())
 
 
+def test_spec_rejects_non_int_fields():
+    # (2.5, 2) would have size 12.25
+    with pytest.raises(ValueError, match=r"^m 2\.5 is not an integer$"):
+        RingSpec(2.5, 2)
+    with pytest.raises(ValueError, match=r"^s 2\.0 is not an integer$"):
+        RingSpec(2, 2.0)
+
+
 def test_spec_cap_message():
     # the charge in digits while its bit-length bound is at most 2^64, as
     # a power of 2 past that, so a huge shape never builds or prints its
