@@ -79,6 +79,18 @@ class JoinPoint(Record):
         object.__setattr__(self, "denom", denom)
 
 
+def _trusted_point(s: int, k: int, entries: tuple[Entry, ...],
+                   denom: int) -> JoinPoint:
+    """A JoinPoint from fields its caller built valid and gcd-reduced,
+    set without the checks of JoinPoint.__init__."""
+    p = object.__new__(JoinPoint)
+    object.__setattr__(p, "s", s)
+    object.__setattr__(p, "k", k)
+    object.__setattr__(p, "entries", entries)
+    object.__setattr__(p, "denom", denom)
+    return p
+
+
 def join_point(s: int, k: int,
                parts: dict[int, tuple[int | Fraction, int]]) -> JoinPoint:
     """Build a JoinPoint from its positive levels only.
@@ -107,9 +119,16 @@ def vertex(s: int, k: int, level: int, g: int) -> JoinPoint:
 
 
 def act(g: int, p: JoinPoint) -> JoinPoint:
-    """Diagonal action on labels; coordinates untouched."""
-    return JoinPoint(p.s, p.k, tuple(
-        (w, None if h is None else g ^ h) for w, h in p.entries), p.denom)
+    """Diagonal action on labels; coordinates untouched.
+
+    For g in [0, 2^(s-1)) every g ^ label is in range too, so the image is
+    built without re-checking p's entries; any other g goes through
+    JoinPoint, which raises ValueError naming the first label out of range.
+    """
+    entries = tuple([(w, None if h is None else g ^ h) for w, h in p.entries])
+    if 0 <= g < 1 << (p.s - 1):
+        return _trusted_point(p.s, p.k, entries, p.denom)
+    return JoinPoint(p.s, p.k, entries, p.denom)
 
 
 def in_U(p: JoinPoint, j: int) -> bool:
@@ -143,19 +162,28 @@ def segment_in_component(p: JoinPoint, q: JoinPoint, j: int) -> bool:
     level-j vertex (p -> vertex -> q), which is always label-compatible with
     both endpoints.  t_j is affine along a segment and positive at its
     ends (p and q lie in U_j, and the vertex has t_j = 1), so each segment
-    stays in U_j.  Points of different joins (s or k) raise ValueError.
-    Valid inputs (same component key) must give True; a False is a defect.
+    stays in U_j.  Valid inputs (same component key) must give True; a
+    False is a defect.
+
+    Checks, each a ValueError in the words of in_U and component_key: p and
+    q are points of the same join (s and k), j is a level in [0, k], both
+    points lie in U_j and their level-j keys agree.  The routing vertex is
+    built from that key without re-checking it.
     """
     if (p.s, p.k) != (q.s, q.k):
         raise ValueError(f"points of different joins {(p.s, p.k)} and {(q.s, q.k)}")
-    if not (in_U(p, j) and in_U(q, j)):
+    if not 0 <= j <= p.k:
+        raise ValueError(f"level {j} outside [0, {p.k}]")
+    (wp, key), (wq, key_q) = p.entries[j], q.entries[j]
+    if not (wp > 0 and wq > 0):
         raise ValueError(f"both points must lie in U_{j}")
-    key = component_key(p, j)
-    if component_key(q, j) != key:
+    if key_q != key:
         raise ValueError("points have different component keys")
     if _labels_compatible(p, q):
         return True
-    v = vertex(p.s, p.k, j, key)
+    entries: list[Entry] = [(0, None)] * (p.k + 1)
+    entries[j] = (1, key)
+    v = _trusted_point(p.s, p.k, tuple(entries), 1)
     return _labels_compatible(p, v) and _labels_compatible(v, q)
 
 
@@ -192,13 +220,26 @@ class JoinReport(Record):
 
 def sample_point(rng: random.Random, s: int, k: int, j: int) -> JoinPoint:
     """Random point of U_j: weights in [1, MAX_WEIGHT] at level j and at
-    each other level with probability 1/2, over their sum."""
+    each other level with probability 1/2, over their sum.
+
+    Refuses s < 2, k < 0 and a level j outside [0, k] with ValueError
+    before any draw.  The drawn weights, divided by their gcd, and labels
+    in [0, 2^(s-1)) make a valid reduced point, built without re-checking.
+    """
+    if s < 2:
+        raise ValueError("need s >= 2")
+    if k < 0:
+        raise ValueError("need k >= 0")
+    if not 0 <= j <= k:
+        raise ValueError(f"level {j} outside [0, {k}]")
     levels = [l for l in range(k + 1) if l == j or rng.random() < 0.5]
-    weights = {l: rng.randint(1, MAX_WEIGHT) for l in levels}
+    weights = [rng.randrange(1, MAX_WEIGHT + 1) for _ in levels]
+    common = math.gcd(*weights)
+    n_keys = 1 << (s - 1)
     entries: list[Entry] = [(0, None)] * (k + 1)
-    for l, w in weights.items():
-        entries[l] = (w, rng.randrange(1 << (s - 1)))
-    return JoinPoint(s, k, tuple(entries), sum(weights.values()))
+    for l, w in zip(levels, weights):
+        entries[l] = (w // common, rng.randrange(n_keys))
+    return _trusted_point(s, k, tuple(entries), sum(weights) // common)
 
 
 def enough_samples(s: int, samples: int) -> bool:

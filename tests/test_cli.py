@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -427,6 +428,23 @@ def test_verify_join():
     payload = json.loads(result.output)
     assert payload["keys_found"] == 4 and payload["transitive"]
     assert payload["segment_checks_passed"] == 300
+
+
+def test_verify_join_output_is_pinned():
+    # stdout and exit code of a grid of runs, recorded before points built
+    # by the sampler stopped going through JoinPoint's checks; at 2^(s-1)
+    # samples most runs miss a key and exit 2
+    transcript, codes = [], []
+    for s, k in itertools.product((2, 3, 4, 6), (0, 1, 5)):
+        for samples, seed in itertools.product((1 << (s - 1), 300), range(3)):
+            result = run("verify", "join", "--s", str(s), "--k", str(k),
+                         "--samples", str(samples), "--seed", str(seed))
+            transcript.append(f"{s} {k} {samples} {seed} {result.exit_code} "
+                              f"{result.stdout}")
+            codes.append(result.exit_code)
+    assert (codes.count(0), codes.count(2)) == (41, 31)
+    assert hashlib.sha256("".join(transcript).encode()).hexdigest() == (
+        "0f3a7def45c6eb09a62f57d3f0fdf29112beeb678f87e3fdd70012dd39f15720")
 
 
 def test_report_csv_deterministic():

@@ -3,6 +3,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from zclrp import (JoinPoint, act, component_key, in_U, join_point,
                    sample_report, segment_in_component, vertex)
+from zclrp import join_model
 from zclrp.join_model import _labels_compatible, sample_point
 
 
@@ -112,6 +114,62 @@ def test_act_is_an_action_preserving_coordinates():
         assert sum(w for w, _ in act(g, p).entries) == p.denom
         assert (coordinates(act(g, p))
                 == oracle_coordinates(oracles.act(oracles.GroupElem(s, g), fp)))
+
+
+@pytest.mark.parametrize("s,k,j,message", [
+    (2, 1, 2, r"level 2 outside \[0, 1\]"),
+    (2, 1, -1, r"level -1 outside \[0, 1\]"),
+    (2, 1, 5, r"level 5 outside \[0, 1\]"),
+    (1, 1, 0, "need s >= 2"),
+    (2, -1, 0, "need k >= 0"),
+])
+def test_sample_point_refuses_a_bad_shape_before_any_draw(s, k, j, message):
+    # these once returned points outside U_j or failed on a zero denominator
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sample_point(rng, s, k, j)
+    assert rng.getstate() == state
+
+
+def _assert_canonical(p):
+    q = JoinPoint(p.s, p.k, p.entries, p.denom)
+    assert (q.s, q.k, q.entries, q.denom) == (p.s, p.k, p.entries, p.denom)
+    assert type(p.entries) is tuple
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 12), st.integers(0, 2**32))
+@example(3, 12, 0)  # routes segments through the vertex
+def test_points_built_without_checks_are_canonical(s, k, seed):
+    # every point sample_point, act and segment_in_component build without
+    # JoinPoint's checks passes them unchanged, gcd-reduced already
+    built, trusted = [], join_model._trusted_point
+
+    def recording(*fields):
+        built.append(trusted(*fields))
+        return built[-1]
+
+    rng = random.Random(seed)
+    n_keys = 1 << (s - 1)
+    with mock.patch("zclrp.join_model._trusted_point", recording):
+        for j in range(k + 1):
+            p, q = sample_point(rng, s, k, j), sample_point(rng, s, k, j)
+            q = act(component_key(p, j) ^ component_key(q, j), q)
+            act(rng.randrange(n_keys), p)
+            before = len(built)
+            assert segment_in_component(p, q, j)
+            routed = built[before:]
+            assert routed == ([] if _labels_compatible(p, q)
+                              else [vertex(s, k, j, component_key(p, j))])
+            h = next(h for _, h in p.entries if h is not None)
+            for g in (-1 - rng.randrange(n_keys), n_keys + rng.randrange(n_keys)):
+                with pytest.raises(ValueError, match=f"^label {g ^ h} outside "
+                                                     f"\\[0, 2\\^{s - 1}\\)$"):
+                    act(g, p)
+    assert len(built) >= 4 * (k + 1)  # two draws and two actions per level
+    for p in built:
+        _assert_canonical(p)
 
 
 def test_in_U_examples():
