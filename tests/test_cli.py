@@ -431,9 +431,8 @@ def test_verify_join():
 
 
 def test_verify_join_output_is_pinned():
-    # stdout and exit code of a grid of runs, recorded before points built
-    # by the sampler stopped going through JoinPoint's checks; at 2^(s-1)
-    # samples most runs miss a key and exit 2
+    # stdout and exit code of a grid of runs, so that the draws and their
+    # order cannot drift; at 2^(s-1) samples most runs miss a key and exit 2
     transcript, codes = [], []
     for s, k in itertools.product((2, 3, 4, 6), (0, 1, 5)):
         for samples, seed in itertools.product((1 << (s - 1), 300), range(3)):

@@ -124,7 +124,8 @@ def test_act_is_an_action_preserving_coordinates():
     (2, -1, 0, "need k >= 0"),
 ])
 def test_sample_point_refuses_a_bad_shape_before_any_draw(s, k, j, message):
-    # these once returned points outside U_j or failed on a zero denominator
+    # unchecked, a j outside [0, k] gives a point outside U_j, s = 1 a point
+    # of no join and k < 0 a zero denominator
     rng = random.Random(0)
     state = rng.getstate()
     with pytest.raises(ValueError, match=f"^{message}$"):
