@@ -14,6 +14,9 @@ factors' terms; every witness a row computes is checked the same way.
 Neither check builds the ring, so no row is refused for the size of
 (m+1)^s; a row is skipped only when its DP (policy "exact") or the check
 of its closed-form witness (policy "witness_only") is over MAX_DP_CELLS.
+A table is built m by m, so the rows of one m extend one knapsack DP (see
+cuplength._gain_rows) instead of each running its own; each row is still
+charged and checked on its own.
 """
 
 from __future__ import annotations

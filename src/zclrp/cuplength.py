@@ -87,6 +87,12 @@ def _min_residues(m: int) -> tuple[int, ...]:
                                   for v in range(m + 1, 2 * m + 1))
 
 
+# The DP of the m asked for last: (m, items, rows, complete), complete once
+# the rows reach their first repeat.  It is replaced whole, never changed in
+# place, so no list _gain_rows has returned changes afterwards.
+_dp: tuple[int, list[tuple[int, int]], list[list[int]], bool] = (0, [], [], True)
+
+
 def _gain_rows(m: int, parts: int) -> list[list[int]]:
     """Rows H[0], H[1], ... of the knapsack table, each indexed by r = 0..m.
 
@@ -94,26 +100,38 @@ def _gain_rows(m: int, parts: int) -> list[list[int]]:
     residues sum to at most r.  The items are, per residue value, the
     largest exponent b > m with that residue, less the ones a larger b of
     no larger residue beats; the residue-0 item b = m adds nothing, so each
-    row starts as a copy of the one before.  The rows stop at p = parts or
-    at the first row equal to its predecessor: every row comes from the one
-    before by the same step, so from there on they repeat, and H[p] is the
-    last row for every p beyond the list.
+    row starts as a copy of the one before.  The rows reach at least
+    p = parts or stop at the first row equal to its predecessor: every row
+    comes from the one before by the same step, so from there on they
+    repeat, and H[p] is the last row for every p beyond the list.
+
+    The rows of the last m asked for are kept, and a call for the same m
+    extends them from the last one kept, so the rows of one m over s = 2..S
+    cost one DP of S-1 rows.  The list returned may reach beyond parts.
     """
-    f = _min_residues(m)
-    items, least = [], m + 1
-    for b in range(2 * m, m, -1):
-        if f[b] < least:
-            least = f[b]
-            items.append((f[b], b - m))
-    rows = [[0] * (m + 1)]
+    global _dp
+    last_m, items, rows, complete = _dp
+    if last_m != m:
+        f = _min_residues(m)
+        items, least = [], m + 1
+        for b in range(2 * m, m, -1):
+            if f[b] < least:
+                least = f[b]
+                items.append((f[b], b - m))
+        rows, complete = [[0] * (m + 1)], False
+    elif complete or len(rows) > parts:
+        return rows
+    rows = rows[:]  # a list once returned is never appended to
     while len(rows) <= parts:
         prev = rows[-1]
         row = prev[:]
         for r, gain in items:
             row[r:] = map(max, row[r:], [gain + x for x in prev[:m + 1 - r]])
         if row == prev:
+            complete = True
             break
         rows.append(row)
+    _dp = (m, items, rows, complete)
     return rows
 
 
@@ -244,14 +262,12 @@ def zcl_exact(m: int, s: int) -> ZclResult:
     _check_cells(m, s)
     f = _min_residues(m)
     rows = _gain_rows(m, s - 1)
-
-    def longest(parts: int, budget: int) -> int:
-        return parts * m + rows[min(parts, len(rows) - 1)][budget]
-
-    value = longest(s - 1, m)
+    top = len(rows) - 1
+    value = (s - 1) * m + rows[min(s - 1, top)][m]
     word, v, budget, remaining = [], 0, m, value
     for parts in range(s - 2, -1, -1):
-        while f[v] > budget or v + longest(parts, budget - f[v]) != remaining:
+        row, rest = rows[min(parts, top)], remaining - parts * m
+        while f[v] > budget or v + row[budget - f[v]] != rest:
             v += 1
         word.append(v)
         budget -= f[v]
@@ -328,10 +344,11 @@ def _uses(factors) -> tuple[dict[int, int], dict[int, int]]:
     return first, last
 
 
-def _work_bound(w: Witness) -> int:
+def _work_bound(w: Witness, uses=None) -> int:
     """verify_witness's bound on its term products, summed up to the first
-    factor that takes it past MAX_DP_CELLS (see there)."""
-    first, last = _uses(w.factors)
+    factor that takes it past MAX_DP_CELLS (see there).  uses is
+    _uses(w.factors), when the caller has it already."""
+    first, last = _uses(w.factors) if uses is None else uses
     work, sizes = 0, {}
     for n, (i, j, e) in enumerate(w.factors):
         count = _term_count(w.m, e)
@@ -375,10 +392,10 @@ def verify_witness(w: Witness) -> bool:
     most (s-1)(m+1), within its DP size.
     """
     target = w.certificate
-    first, last = _uses(w.factors)
+    first, last = uses = _uses(w.factors)
     if any(c and v not in first for v, c in enumerate(target, 1)):
         return False
-    _check_work(w.m, w.s, _work_bound(w))
+    _check_work(w.m, w.s, _work_bound(w, uses))
     layout, terms = (), {()}
     for n, (i, j, e) in enumerate(w.factors):
         ci, cj = target[i - 1], target[j - 1]

@@ -31,8 +31,10 @@ class JoinPoint(Record):
 
     The coordinate at level l is weight_l / denom: weights are nonnegative
     integers summing to the positive integer denom, reduced by their common
-    gcd so that equal points compare equal.  The label is an int in
-    [0, 2^(s-1)) exactly at positive weights and None elsewhere.
+    gcd, and stored as a tuple of (weight, label) tuples however they are
+    passed in, so that equal points compare equal and hash alike.  The
+    label is an int in [0, 2^(s-1)) exactly at positive weights and None
+    elsewhere.
     """
 
     __slots__ = ("s", "k", "entries", "denom")
@@ -70,9 +72,8 @@ class JoinPoint(Record):
         if total != denom:
             raise ValueError(f"coordinates sum to {total}/{denom}, not 1")
         common = math.gcd(denom, *(w for w, _ in entries))
-        if common > 1:
-            entries = tuple((w // common, g) for w, g in entries)
-            denom //= common
+        entries = tuple((w // common, g) for w, g in entries)
+        denom //= common
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "entries", entries)
@@ -124,7 +125,10 @@ def act(g: int, p: JoinPoint) -> JoinPoint:
     For g in [0, 2^(s-1)) every g ^ label is in range too, so the image is
     built without re-checking p's entries; any other g goes through
     JoinPoint, which raises ValueError naming the first label out of range.
+    A g that is not an int raises ValueError before any label is touched.
     """
+    if not isinstance(g, int):
+        raise ValueError(f"label {g!r} is not an integer")
     entries = tuple([(w, None if h is None else g ^ h) for w, h in p.entries])
     if 0 <= g < 1 << (p.s - 1):
         return _trusted_point(p.s, p.k, entries, p.denom)

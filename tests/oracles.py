@@ -11,6 +11,8 @@ the dense ring -- its elements, binomial powers and product, which the
 package no longer has and which check the sparse witness verifier and the
 rank-built ideal rows; the zcl enumerator and the textbook knapsack below,
 which check the knapsack DP against the word criterion it optimizes; the
+knapsack rows and the zcl_exact the package had before it shared one DP
+across the calls of one m, which check the shared rows; the
 residue table, which checks the residue formula against the submask
 definition; the F2 nullspace, which derives kernel bases by row reduction
 for the closed form to match; the quadratic rref, which checks the sparse
@@ -771,6 +773,53 @@ def knapsack_zcl(m, s):
         best = [max(v + best[r - f[v]] for v in range(2 * m + 1) if f[v] <= r)
                 for r in range(m + 1)]
     return best[m]
+
+
+def gain_rows(m: int, parts: int) -> list[list[int]]:
+    """The package's knapsack rows H[0..parts] before they were shared
+    across calls: computed afresh on every call, up to p = parts or the
+    first row equal to its predecessor.  The residues come from the
+    submask definition."""
+    f = min_residues_by_submasks(m)
+    items, least = [], m + 1
+    for b in range(2 * m, m, -1):
+        if f[b] < least:
+            least = f[b]
+            items.append((f[b], b - m))
+    rows = [[0] * (m + 1)]
+    while len(rows) <= parts:
+        prev = rows[-1]
+        row = prev[:]
+        for r, gain in items:
+            row[r:] = map(max, row[r:], [gain + x for x in prev[:m + 1 - r]])
+        if row == prev:
+            break
+        rows.append(row)
+    return rows
+
+
+def dp_zcl(m: int, s: int) -> ZclResult:
+    """The package's zcl_exact before its DP was shared across calls: the
+    value from gain_rows above and the witness rebuilt through a closure
+    over them, with the certificate from word_nonzero."""
+    f = min_residues_by_submasks(m)
+    rows = gain_rows(m, s - 1)
+
+    def longest(parts: int, budget: int) -> int:
+        return parts * m + rows[min(parts, len(rows) - 1)][budget]
+
+    value = longest(s - 1, m)
+    word, v, budget, remaining = [], 0, m, value
+    for parts in range(s - 2, -1, -1):
+        while f[v] > budget or v + longest(parts, budget - f[v]) != remaining:
+            v += 1
+        word.append(v)
+        budget -= f[v]
+        remaining -= v
+    ok, certificate = word_nonzero(m, s, word)
+    assert ok, (m, s, word)
+    factors = tuple((i + 1, s, e) for i, e in enumerate(word) if e)
+    return ZclResult(m, s, value, "exact", Witness(m, s, factors, certificate))
 
 
 def rref_quadratic(rows: list[int]) -> list[int]:

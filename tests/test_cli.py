@@ -466,6 +466,28 @@ def test_report_json_chain():
             assert row["zcl"] <= row["known_tc"] <= row["upper"]
 
 
+@pytest.mark.parametrize("policy", ["exact", "witness-only"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_equals_one_build_row_per_cell(policy, fmt):
+    # the cells are built s-major, so each one's m differs from the last
+    # one's and every DP starts afresh; report shares one DP per m
+    cells = [(m, s) for s in range(2, 13) for m in range(1, 21)]
+    rows = [zclrp.build_row(m, s, policy.replace("-", "_")) for m, s in cells]
+    result = run("report", "--m-range", "1..20", "--s-range", "2..12",
+                 "--policy", policy, "--format", fmt)
+    assert result.exit_code == 0 and result.stderr == ""
+    assert result.stdout == zclrp.emit(rows, fmt).decode()
+
+
+def test_report_output_is_pinned():
+    # rows of 31 m, each sharing one DP over s = 2..30; recorded before the
+    # DP was shared
+    result = run("report", "--m-range", "200..230", "--s-range", "2..30")
+    assert result.exit_code == 0 and result.stderr == ""
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "493fb788d69ced589500efb0a2a562b05db8b5f60cdf3a8f4c0ce35a0e4e077c")
+
+
 def test_report_skips_oversized_rows():
     # the closed-form witness of (1023, 1026) is over the verifier's work
     # cap, that of (1023, 1025) just fits it; no row is refused for the

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -9,9 +10,9 @@ from zclrp import (MAX_DP_CELLS, UndeterminedError, Witness, explicit_witness,
 from zclrp import cuplength
 
 from oracles import (DENSE_RING_BITS, brute_force_zcl, dense_factor_product,
-                     dense_mul, dense_verify_witness, enumerate_zcl, get_ring,
-                     knapsack_zcl, min_residues_by_submasks,
-                     min_residues_closed_form)
+                     dense_mul, dense_verify_witness, dp_zcl, enumerate_zcl,
+                     gain_rows, get_ring, knapsack_zcl,
+                     min_residues_by_submasks, min_residues_closed_form)
 
 
 def ring_word_product(m, s, exponents):
@@ -172,6 +173,51 @@ def test_dp_matches_textbook_knapsack():
             assert result.value == knapsack_zcl(m, s), (m, s)
             word = [e for _, _, e in result.witness.factors]
             assert word == sorted(word) and sum(word) == result.value, (m, s)
+
+
+SHARED_SHAPES = [(m, s) for m in range(1, 41) for s in range(2, 13)]
+
+
+def _call_orders():
+    shuffled = SHARED_SHAPES[:]
+    random.Random(22).shuffle(shuffled)
+    # two m in turn, so that each call replaces the DP the last one kept
+    alternating = [(m, s) for low in range(1, 21) for s in range(2, 13)
+                   for m in (low, 41 - low)]
+    return {"ascending": SHARED_SHAPES, "descending": SHARED_SHAPES[::-1],
+            "shuffled": shuffled, "alternating": alternating}
+
+
+def test_shared_dp_matches_the_stateless_dp_in_any_call_order():
+    # the rows one m shares across its calls are the rows a fresh DP gives,
+    # whatever was asked before, and so is the whole result
+    expected = {}
+    for m, s in SHARED_SHAPES:
+        expected[m, s] = gain_rows(m, s - 1), dp_zcl(m, s)
+        assert expected[m, s][1].value == knapsack_zcl(m, s), (m, s)
+    for name, order in _call_orders().items():
+        assert sorted(order) == SHARED_SHAPES, name
+        for m, s in order:
+            rows, result = expected[m, s]
+            assert zcl_exact(m, s) == result, (name, m, s)
+            assert g_stabilization_probe(m, s).zcl_values[-1] == result.value
+            shared = cuplength._gain_rows(m, s - 1)
+            assert shared[:len(rows)] == rows, (name, m, s)
+            # a fresh DP stops short of s - 1 only at the first repeat
+            assert len(rows) == s or len(shared) == len(rows), (name, m, s)
+            assert cuplength._dp[0] == m  # the memo holds the last m only
+
+
+def test_rows_once_returned_never_change():
+    m = 30  # its rows first repeat at H[30]
+    cuplength._gain_rows(m + 1, 1)  # start m afresh
+    held = cuplength._gain_rows(m, 2)
+    snapshot = [row[:] for row in held]
+    later = cuplength._gain_rows(m, 9)
+    assert len(held) == 3 and len(later) == 10
+    assert held == snapshot and later is not held
+    assert later[:3] == snapshot
+    assert cuplength._gain_rows(m, 5) is later  # served from the rows kept
 
 
 @settings(max_examples=60, deadline=None)

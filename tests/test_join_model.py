@@ -68,6 +68,29 @@ def test_join_point_validation():
     assert join_point(3, 1, {1: (1, 1)}).entries == ((0, None), (1, 1))
 
 
+@pytest.mark.parametrize("entries", [[(1, 0), (0, None)], [[1, 0], [0, None]],
+                                     ([1, 0], (0, None))])
+def test_join_point_stores_entries_as_tuples(entries):
+    # a list kept as given made == depend on the container and hash() fail
+    p = JoinPoint(3, 1, entries)
+    assert p.entries == ((1, 0), (0, None))
+    assert type(p.entries) is tuple
+    assert all(type(e) is tuple for e in p.entries)
+    assert p == JoinPoint(3, 1, ((1, 0), (0, None)))
+    assert hash(p) == hash(JoinPoint(3, 1, ((1, 0), (0, None))))
+    assert JoinPoint(3, 0, [(1, 0)]) == JoinPoint(3, 0, ((1, 0),))
+
+
+@pytest.mark.parametrize("g", [1.0, "x", None])
+def test_act_refuses_a_label_that_is_no_int(g):
+    # checked before g ^ h, which would raise TypeError
+    p = vertex(3, 0, 0, 0)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'label {g!r}')} "
+                                         "is not an integer$"):
+        act(g, p)
+    assert act(True, p) == vertex(3, 0, 0, 1)  # bools are ints
+
+
 @pytest.mark.parametrize("t", [0.5, Decimal("0.5"), "1/2", None,
                                SimpleNamespace(numerator=0.5, denominator=1),
                                SimpleNamespace(numerator=1, denominator=0.5)])
