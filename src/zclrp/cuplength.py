@@ -71,7 +71,9 @@ def _largest_submask(k: int, x: int) -> int:
     return (x & -(h << 1)) | (k & (h - 1))
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded, so that a report over many m keeps at most 256 tables of 2m+1
+# entries; every m of a benchmark workload is at most 24.
+@functools.lru_cache(maxsize=256)
 def _min_residues(m: int) -> tuple[int, ...]:
     """For v = 0..2m: the least r with r a submask of v and v - r <= m.
 

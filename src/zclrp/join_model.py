@@ -80,15 +80,22 @@ class JoinPoint(Record):
         object.__setattr__(self, "denom", denom)
 
 
+# The __set__ of each slot of JoinPoint, in __slots__ order: calling them
+# skips the attribute lookup of object.__setattr__ by name.
+_set_s, _set_k, _set_entries, _set_denom = (
+    JoinPoint.__dict__[f].__set__ for f in JoinPoint.__slots__)
+
+
 def _trusted_point(s: int, k: int, entries: tuple[Entry, ...],
                    denom: int) -> JoinPoint:
     """A JoinPoint from fields its caller built valid and gcd-reduced,
-    set without the checks of JoinPoint.__init__."""
+    set through the slot setters without the checks of JoinPoint.__init__.
+    Its callers draw labels and weights as rng.randrange does (_below)."""
     p = object.__new__(JoinPoint)
-    object.__setattr__(p, "s", s)
-    object.__setattr__(p, "k", k)
-    object.__setattr__(p, "entries", entries)
-    object.__setattr__(p, "denom", denom)
+    _set_s(p, s)
+    _set_k(p, k)
+    _set_entries(p, entries)
+    _set_denom(p, denom)
     return p
 
 
@@ -222,13 +229,31 @@ class JoinReport(Record):
                 "segment_checks_passed": self.segment_checks_passed}
 
 
+def _below(bits, n: int) -> int:
+    """rng.randrange(n) for an int n >= 1, given bits = rng.getrandbits.
+
+    The rejection rule of CPython's Random._randbelow_with_getrandbits:
+    draw bits(n.bit_length()) until the result is below n.  So it returns
+    the value rng.randrange(n) would and leaves rng in the same state,
+    without randrange's argument checks and call layers.
+    """
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def sample_point(rng: random.Random, s: int, k: int, j: int) -> JoinPoint:
     """Random point of U_j: weights in [1, MAX_WEIGHT] at level j and at
     each other level with probability 1/2, over their sum.
 
     Refuses s < 2, k < 0 and a level j outside [0, k] with ValueError
-    before any draw.  The drawn weights, divided by their gcd, and labels
-    in [0, 2^(s-1)) make a valid reduced point, built without re-checking.
+    before any draw.  The draws are those of rng.random() < 0.5 per level
+    other than j, then rng.randrange(1, MAX_WEIGHT + 1) per weight and
+    rng.randrange(2^(s-1)) per label, taken through _below.  The drawn
+    weights, divided by their gcd, and labels in [0, 2^(s-1)) make a valid
+    reduced point, built without re-checking.
     """
     if s < 2:
         raise ValueError("need s >= 2")
@@ -237,12 +262,13 @@ def sample_point(rng: random.Random, s: int, k: int, j: int) -> JoinPoint:
     if not 0 <= j <= k:
         raise ValueError(f"level {j} outside [0, {k}]")
     levels = [l for l in range(k + 1) if l == j or rng.random() < 0.5]
-    weights = [rng.randrange(1, MAX_WEIGHT + 1) for _ in levels]
+    bits = rng.getrandbits
+    weights = [1 + _below(bits, MAX_WEIGHT) for _ in levels]
     common = math.gcd(*weights)
     n_keys = 1 << (s - 1)
     entries: list[Entry] = [(0, None)] * (k + 1)
     for l, w in zip(levels, weights):
-        entries[l] = (w // common, rng.randrange(n_keys))
+        entries[l] = (w // common, _below(bits, n_keys))
     return _trusted_point(s, k, tuple(entries), sum(weights) // common)
 
 
@@ -260,7 +286,9 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
     one same-key segment check per sample.  Raises ValueError when s < 2,
     k < 0 or samples is below 2^(s-1), since not every key could then be
     found, then, before any draw, charges samples*(k+9): two points of k+1
-    levels and a fixed 9.
+    levels and a fixed 9.  Each sample draws j as rng.randrange(k + 1)
+    and g as rng.randrange(2^(s-1)), taken through _below, so a seed gives
+    the report it gave with randrange.
     """
     if s < 2:
         raise ValueError("need s >= 2")
@@ -275,12 +303,13 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
     seen: set[int] = set()
     equivariant = True
     segments_ok = 0
+    bits = rng.getrandbits
     for _ in range(samples):
-        j = rng.randrange(k + 1)
+        j = _below(bits, k + 1)
         p = sample_point(rng, s, k, j)
         key = component_key(p, j)
         seen.add(key)
-        g = rng.randrange(n_keys)
+        g = _below(bits, n_keys)
         if component_key(act(g, p), j) != g ^ key:
             equivariant = False
         q = sample_point(rng, s, k, j)

@@ -4,9 +4,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zclrp import (MAX_DP_CELLS, UndeterminedError, Witness, explicit_witness,
-                   g_stabilization_probe, verify_witness, word_nonzero, z_of,
-                   zcl_exact)
+from zclrp import (MAX_DP_CELLS, UndeterminedError, Witness, build_table,
+                   explicit_witness, g_stabilization_probe, verify_witness,
+                   word_nonzero, z_of, zcl_exact)
 from zclrp import cuplength
 
 from oracles import (DENSE_RING_BITS, brute_force_zcl, dense_factor_product,
@@ -147,6 +147,14 @@ def test_min_residues_match_the_old_closed_form():
     residues = cuplength._min_residues.__wrapped__   # not kept in the cache
     for m in range(1, 513):
         assert residues(m) == min_residues_closed_form(m), m
+
+
+def test_min_residues_cache_is_bounded():
+    # a report over 600 values of m keeps no more residue tables than the bound
+    build_table((1, 600), (2, 2))
+    info = cuplength._min_residues.cache_info()
+    assert info.maxsize == 256
+    assert info.currsize <= info.maxsize
 
 
 @pytest.mark.slow

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from decimal import Decimal
@@ -194,6 +196,73 @@ def test_points_built_without_checks_are_canonical(s, k, seed):
     assert len(built) >= 4 * (k + 1)  # two draws and two actions per level
     for p in built:
         _assert_canonical(p)
+
+
+# 1..300 covers every bit length of a label or weight the CLI draws; the
+# others straddle the 32-bit words getrandbits is built from
+_BELOW_BOUNDS = [*range(1, 301), 2**31, 2**32 - 1, 2**32, 2**32 + 1,
+                 2**64 + 7, 2**100]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_below_takes_the_draws_of_randrange(seed):
+    # sample_point and sample_report draw through _below; were a CPython's
+    # randrange to draw otherwise, verify join output would drift unseen
+    rng, twin = random.Random(seed), random.Random(seed)
+    below = join_model._below
+    for n in _BELOW_BOUNDS:
+        assert below(rng.getrandbits, n) == twin.randrange(n), n
+        assert rng.getstate() == twin.getstate(), n
+        assert 1 + below(rng.getrandbits, n) == twin.randrange(1, n + 1), n
+        assert rng.getstate() == twin.getstate(), n
+
+
+@pytest.mark.parametrize("s", [2, 3, 5, 33, 34, 65, 100])
+def test_sample_point_takes_the_draws_of_the_fraction_oracle(s):
+    # labels of one to four 32-bit words, and k + 1 = 1, 2, 4, 8 and 16
+    rng, twin = random.Random(s), random.Random(s)
+    for k in range(17):
+        for j in range(k + 1):
+            p, fp = sample_point(rng, s, k, j), oracles.sample_point(twin, s, k, j)
+            assert coordinates(p) == oracle_coordinates(fp), (s, k, j)
+            assert rng.getstate() == twin.getstate(), (s, k, j)
+
+
+def _trusted_points():
+    """Points sample_point, act and the routing vertex of
+    segment_in_component build through _trusted_point."""
+    built, trusted = [], join_model._trusted_point
+
+    def recording(*fields):
+        built.append(trusted(*fields))
+        return built[-1]
+
+    rng = random.Random(8)
+    half = Fraction(1, 2)
+    with mock.patch("zclrp.join_model._trusted_point", recording):
+        for s, k in [(2, 0), (3, 2), (5, 4), (34, 3)]:
+            for j in range(k + 1):
+                act(rng.randrange(1 << (s - 1)), sample_point(rng, s, k, j))
+        # same key at level 0, clashing labels at level 1: routed
+        assert segment_in_component(join_point(3, 1, {0: (half, 1), 1: (half, 2)}),
+                                    join_point(3, 1, {0: (half, 1), 1: (half, 3)}), 0)
+    return built
+
+
+def test_trusted_points_behave_like_checked_ones():
+    points = _trusted_points()
+    assert len(points) == 2 * (1 + 3 + 5 + 4) + 1
+    assert points[-1] == vertex(3, 1, 0, 1)
+    for p in points:
+        checked = JoinPoint(p.s, p.k, p.entries, p.denom)
+        assert p == checked and hash(p) == hash(checked)
+        for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert twin == p and hash(twin) == hash(p)
+        for field in JoinPoint.__slots__:
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+                setattr(p, field, getattr(p, field))
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+                delattr(p, field)
 
 
 def test_in_U_examples():
