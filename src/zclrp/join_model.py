@@ -90,7 +90,7 @@ def _trusted_point(s: int, k: int, entries: tuple[Entry, ...],
                    denom: int) -> JoinPoint:
     """A JoinPoint from fields its caller built valid and gcd-reduced,
     set through the slot setters without the checks of JoinPoint.__init__.
-    Its callers draw labels and weights as rng.randrange does (_below)."""
+    sample_point fills it with the draws rng.randrange would take (_below)."""
     p = object.__new__(JoinPoint)
     _set_s(p, s)
     _set_k(p, k)
