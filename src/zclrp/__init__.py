@@ -1,11 +1,12 @@
 """Zero-divisor cup-lengths of cartesian powers of real projective spaces.
 
 Exact computation of zcl_s(RP^m) in mod-2 cohomology -- by a residue
-knapsack DP whose witnesses are cross-checked by sparse GF(2) products of
-their factors' terms -- plus explicit lower-bound witnesses, structural
-verifications (the generators of the zero-divisor ideal, by a closure of
-rank bitsets over its two-term rows, and the join model), and bound tables
-for the higher topological complexity TC_s(RP^m).
+knapsack that reduces to a digit greedy, whose witnesses are cross-checked
+by sparse GF(2) products of their factors' terms -- plus explicit
+lower-bound witnesses, structural verifications (the generators of the
+zero-divisor ideal, by a closure of rank bitsets over its two-term rows,
+and the join model), and bound tables for the higher topological
+complexity TC_s(RP^m).
 """
 
 __version__ = "0.1.0"

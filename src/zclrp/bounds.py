@@ -12,11 +12,9 @@ rows of one table parse each of its lines once, and every lookup
 re-verifies its entry by verify_witness, the sparse product of the
 factors' terms; every witness a row computes is checked the same way.
 Neither check builds the ring, so no row is refused for the size of
-(m+1)^s; a row is skipped only when its DP (policy "exact") or the check
-of its closed-form witness (policy "witness_only") is over MAX_DP_CELLS.
-A table is built m by m, so the rows of one m extend one knapsack DP (see
-cuplength._gain_rows) instead of each running its own; each row is still
-charged and checked on its own.
+(m+1)^s; a row is skipped only when its witness rebuild (policy "exact")
+or the check of its closed-form witness (policy "witness_only") is over
+MAX_DP_CELLS.  Each row is charged, computed and checked on its own.
 """
 
 from __future__ import annotations
@@ -244,15 +242,15 @@ def build_row(m: int, s: int, policy: str = "exact", *,
               cache_path: str | None = None) -> BoundsRow:
     """Compute one table row under the given policy.
 
-    policy "exact" runs the knapsack DP of zcl_exact (the witness is
+    policy "exact" runs the digit greedy of zcl_exact (the witness is
     additionally re-verified by verify_witness, through sparse ring
     arithmetic -- a disagreement would be a bug and raises).  policy
     "witness_only" uses the closed-form construction when it applies and
     otherwise falls back to the generic (s-1)m lower bound.
     The policy's cap is checked before the cache is read or any work is
-    done: policy "exact" raises UndeterminedError for a DP over
-    MAX_DP_CELLS, and policy "witness_only" for a closed-form witness whose
-    check is over it.
+    done: policy "exact" raises UndeterminedError for a witness rebuild
+    over MAX_DP_CELLS, and policy "witness_only" for a closed-form witness
+    whose check is over it.
     """
     if policy == "exact":
         _check_cells(m, s)

@@ -87,9 +87,10 @@ def profile_cmd(m):
 
 
 def zcl_exact_cmd(m, s):
-    """Exact cup-length by a residue knapsack DP, with a certified witness.
+    """Exact cup-length by the residue digit greedy, with a certified witness.
 
-    Shapes whose DP would exceed the work cap exit 2 before any work.
+    Shapes whose witness rebuild would exceed the work cap exit 2 before
+    any work.
     """
     _at_least("--m", m, 1)
     _at_least("--s", s, 2)
@@ -158,10 +159,10 @@ def verify_join_cmd(s, k, samples, seed):
 def report_cmd(m_range, s_range, policy, fmt, cache_path):
     """Bound-table rows s*m >= TC_s >= secat >= zcl over the given ranges.
 
-    Rows over the work cap -- the DP's size under --policy exact, the check
-    of the closed-form witness under witness-only -- are skipped with a note
-    on stderr and exit code 2.  A grid of more rows than the cap exits 2
-    before any row.
+    Rows over the work cap -- the witness rebuild under --policy exact, the
+    check of the closed-form witness under witness-only -- are skipped with
+    a note on stderr and exit code 2.  A grid of more rows than the cap
+    exits 2 before any row.
     """
     if cache_path is None:
         cache_path = os.environ.get("ZCLRP_CACHE") or None

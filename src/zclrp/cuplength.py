@@ -1,4 +1,4 @@
-"""Zero-divisor cup-length of (RP^m)^s: exact knapsack DP and explicit witnesses.
+"""Zero-divisor cup-length of (RP^m)^s: exact digit greedy, explicit witnesses.
 
 The cup-length zcl is the maximal number of zero-divisors with nonzero
 product.  Since the zero-divisor ideal is generated by the degree-1 elements
@@ -25,9 +25,35 @@ multiplies the factors' terms as sparse sets of exponent vectors.
 Because the criterion is additive, the longest nonzero word is a
 multiple-choice knapsack (Kellerer-Pferschy-Pisinger, Knapsack Problems,
 ch. 11): s-1 positions, each taking an exponent b of weight f(b) (its
-minimal residue) against the capacity m.  zcl_exact solves it by dynamic
-programming over (positions, residue budget) in polynomial time; the DP
-size is capped up front (MAX_DP_CELLS), never part-way through.
+minimal residue) against the capacity m and adding b - m to the length
+(s-1)*m.  With L = m.bit_length() and C = ~m & (2^L - 1), the zero digits
+of m below its top one, the knapsack reduces to a digit greedy:
+
+* An exponent b <= m has residue 0 and adds b - m <= 0, so b = m is the
+  best of them; b > 2m kills the word.  For m < b <= 2m let t be the
+  largest submask of b at most m.  When b lacks a bit of m, the highest
+  one h, t keeps m's bits above h and all of b's below it; otherwise
+  t = m.  Either way f(b) = b - t is made of bits b has and m lacks.  When
+  f(b) <= m those bits lie below L, so f(b) is a submask of C, and
+  f(b) >= b - m as t <= m.  The exponent m + f(b) = m | f(b) has t = m, so
+  its residue f(b) equals its gain: it dominates b.  Hence H(p, r), the
+  largest gain of p exponents within residue budget r, is the largest sum
+  of p submasks of C that is at most r.
+* Such sums are exactly sum_j a_j 2^j over the bits j of C with
+  0 <= a_j <= p (the i-th submask takes bit j when i < a_j), and the
+  greedy a_j = min(p, rest >> j), from C's top bit down, maximizes it.
+  Exchange argument: where an optimum first takes fewer copies of 2^j
+  than the greedy, its lower terms are smaller powers of 2, each dividing
+  2^j.  If they sum to 2^j or more, a prefix of them in decreasing order
+  sums to exactly 2^j and one more 2^j replaces it; otherwise one more
+  2^j replaces them all and stays within r.  Either way the optimum moves
+  towards the greedy without getting worse.
+
+So zcl(m, s) = (s-1)*m + H(s-1, m) (see _gain): p = 1 gives
+zcl(m, 2) = m + C = 2^L - 1, and every sum is a multiple of 2^e,
+e = trailing_ones(m), the lowest bit of C, so the gap s*m - zcl never
+falls below 2^e - 1, the stable gap that large s reach.  The witness
+rebuild is charged up front (MAX_DP_CELLS), never part-way through.
 """
 
 from __future__ import annotations
@@ -42,19 +68,19 @@ from .ring import monomial_to_text
 
 
 def _check_cells(m: int, s: int) -> None:
-    """Raise unless m >= 1, s >= 2 and the DP of (m, s) fits MAX_DP_CELLS.
+    """Raise unless m >= 1, s >= 2 and the search of (m, s) fits MAX_DP_CELLS.
 
-    The DP size is (s-1) positions x (m+1) residue budgets x a bound on the
-    items: only exponents m <= b < 2^L, L = m.bit_length(), can be items,
-    since a b of 2^L or more needs a residue containing bit L, which
-    exceeds m.  It bounds both the table work and the witness rebuild,
-    which is linear in s, and it is computed from (m, s) alone, so a shape
-    over the cap raises UndeterminedError before any work.
+    The charge is (s-1)*(m+1): the witness rebuild makes at most one
+    greedy call per position and one per exponent it steps over in
+    (m, 2m], never going back, and a rebuilt witness keeps only x_s open,
+    so its check's work bound in verify_witness is at most this too.  It is computed from
+    (m, s) alone, so a shape over the cap raises UndeterminedError before
+    any work.
     """
     if m < 1 or s < 2:
         raise ValueError("need m >= 1 and s >= 2")
-    cells = (s - 1) * (m + 1) * ((1 << m.bit_length()) - m)
-    charge(cells, "zcl({},{}): the DP needs {work} cells", m, s)
+    charge((s - 1) * (m + 1), "zcl({},{}): the search needs {work} steps",
+           m, s)
 
 
 def _largest_submask(k: int, x: int) -> int:
@@ -71,70 +97,15 @@ def _largest_submask(k: int, x: int) -> int:
     return (x & -(h << 1)) | (k & (h - 1))
 
 
-# Bounded, so that a report over many m keeps at most 256 tables of 2m+1
-# entries; every m of a benchmark workload is at most 24.
-@functools.lru_cache(maxsize=256)
-def _min_residues(m: int) -> tuple[int, ...]:
-    """For v = 0..2m: the least r with r a submask of v and v - r <= m.
-
-    r ranges over submasks of v exactly when C(v, v - r) is odd; v - r is
-    the factor's exponent on its own variable, capped at m.  A factor power
-    with v > 2m has every admissible residue > m and kills the product,
-    hence the 2m cap on word exponents.
-
-    v - r is a submask of v too, so the least r leaves the largest submask
-    of v that is at most m.
-    """
-    return (0,) * (m + 1) + tuple(v - _largest_submask(v, m)
-                                  for v in range(m + 1, 2 * m + 1))
-
-
-# The DP of the m asked for last: (m, items, rows, complete), complete once
-# the rows reach their first repeat.  It is replaced whole, never changed in
-# place, so no list _gain_rows has returned changes afterwards.
-_dp: tuple[int, list[tuple[int, int]], list[list[int]], bool] = (0, [], [], True)
-
-
-def _gain_rows(m: int, parts: int) -> list[list[int]]:
-    """Rows H[0], H[1], ... of the knapsack table, each indexed by r = 0..m.
-
-    H[p][r] is the largest sum of b_i - m over p word exponents whose
-    residues sum to at most r.  The items are, per residue value, the
-    largest exponent b > m with that residue, less the ones a larger b of
-    no larger residue beats; the residue-0 item b = m adds nothing, so each
-    row starts as a copy of the one before.  The rows reach at least
-    p = parts or stop at the first row equal to its predecessor: every row
-    comes from the one before by the same step, so from there on they
-    repeat, and H[p] is the last row for every p beyond the list.
-
-    The rows of the last m asked for are kept, and a call for the same m
-    extends them from the last one kept, so the rows of one m over s = 2..S
-    cost one DP of S-1 rows.  The list returned may reach beyond parts.
-    """
-    global _dp
-    last_m, items, rows, complete = _dp
-    if last_m != m:
-        f = _min_residues(m)
-        items, least = [], m + 1
-        for b in range(2 * m, m, -1):
-            if f[b] < least:
-                least = f[b]
-                items.append((f[b], b - m))
-        rows, complete = [[0] * (m + 1)], False
-    elif complete or len(rows) > parts:
-        return rows
-    rows = rows[:]  # a list once returned is never appended to
-    while len(rows) <= parts:
-        prev = rows[-1]
-        row = prev[:]
-        for r, gain in items:
-            row[r:] = map(max, row[r:], [gain + x for x in prev[:m + 1 - r]])
-        if row == prev:
-            complete = True
-            break
-        rows.append(row)
-    _dp = (m, items, rows, complete)
-    return rows
+def _gain(m: int, parts: int, budget: int) -> int:
+    """H(parts, budget): the largest sum of parts submasks of C at most
+    budget, by the digit greedy of the module docstring."""
+    rest, free = budget, ~m & ((1 << m.bit_length()) - 1)
+    while free and rest:
+        j = free.bit_length() - 1
+        rest -= min(parts, rest >> j) << j
+        free ^= 1 << j
+    return budget - rest
 
 
 def word_nonzero(m: int, s: int,
@@ -158,8 +129,9 @@ def word_nonzero(m: int, s: int,
     length = sum(exponents)
     if length > s * m:
         raise ValueError(f"word length {length} exceeds the top degree {s * m}")
-    table = _min_residues(m)
-    residues = [table[b] for b in exponents]
+    # the least residue leaves the largest submask at most m; for b <= m,
+    # that is b itself
+    residues = [b - _largest_submask(b, m) for b in exponents]
     total = sum(residues)
     if total > m:
         return False, None
@@ -224,7 +196,7 @@ class ZclResult(Record):
     """A zcl value with its provenance and certifying witness.
 
     method "exact" asserts both directions: the witness product is nonzero
-    and the DP found no longer nonzero word.  method "witness_lower_bound"
+    and the greedy found no longer nonzero word.  method "witness_lower_bound"
     asserts only the witness.
     """
 
@@ -248,36 +220,48 @@ class ZclResult(Record):
 
 
 def zcl_exact(m: int, s: int) -> ZclResult:
-    """Exact zero-divisor cup-length by a residue knapsack DP.
+    """Exact zero-divisor cup-length by the digit greedy.
 
-    The value is the longest word: (s-1)*m + H[s-1][m] (see _gain_rows).
-    The witness is rebuilt position by position as the lexicographically
+    The value is the longest word: (s-1)*m + H(s-1, m) (see _gain).  The
+    witness is rebuilt position by position as the lexicographically
     smallest sorted word of that length: each position takes the least
     exponent v that still leaves an optimal completion of the rest, i.e.
     f(v) fits the residue budget and v plus the best completion equals the
     length still to place.  Such a v is never below the previous one, since
-    an optimal word with a smaller entry would have put it first.  The
-    certificate comes from one word_nonzero call on the finished word, so
-    the DP is checked against the criterion it optimizes.  A shape over
-    MAX_DP_CELLS raises UndeterminedError before any work.
+    an optimal word with a smaller entry would have put it first.  Every
+    v <= m has residue 0, so there v is solved for directly; above m the
+    walk steps v up to 2m at most, over all positions together.  Once the
+    greedy gains nothing on the positions after this one (always so after
+    the last), none of them exceeds m, since the residue of a v > m that
+    fits is a nonzero submask of C the greedy would gain: this position
+    takes what is left beyond them and they take m each.  The certificate
+    comes from one word_nonzero call on the finished word, so the greedy is
+    checked against the criterion it optimizes.  A shape over MAX_DP_CELLS
+    raises UndeterminedError before any work.
     """
     _check_cells(m, s)
-    f = _min_residues(m)
-    rows = _gain_rows(m, s - 1)
-    top = len(rows) - 1
-    value = (s - 1) * m + rows[min(s - 1, top)][m]
+    value = (s - 1) * m + _gain(m, s - 1, m)
     word, v, budget, remaining = [], 0, m, value
     for parts in range(s - 2, -1, -1):
-        row, rest = rows[min(parts, top)], remaining - parts * m
-        while f[v] > budget or v + row[budget - f[v]] != rest:
-            v += 1
+        rest = remaining - parts * m
+        gain = _gain(m, parts, budget)
+        if not gain:
+            word += [rest] + [m] * parts
+            break
+        if v <= rest - gain <= m:
+            v = rest - gain
+        else:
+            v = max(v, m + 1)
+            while ((f := v - _largest_submask(v, m)) > budget
+                   or v + _gain(m, parts, budget - f) != rest):
+                v += 1
         word.append(v)
-        budget -= f[v]
+        budget -= v - _largest_submask(v, m)
         remaining -= v
     ok, certificate = word_nonzero(m, s, word)
     if not ok:
         raise InvariantViolationError(
-            f"zcl({m},{s}): the DP word {word} is zero; this is a bug")
+            f"zcl({m},{s}): the greedy word {word} is zero; this is a bug")
     factors = tuple((i + 1, s, e) for i, e in enumerate(word) if e)
     return ZclResult(m, s, value, "exact", Witness(m, s, factors, certificate))
 
@@ -390,8 +374,8 @@ def verify_witness(w: Witness) -> bool:
     the same total degree, so with k open variables at most the product of
     C_v + 1 over all but the largest of them are live, each multiplied by
     the factor's terms.  A factor with no term ends the product, and the
-    bound with it.  A DP witness keeps only x_s open, so its bound is at
-    most (s-1)(m+1), within its DP size.
+    bound with it.  A zcl_exact witness keeps only x_s open, so its bound
+    is at most (s-1)(m+1), the charge zcl_exact passed.
     """
     target = w.certificate
     first, last = uses = _uses(w.factors)
@@ -531,18 +515,12 @@ class GapProbe(Record):
 
 
 def g_stabilization_probe(m: int, s_max: int) -> GapProbe:
-    """Exact gap sequence over s = 2..s_max from one DP pass, with
-    monotonicity asserted.
-
-    zcl(m, s) = (s-1)*m + H[s-1][m] for every s at once, since the rows of
-    _gain_rows for s_max also serve every smaller s.
-    """
+    """Exact gap sequence over s = 2..s_max from the greedy, with
+    monotonicity asserted: g(s) = m - H(s-1, m) (see _gain)."""
     if s_max < 2:
         raise ValueError("need s_max >= 2")
     _check_cells(m, s_max)
-    rows = _gain_rows(m, s_max - 1)
-    gs = tuple(m - rows[min(s - 1, len(rows) - 1)][m]
-               for s in range(2, s_max + 1))
+    gs = tuple(m - _gain(m, s - 1, m) for s in range(2, s_max + 1))
     for a, b in zip(gs, gs[1:]):
         if b > a:
             raise InvariantViolationError(

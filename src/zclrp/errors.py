@@ -3,9 +3,9 @@
 MAX_DP_CELLS = 1 << 20
 """Cap on the work of one command, charged from its inputs before any work
 (charge).  The charges: zcl exact, zcl probe and report --policy exact,
-the DP size (cuplength._check_cells); zcl witness, report --policy
-witness-only and every witness check, the verifier's term products
-(cuplength._work_bound); verify generators, s*(m+1)^s
+(s-1)*(m+1), the greedy's witness rebuild (cuplength._check_cells); zcl
+witness, report --policy witness-only and every witness check, the
+verifier's term products (cuplength._work_bound); verify generators, s*(m+1)^s
 (zero_divisors._check_closure); verify join, samples*(k+9)
 (join_model.sample_report); report, besides each row's charge, the number
 of rows of its grid (bounds.build_table)."""
@@ -29,8 +29,13 @@ class InvariantViolationError(ZclError, RuntimeError):
 
 def charge(work: int, needs: str, *args) -> None:
     """Raise UndeterminedError when work is over MAX_DP_CELLS, naming the
-    work by needs.format(*args, work=work), formatted only then."""
+    work by needs.format(*args, work=work), formatted only then.  Work over
+    2^64 is named ">= 2^E", E its bit length less 1, in place of "= {work}"
+    or "{work}": its digits may be more than str() of an int may give."""
     if work > MAX_DP_CELLS:
+        if work > 1 << 64:
+            needs = needs.replace("= {work}", "{work}")
+            work = f">= 2^{work.bit_length() - 1}"
         raise UndeterminedError(f"{needs.format(*args, work=work)}, over the "
                                 f"cap of {MAX_DP_CELLS}")
 

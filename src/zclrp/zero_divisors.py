@@ -29,11 +29,11 @@ from .ring import RingSpec, monomial_to_text, unrank
 def _check_closure(spec: RingSpec) -> None:
     """Charge s*(m+1)^s steps, an (m+1)^s-bit mask for each generator's
     rows and one for the marks, building nothing; a charge of 2^65 or more
-    by bit lengths is given as that power of 2, without computing
-    (m+1)^s."""
+    by bit lengths is given as that power of 2 and charged as 2^65, without
+    computing (m+1)^s or the power."""
     m, s = spec.m, spec.s
     low = s.bit_length() - 1 + s * ((m + 1).bit_length() - 1)
-    work = 1 << low if low > 64 else s * spec.size
+    work = 1 << 65 if low > 64 else s * spec.size
     shown = f">= 2^{low}" if low > 64 else f"= {work}"
     charge(work, "generators({},{}): the check needs s*(m+1)^s {} steps",
            m, s, shown)

@@ -10,9 +10,9 @@ longer has and which check its bitset closure over the ideal rows;
 the dense ring -- its elements, binomial powers and product, which the
 package no longer has and which check the sparse witness verifier and the
 rank-built ideal rows; the zcl enumerator and the textbook knapsack below,
-which check the knapsack DP against the word criterion it optimizes; the
-knapsack rows and the zcl_exact the package had before it shared one DP
-across the calls of one m, which check the shared rows; the
+which check the knapsack against the word criterion it optimizes; the
+knapsack DP rows and the DP zcl_exact the package had before the digit
+greedy replaced them, which check the greedy; the
 residue table, which checks the residue formula against the submask
 definition; the F2 nullspace, which derives kernel bases by row reduction
 for the closed form to match; the quadratic rref, which checks the sparse
@@ -776,8 +776,8 @@ def knapsack_zcl(m, s):
 
 
 def gain_rows(m: int, parts: int) -> list[list[int]]:
-    """The package's knapsack rows H[0..parts] before they were shared
-    across calls: computed afresh on every call, up to p = parts or the
+    """The package's knapsack DP rows H[0..parts] before the digit greedy
+    replaced them: computed afresh on every call, up to p = parts or the
     first row equal to its predecessor.  The residues come from the
     submask definition."""
     f = min_residues_by_submasks(m)
@@ -799,9 +799,9 @@ def gain_rows(m: int, parts: int) -> list[list[int]]:
 
 
 def dp_zcl(m: int, s: int) -> ZclResult:
-    """The package's zcl_exact before its DP was shared across calls: the
-    value from gain_rows above and the witness rebuilt through a closure
-    over them, with the certificate from word_nonzero."""
+    """The package's zcl_exact on the knapsack DP: the value from gain_rows
+    above and the witness rebuilt through a closure over them, with the
+    certificate from word_nonzero."""
     f = min_residues_by_submasks(m)
     rows = gain_rows(m, s - 1)
 

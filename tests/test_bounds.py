@@ -46,9 +46,9 @@ def test_build_row_witness_only():
 
 def test_build_row_size_cap(tmp_path):
     # refused before the cache is read: reading a directory would raise
-    # IsADirectoryError instead.  Policy "exact" meets the DP cap, policy
-    # "witness_only" the cap on the check of its closed-form witness
-    for policy, cap in (("exact", "the DP needs 48023976 cells"),
+    # IsADirectoryError instead.  Policy "exact" meets the greedy's charge,
+    # policy "witness_only" the cap on the check of its closed-form witness
+    for policy, cap in (("exact", "the search needs 2000999 steps"),
                         ("witness_only", "work bound reaches 126063936")):
         with pytest.raises(UndeterminedError, match=cap):
             build_row(1000, 2000, policy, cache_path=str(tmp_path))

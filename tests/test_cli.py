@@ -35,7 +35,7 @@ def test_zcl_exact():
 
 
 def test_zcl_exact_budget_exit_code():
-    # the DP cell cap is checked before any work, so a huge shape exits at once
+    # the work cap is checked before any work, so a huge shape exits at once
     t0 = time.perf_counter()
     result = run("zcl", "exact", "--m", "1000000", "--s", "1000")
     assert time.perf_counter() - t0 < 0.1
@@ -228,8 +228,8 @@ def test_help_and_version_exit_zero(monkeypatch):
                 "report": "Bound-table rows s*m >= TC_s >= secat >= zcl over "
                           "the given ranges."}),
             (("zcl", "--help"), "zclrp zcl [--help] COMMAND ...", {
-                "exact": "Exact cup-length by a residue knapsack DP, with a "
-                         "certified witness.",
+                "exact": "Exact cup-length by the residue digit greedy, "
+                         "with a certified witness.",
                 "witness": "Closed-form lower-bound witness (no search); "
                            "witness may be null.",
                 "probe": "Gap sequence s*m - zcl over s = 2..s-max, with "
@@ -521,15 +521,17 @@ def test_report_emits_rows_past_the_old_ring_cap(tmp_path):
 
 
 def test_report_skips_rows_over_the_dp_cap():
-    # (1024, 2) needs 1049600 DP cells, just over MAX_DP_CELLS; the rows
+    # (2^20, 2) is charged 2^20 + 1 steps, just over MAX_DP_CELLS; the rows
     # before it are still emitted
-    result = run("report", "--m-range", "1020..1024", "--s-range", "2..2")
+    result = run("report", "--m-range", "1048572..1048576",
+                 "--s-range", "2..2")
     assert result.exit_code == 2
     rows = [json.loads(line) for line in result.stdout.splitlines()]
     assert [(r["m"], r["zcl"]) for r in rows] == \
-        [(m, 1023) for m in range(1020, 1024)]
-    assert result.stderr.startswith("skipped (1024,2): zcl(1024,2): the DP needs")
-    assert len(result.stderr.splitlines()) == 1
+        [(m, 1048575) for m in range(1048572, 1048576)]
+    assert result.stderr == ("skipped (1048576,2): zcl(1048576,2): the search "
+                             "needs 1048577 steps, over the cap of "
+                             f"{zclrp.MAX_DP_CELLS}\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -562,7 +564,7 @@ def test_huge_ring_exits_2_with_one_line(args):
     # each command meets its own charge against the one work cap: the
     # verifier's bound, the generators check's s*(m+1)^s (1001^2000 has
     # over 6000 digits, past Python's int-to-str limit, so the charge is
-    # given as a power of 2) and the DP size
+    # given as a power of 2) and the greedy's charge (s-1)*(m+1)
     t0 = time.perf_counter()
     result = run(*args)
     assert time.perf_counter() - t0 < 0.1
@@ -573,9 +575,39 @@ def test_huge_ring_exits_2_with_one_line(args):
                f"over the cap of {zclrp.MAX_DP_CELLS}\n",
         "verify": ": the check needs s*(m+1)^s >= 2^18010 steps, over the "
                   f"cap of {zclrp.MAX_DP_CELLS}\n",
-        "report": ": the DP needs 48023976 cells, over the cap of "
+        "report": ": the search needs 2000999 steps, over the cap of "
                   f"{zclrp.MAX_DP_CELLS}\n",
     }[args[0]])
+
+
+HUGE_M, HUGE_S = "7" * 2200, "3" * 2200
+
+
+@pytest.mark.parametrize("args,needs", [
+    (("zcl", "exact", "--m", HUGE_M, "--s", HUGE_S),
+     "the search needs >= 2^14614 steps"),
+    (("zcl", "probe", "--m", HUGE_M, "--s-max", HUGE_S),
+     "the search needs >= 2^14614 steps"),
+    (("report", "--m-range", f"{HUGE_M}..{HUGE_M}", "--s-range", "2..2"),
+     "the search needs >= 2^7307 steps"),
+    (("verify", "join", "--s", "2", "--k", HUGE_M, "--samples", HUGE_S),
+     "the sampling needs samples*(k+9) >= 2^14614 steps"),
+    (("verify", "generators", "--m", "1", "--s", str(10 ** 20)),
+     "the check needs s*(m+1)^s >= 2^100000000000000000066 steps"),
+    (("verify", "generators", "--m", "257", "--s", "2147483648"),
+     "the check needs s*(m+1)^s >= 2^17179869215 steps"),
+])
+def test_huge_integers_exit_2_with_one_line(args, needs):
+    # a charge of more digits than str() of an int may give is named as a
+    # power of 2, and no power of the size of the charge is built
+    t0 = time.perf_counter()
+    result = run(*args)
+    assert time.perf_counter() - t0 < 0.1
+    assert result.exit_code == 2 and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.endswith(
+        f": {needs}, over the cap of {zclrp.MAX_DP_CELLS}\n")
 
 
 def test_report_grid_over_the_cap_exits_2_before_any_row():

@@ -125,11 +125,11 @@ def test_zcl_lower_bound_and_strictness():
 
 
 def test_zcl_budget_exhaustion(monkeypatch):
-    # the DP cell cap is checked from (m, s) alone, before any table is built
-    def no_work(m):
-        raise AssertionError("residue table built for a shape over the cap")
+    # the charge is checked from (m, s) alone, before any greedy call
+    def no_work(m, parts, budget):
+        raise AssertionError("greedy called for a shape over the cap")
 
-    monkeypatch.setattr(cuplength, "_min_residues", no_work)
+    monkeypatch.setattr(cuplength, "_gain", no_work)
     with pytest.raises(UndeterminedError, match="cap"):
         zcl_exact(1_000_000, 1000)
     with pytest.raises(UndeterminedError, match="cap"):
@@ -138,30 +138,47 @@ def test_zcl_budget_exhaustion(monkeypatch):
         zcl_exact(1, cuplength.MAX_DP_CELLS)     # the witness alone is linear in s
 
 
+def residues(m):
+    """The residue zcl_exact and word_nonzero compute on the fly, for
+    v = 0..2m."""
+    return tuple(v - cuplength._largest_submask(v, m)
+                 for v in range(2 * m + 1))
+
+
 def test_min_residues_match_submask_definition():
     for m in range(1, 130):
-        assert cuplength._min_residues(m) == min_residues_by_submasks(m), m
+        assert residues(m) == min_residues_by_submasks(m), m
 
 
 def test_min_residues_match_the_old_closed_form():
-    residues = cuplength._min_residues.__wrapped__   # not kept in the cache
     for m in range(1, 513):
         assert residues(m) == min_residues_closed_form(m), m
 
 
-def test_min_residues_cache_is_bounded():
-    # a report over 600 values of m keeps no more residue tables than the bound
-    build_table((1, 600), (2, 2))
-    info = cuplength._min_residues.cache_info()
-    assert info.maxsize == 256
-    assert info.currsize <= info.maxsize
+@pytest.mark.slow
+def test_min_residues_match_the_old_closed_form_to_4096():
+    for m in range(1, 4097):
+        assert residues(m) == min_residues_closed_form(m), m
+
+
+def check_gain_against_dp_rows(m_max, p_max):
+    # every entry H[p][r] of the stateless DP, whose rows repeat their last
+    # one past the list
+    for m in range(1, m_max + 1):
+        rows = gain_rows(m, p_max)
+        for p in range(p_max + 1):
+            row = rows[min(p, len(rows) - 1)]
+            assert [cuplength._gain(m, p, r) for r in range(m + 1)] == row, \
+                (m, p)
+
+
+def test_gain_matches_the_dp_rows():
+    check_gain_against_dp_rows(64, 12)
 
 
 @pytest.mark.slow
-def test_min_residues_match_the_old_closed_form_to_4096():
-    residues = cuplength._min_residues.__wrapped__
-    for m in range(1, 4097):
-        assert residues(m) == min_residues_closed_form(m), m
+def test_gain_matches_the_dp_rows_to_1199():
+    check_gain_against_dp_rows(1199, 12)
 
 
 def test_dp_matches_enumerator_oracle():
@@ -189,7 +206,7 @@ SHARED_SHAPES = [(m, s) for m in range(1, 41) for s in range(2, 13)]
 def _call_orders():
     shuffled = SHARED_SHAPES[:]
     random.Random(22).shuffle(shuffled)
-    # two m in turn, so that each call replaces the DP the last one kept
+    # two m in turn
     alternating = [(m, s) for low in range(1, 21) for s in range(2, 13)
                    for m in (low, 41 - low)]
     return {"ascending": SHARED_SHAPES, "descending": SHARED_SHAPES[::-1],
@@ -197,35 +214,20 @@ def _call_orders():
 
 
 def test_shared_dp_matches_the_stateless_dp_in_any_call_order():
-    # the rows one m shares across its calls are the rows a fresh DP gives,
-    # whatever was asked before, and so is the whole result
+    # the greedy keeps no state between calls, so every call order gives
+    # the stateless DP's whole result and gap sequence
     expected = {}
     for m, s in SHARED_SHAPES:
-        expected[m, s] = gain_rows(m, s - 1), dp_zcl(m, s)
-        assert expected[m, s][1].value == knapsack_zcl(m, s), (m, s)
+        expected[m, s] = dp_zcl(m, s)
+        assert expected[m, s].value == knapsack_zcl(m, s), (m, s)
     for name, order in _call_orders().items():
         assert sorted(order) == SHARED_SHAPES, name
         for m, s in order:
-            rows, result = expected[m, s]
+            result = expected[m, s]
             assert zcl_exact(m, s) == result, (name, m, s)
-            assert g_stabilization_probe(m, s).zcl_values[-1] == result.value
-            shared = cuplength._gain_rows(m, s - 1)
-            assert shared[:len(rows)] == rows, (name, m, s)
-            # a fresh DP stops short of s - 1 only at the first repeat
-            assert len(rows) == s or len(shared) == len(rows), (name, m, s)
-            assert cuplength._dp[0] == m  # the memo holds the last m only
-
-
-def test_rows_once_returned_never_change():
-    m = 30  # its rows first repeat at H[30]
-    cuplength._gain_rows(m + 1, 1)  # start m afresh
-    held = cuplength._gain_rows(m, 2)
-    snapshot = [row[:] for row in held]
-    later = cuplength._gain_rows(m, 9)
-    assert len(held) == 3 and len(later) == 10
-    assert held == snapshot and later is not held
-    assert later[:3] == snapshot
-    assert cuplength._gain_rows(m, 5) is later  # served from the rows kept
+            probe = g_stabilization_probe(m, s)
+            assert probe.zcl_values == tuple(
+                expected[m, t].value for t in range(2, s + 1)), (name, m, s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -356,12 +358,14 @@ def test_dp_witnesses_past_the_dense_oracle(m, s):
 
 
 def test_dp_witness_bound_within_its_dp_size():
-    # at the largest s the DP cap admits, the check of the DP witness meets
-    # only x_s open, so its bound is at most (s-1)(m+1), within the DP size
+    # at the largest s the charge (s-1)(m+1) admits, the check of the
+    # zcl_exact witness meets only x_s open, so its bound is within the
+    # charge: no witness the charge admits is refused by its check
     for m in [2 ** b - 1 for b in range(4, 11)] + [16, 64, 256, 512,
                                                    100, 300, 700, 1000]:
-        cells = (m + 1) * ((1 << m.bit_length()) - m)
-        s = MAX_DP_CELLS // cells + 1
+        s = MAX_DP_CELLS // (m + 1) + 1
+        with pytest.raises(UndeterminedError, match="cap"):
+            zcl_exact(m, s + 1)
         w = zcl_exact(m, s).witness
         assert cuplength._work_bound(w) <= (s - 1) * (m + 1) <= MAX_DP_CELLS, m
     assert verify_witness(w)
