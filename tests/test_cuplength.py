@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zclrp import (MAX_DP_CELLS, UndeterminedError, Witness, build_table,
+from zclrp import (MAX_DP_CELLS, UndeterminedError, Witness,
                    explicit_witness, g_stabilization_probe, verify_witness,
                    word_nonzero, z_of, zcl_exact)
 from zclrp import cuplength
