@@ -1,10 +1,10 @@
 """Bound tables for the motion-planning complexity of (RP^m)^s.
 
 For each (m, s) the chain  s*m >= TC_s >= secat >= zcl  is populated with
-the computed zcl (exact or a certified lower bound) and, where one of the
-quotable sources applies, the known TC value.  The table never invents TC
-numbers: the only sources are the Hopf dimensions m in {1, 3, 7} (TC =
-m(s-1)) and even m with s > m (the chain collapses to s*m).
+the exact zcl and, where one of the quotable sources applies, the known TC
+value.  The table never invents TC numbers: the only sources are the Hopf
+dimensions m in {1, 3, 7} (TC = m(s-1)) and even m with s > m (the chain
+collapses to s*m).
 
 Rows serialize deterministically (JSON lines or CSV ordered by (m, s));
 computed values can be persisted in an append-only JSON-lines cache.  The
@@ -12,8 +12,7 @@ rows of one table parse each of its lines once, and every lookup
 re-verifies its entry by verify_witness, the sparse product of the
 factors' terms; every witness a row computes is checked the same way.
 Neither check builds the ring, so no row is refused for the size of
-(m+1)^s; a row is skipped only when its witness rebuild (policy "exact")
-or the check of its closed-form witness (policy "witness_only") is over
+(m+1)^s; a row is skipped only when its witness rebuild is over
 MAX_DP_CELLS.  Each row is charged, computed and checked on its own.
 """
 
@@ -23,8 +22,7 @@ import json
 import time
 import warnings
 
-from .cuplength import (Witness, _check_cells, _check_work, _explicit_work,
-                        explicit_witness, verify_witness, zcl_exact)
+from .cuplength import Witness, _check_cells, verify_witness, zcl_exact
 from .errors import InvariantViolationError, Record, UndeterminedError, charge
 from .ring import RingSpec, monomial_from_text
 
@@ -34,7 +32,6 @@ entries from other versions are ignored."""
 
 METHOD_EXACT = "exact"
 METHOD_WITNESS = "witness_lower_bound"
-METHOD_GENERIC = "generic_lower_bound"  # the (s-1)m floor, no witness kept
 
 SOURCE_HOPF = "hopf"
 SOURCE_EVEN = "even-stable"
@@ -238,53 +235,30 @@ def cache_get(path: str, m: int, s: int) -> CacheEntry | None:
 
 # -- row construction ------------------------------------------------------------
 
-def build_row(m: int, s: int, policy: str = "exact", *,
-              cache_path: str | None = None) -> BoundsRow:
-    """Compute one table row under the given policy.
-
-    policy "exact" runs the digit greedy of zcl_exact (the witness is
-    additionally re-verified by verify_witness, through sparse ring
-    arithmetic -- a disagreement would be a bug and raises).  policy
-    "witness_only" uses the closed-form construction when it applies and
-    otherwise falls back to the generic (s-1)m lower bound.
-    The policy's cap is checked before the cache is read or any work is
-    done: policy "exact" raises UndeterminedError for a witness rebuild
-    over MAX_DP_CELLS, and policy "witness_only" for a closed-form witness
-    whose check is over it.
+def build_row(m: int, s: int, *, cache_path: str | None = None) -> BoundsRow:
+    """Compute one table row: the exact zcl by the digit greedy of
+    zcl_exact, its witness additionally re-verified by verify_witness,
+    through sparse ring arithmetic (a disagreement would be a bug and
+    raises).  A cached entry is used only when it is exact.  A witness
+    rebuild over MAX_DP_CELLS raises UndeterminedError before the cache is
+    read or any work is done.
     """
-    if policy == "exact":
-        _check_cells(m, s)
-    elif policy == "witness_only":
-        _check_work(m, s, _explicit_work(m, s))
+    _check_cells(m, s)
+    entry = None if cache_path is None else cache_get(cache_path, m, s)
+    if entry is not None and entry.method == METHOD_EXACT:
+        zcl = entry.zcl
     else:
-        raise ValueError(f"unknown policy {policy!r}")
-
-    zcl = method = witness = None
-    if cache_path is not None:
-        entry = cache_get(cache_path, m, s)
-        if entry is not None and (policy == "witness_only"
-                                  or entry.method == METHOD_EXACT):
-            zcl, method, witness = entry.zcl, entry.method, entry.witness
-
-    if zcl is None:
-        if policy == "exact":
-            result = zcl_exact(m, s)
-            if not verify_witness(result.witness):
-                raise InvariantViolationError(
-                    f"criterion and ring disagree on the ({m},{s}) witness; "
-                    "this is a bug")
-            zcl, method, witness = result.value, METHOD_EXACT, result.witness
-        else:
-            w = explicit_witness(m, s)
-            if w is not None:
-                zcl, method, witness = w.length, METHOD_WITNESS, w
-            else:
-                zcl, method = (s - 1) * m, METHOD_GENERIC
-        if cache_path is not None and witness is not None:
-            cache_put(cache_path, m, s, zcl, method, witness)
+        result = zcl_exact(m, s)
+        if not verify_witness(result.witness):
+            raise InvariantViolationError(
+                f"criterion and ring disagree on the ({m},{s}) witness; "
+                "this is a bug")
+        zcl = result.value
+        if cache_path is not None:
+            cache_put(cache_path, m, s, zcl, METHOD_EXACT, result.witness)
 
     tc = known_tc(m, s)
-    row = BoundsRow(m=m, s=s, upper=s * m, zcl=zcl, zcl_method=method,
+    row = BoundsRow(m=m, s=s, upper=s * m, zcl=zcl, zcl_method=METHOD_EXACT,
                     known_tc=tc[0] if tc else None,
                     tc_source=tc[1] if tc else None,
                     equality=zcl == s * m)
@@ -292,14 +266,13 @@ def build_row(m: int, s: int, policy: str = "exact", *,
     return row
 
 
-def build_table(m_range: tuple[int, int], s_range: tuple[int, int],
-                policy: str = "exact", *,
+def build_table(m_range: tuple[int, int], s_range: tuple[int, int], *,
                 cache_path: str | None = None,
                 ) -> tuple[list[BoundsRow], list[tuple[int, int, str]]]:
-    """All rows over inclusive ranges.  A row over its policy's cap (see
-    build_row) is skipped and reported as (m, s, reason) instead of
-    aborting the table.  A grid of more rows than MAX_DP_CELLS raises
-    UndeterminedError before any row."""
+    """All rows over inclusive ranges.  A row over the cap on its witness
+    rebuild (see build_row) is skipped and reported as (m, s, reason)
+    instead of aborting the table.  A grid of more rows than MAX_DP_CELLS
+    raises UndeterminedError before any row."""
     (a, b), (c, d) = m_range, s_range
     charge(max(0, b - a + 1) * max(0, d - c + 1),
            "table({}..{},{}..{}): the grid has {work} rows", a, b, c, d)
@@ -307,7 +280,7 @@ def build_table(m_range: tuple[int, int], s_range: tuple[int, int],
     for m in range(m_range[0], m_range[1] + 1):
         for s in range(s_range[0], s_range[1] + 1):
             try:
-                rows.append(build_row(m, s, policy, cache_path=cache_path))
+                rows.append(build_row(m, s, cache_path=cache_path))
             except UndeterminedError as exc:
                 skipped.append((m, s, str(exc)))
     return rows, skipped

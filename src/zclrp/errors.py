@@ -1,14 +1,17 @@
 """Exceptions, the one work cap and the value-class base of the package."""
 
+import re
+
 MAX_DP_CELLS = 1 << 20
 """Cap on the work of one command, charged from its inputs before any work
-(charge).  The charges: zcl exact, zcl probe and report --policy exact,
+(charge).  The charges: zcl exact, zcl probe and each report row,
 (s-1)*(m+1), the greedy's witness rebuild (cuplength._check_cells); zcl
-witness, report --policy witness-only and every witness check, the
-verifier's term products (cuplength._work_bound); verify generators, s*(m+1)^s
-(zero_divisors._check_closure); verify join, samples*(k+9)
-(join_model.sample_report); report, besides each row's charge, the number
-of rows of its grid (bounds.build_table)."""
+witness and every witness check, the verifier's term products
+(cuplength._work_bound); verify generators, s*(m+1)^s
+(zero_divisors._check_closure); verify join, (samples+2^(s-1))*(k+9), the
+sampled points and the orbit of the first (join_model.sample_report);
+report, besides each row's charge, the number of rows of its grid
+(bounds.build_table)."""
 
 
 class ZclError(Exception):
@@ -27,17 +30,27 @@ class InvariantViolationError(ZclError, RuntimeError):
     """
 
 
+def short_ints(text: str) -> str:
+    """text with each integer of more than 20 digits given as "<N-digit
+    int>", so that a line that names one stays short.  An exponent after
+    "^", a bit length, is kept up to 40 digits, so that how far over the
+    cap a shape is still shows."""
+    return re.sub(r"\d{41,}|(?<![\d^])\d{21,}",
+                  lambda digits: f"<{len(digits[0])}-digit int>", text)
+
+
 def charge(work: int, needs: str, *args) -> None:
     """Raise UndeterminedError when work is over MAX_DP_CELLS, naming the
-    work by needs.format(*args, work=work), formatted only then.  Work over
-    2^64 is named ">= 2^E", E its bit length less 1, in place of "= {work}"
-    or "{work}": its digits may be more than str() of an int may give."""
+    work by needs.format(*args, work=work), formatted only then and through
+    short_ints.  Work over 2^64 is named ">= 2^E", E its bit length less 1,
+    in place of "= {work}" or "{work}": its digits may be more than str()
+    of an int may give."""
     if work > MAX_DP_CELLS:
         if work > 1 << 64:
             needs = needs.replace("= {work}", "{work}")
             work = f">= 2^{work.bit_length() - 1}"
-        raise UndeterminedError(f"{needs.format(*args, work=work)}, over the "
-                                f"cap of {MAX_DP_CELLS}")
+        raise UndeterminedError(short_ints(
+            f"{needs.format(*args, work=work)}, over the cap of {MAX_DP_CELLS}"))
 
 
 class Record:

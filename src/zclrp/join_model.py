@@ -201,13 +201,13 @@ def segment_in_component(p: JoinPoint, q: JoinPoint, j: int) -> bool:
 # -- randomized verification --------------------------------------------------
 
 class JoinReport(Record):
-    """Outcome of the sampled component-structure checks at one (s, k).
+    """Outcome of the component-structure checks at one (s, k).
 
-    equivariant, which as_dict leaves out, says whether the label action
-    moved every sampled key as the group law predicts and one key's orbit
-    was the whole key set.  transitive is equivariant with every key
-    sampled, so a run that is equivariant but not transitive only missed
-    keys.
+    keys_found counts the keys the group realized by acting on the first
+    sampled point.  equivariant, which as_dict leaves out, says whether the
+    label action moved every sampled key as the group law predicts.
+    transitive is equivariant with the realized keys the whole key set, so
+    that one orbit covers every component.
     """
 
     __slots__ = ("s", "k", "samples", "keys_found", "transitive",
@@ -272,35 +272,33 @@ def sample_point(rng: random.Random, s: int, k: int, j: int) -> JoinPoint:
     return _trusted_point(s, k, tuple(entries), sum(weights) // common)
 
 
-def enough_samples(s: int, samples: int) -> bool:
-    """Whether samples >= 2^(s-1), the fewest that can meet every component
-    key; decided without building 2^(s-1), so a huge s costs nothing."""
-    return samples >= 1 and samples.bit_length() >= s
-
-
 def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinReport:
     """Sample U_j points and check the component structure.
 
-    Collects the realized component keys (expected: all 2^(s-1) of them),
-    checks that the label action permutes keys simply transitively, and runs
-    one same-key segment check per sample.  Raises ValueError when s < 2,
-    k < 0 or samples is below 2^(s-1), since not every key could then be
-    found, then, before any draw, charges samples*(k+9): two points of k+1
-    levels and a fixed 9.  Each sample draws j as rng.randrange(k + 1)
-    and g as rng.randrange(2^(s-1)), taken through _below, so a seed gives
-    the report it gave with randrange.
+    Realizes the component keys by acting with every g in [0, 2^(s-1)) on
+    the first sampled point p, reading each key of act(g, p) back through
+    component_key; these take no draws.  The action is simply transitive
+    when the keys read back are all 2^(s-1) of them.  Each sample also
+    checks the label action on its key and runs one same-key segment check.
+    Raises ValueError when s < 2, k < 0 or samples < 1, then, before any
+    draw, charges (samples+2^(s-1))*(k+9): two points of k+1 levels and a
+    fixed 9 per sample, one image per key, with 2^(s-1) built only up to
+    2^65, past which the charge is over the cap anyway.  Each sample draws j
+    as rng.randrange(k + 1) and g as rng.randrange(2^(s-1)), taken through
+    _below, so a seed gives the draws it gave with randrange.
     """
     if s < 2:
         raise ValueError("need s >= 2")
     if k < 0:
         raise ValueError("need k >= 0")
-    if not enough_samples(s, samples):
-        raise ValueError(f"samples must be >= 2^(s-1), got {samples} at s = {s}")
-    charge(samples * (k + 9),
-           "join({},{}): the sampling needs samples*(k+9) = {work} steps", s, k)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    charge((samples + (1 << min(s - 1, 65))) * (k + 9),
+           "join({},{}): the check needs (samples+2^(s-1))*(k+9) = {work} "
+           "steps", s, k)
     rng = random.Random(seed)
     n_keys = 1 << (s - 1)
-    seen: set[int] = set()
+    first = None
     equivariant = True
     segments_ok = 0
     bits = rng.getrandbits
@@ -308,7 +306,8 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
         j = _below(bits, k + 1)
         p = sample_point(rng, s, k, j)
         key = component_key(p, j)
-        seen.add(key)
+        if first is None:
+            first = p, j
         g = _below(bits, n_keys)
         if component_key(act(g, p), j) != g ^ key:
             equivariant = False
@@ -317,11 +316,8 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
             q = act(key ^ component_key(q, j), q)
         if segment_in_component(p, q, j):
             segments_ok += 1
-    # Orbit of any key under the whole group is the full key set; n_keys is
-    # at most samples, so this loop costs no more than the sampling.
-    first = next(iter(seen))
-    orbit = {g ^ first for g in range(n_keys)}
-    equivariant = equivariant and orbit == set(range(n_keys))
-    transitive = len(seen) == n_keys and equivariant
-    return JoinReport(s, k, samples, len(seen), transitive, segments_ok,
+    p, j = first
+    keys = {component_key(act(g, p), j) for g in range(n_keys)}
+    transitive = equivariant and keys == set(range(n_keys))
+    return JoinReport(s, k, samples, len(keys), transitive, segments_ok,
                       equivariant)

@@ -42,7 +42,7 @@ def test_02_hopf_dimensions_exact():
 def test_03_even_m_chain_collapse():
     t0 = time.perf_counter()
     for m, s in [(2, 3), (2, 4), (4, 5)]:
-        row = build_row(m, s, "exact")
+        row = build_row(m, s)
         assert row.zcl == s * m and row.equality, (m, s)
     _announce(3, "zcl = s*m with equality flag at (2,3), (2,4), (4,5) "
                  f"({time.perf_counter() - t0:.2f}s)")

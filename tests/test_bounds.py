@@ -31,29 +31,14 @@ def test_build_row_exact_examples():
         (8, 7, None, False)
 
 
-def test_build_row_witness_only():
-    row = build_row(5, 3, "witness_only")
-    assert row.zcl == 14 and row.zcl_method == "witness_lower_bound"
-    assert row.upper == 15 and not row.equality
-
-    # no construction applies at (5, 2): generic floor (s-1)m
-    row52 = build_row(5, 2, "witness_only")
-    assert row52.zcl == 5 and row52.zcl_method == "generic_lower_bound"
-
-    with pytest.raises(ValueError):
-        build_row(2, 3, "guess")
-
-
 def test_build_row_size_cap(tmp_path):
-    # refused before the cache is read: reading a directory would raise
-    # IsADirectoryError instead.  Policy "exact" meets the greedy's charge,
-    # policy "witness_only" the cap on the check of its closed-form witness
-    for policy, cap in (("exact", "the search needs 2000999 steps"),
-                        ("witness_only", "work bound reaches 126063936")):
-        with pytest.raises(UndeterminedError, match=cap):
-            build_row(1000, 2000, policy, cache_path=str(tmp_path))
+    # refused by the greedy's charge before the cache is read: reading a
+    # directory would raise IsADirectoryError instead
+    with pytest.raises(UndeterminedError,
+                       match="the search needs 2000999 steps"):
+        build_row(1000, 2000, cache_path=str(tmp_path))
     # the size of (m+1)^s alone refuses nothing: 10^9 basis monomials
-    assert build_row(9, 9, "witness_only", cache_path=str(tmp_path / "c"))
+    assert build_row(9, 9, cache_path=str(tmp_path / "c")).zcl == 80
 
 
 def test_row_validation():
@@ -104,13 +89,13 @@ def test_gap_nonincreasing_across_rows():
 
 
 def test_build_table_skips_oversized_rows():
-    # the closed-form witnesses of (1023, 1025) and (1024, 1025) fit the
-    # verifier's work cap, those of s = 1026 do not
-    rows, skipped = build_table((1023, 1024), (1025, 1026), "witness_only")
-    assert [(r.m, r.s, r.zcl_method) for r in rows] == [
-        (1023, 1025, "witness_lower_bound"),
-        (1024, 1025, "witness_lower_bound")]
-    assert [(m, s) for m, s, _ in skipped] == [(1023, 1026), (1024, 1026)]
+    # the witness rebuild of (1023, 1025) is charged (s-1)*(m+1) = 2^20,
+    # just within the cap; that of every other cell is over it
+    rows, skipped = build_table((1023, 1024), (1025, 1026))
+    assert [(r.m, r.s, r.zcl, r.zcl_method) for r in rows] == [
+        (1023, 1025, 1047552, "exact")]
+    assert [(m, s) for m, s, _ in skipped] == [
+        (1023, 1026), (1024, 1025), (1024, 1026)]
     assert all("over the cap of 1048576" in reason for *_, reason in skipped)
 
 
@@ -118,7 +103,7 @@ def test_build_table_charges_its_row_count_before_any_row(monkeypatch):
     # the grid's (B-A+1)*(D-C+1) rows meet the cap before the first row
     calls = []
     monkeypatch.setattr("zclrp.bounds.build_row",
-                        lambda m, s, policy, cache_path=None: calls.append((m, s)))
+                        lambda m, s, cache_path=None: calls.append((m, s)))
     monkeypatch.setattr("zclrp.errors.MAX_DP_CELLS", 12)
     rows, skipped = build_table((1, 3), (2, 5))
     assert len(rows) == len(calls) == 12 and skipped == []
@@ -173,8 +158,8 @@ def test_cache_distrusts_witness_over_the_work_cap(tmp_path):
     with pytest.warns(UserWarning, match="not re-verified .*over the cap"):
         assert cache_get(path, 1023, 3) is None
     with pytest.warns(UserWarning):
-        row = build_row(1023, 3, "witness_only", cache_path=path)
-    assert (row.zcl, row.zcl_method) == (2046, "witness_lower_bound")
+        row = build_row(1023, 3, cache_path=path)
+    assert (row.zcl, row.zcl_method) == (2046, "exact")
 
 
 def test_cache_rejects_other_engine_version(tmp_path):
@@ -208,9 +193,8 @@ def test_cache_rejects_unknown_method(tmp_path):
     with pytest.warns(UserWarning, match="unknown cached method"):
         assert cache_get(path, 5, 2) is None
     with pytest.warns(UserWarning):
-        row = build_row(5, 2, "witness_only", cache_path=path)
-    assert (row.zcl, row.zcl_method, row.equality) == \
-        (5, "generic_lower_bound", False)
+        row = build_row(5, 2, cache_path=path)
+    assert (row.zcl, row.zcl_method, row.equality) == (7, "exact", False)
 
 
 def test_cache_rejects_zcl_above_witness_length(tmp_path):

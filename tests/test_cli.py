@@ -9,10 +9,13 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import zclrp
 import zclrp.cli
+import zclrp.errors
 from cli_runner import invoke as run
 from zclrp import JoinReport
 
@@ -108,8 +111,8 @@ REMOVED_OPTION_ERRORS = [
     ("verify", "generators", "--m", "2", "--s", "2", "--max-degree", "100"),
     ("verify", "generators", "--m", "2", "--s", "2", "--max-degree", "5"),
     *REMOVED_OPTION_ERRORS,
-    ("verify", "join", "--s", "200", "--k", "2", "--samples", "5"),
-    ("verify", "join", "--s", "2", "--k", "0", "--samples", "1"),
+    ("verify", "join", "--s", "200", "--k", "2", "--samples", "-5"),
+    ("verify", "join", "--s", "2", "--k", "0", "--samples", "0"),
     *STRICT_USAGE_ERRORS,
 ])
 def test_bad_input_exit_code(args):
@@ -137,35 +140,42 @@ def test_bad_input_messages():
 
 
 def test_verify_join_samples_rule():
-    # checked before any work: 2^199 keys would never finish sampling
+    # one sample is enough, whatever s: the keys come from the group action
+    result = run("verify", "join", "--s", "6", "--k", "5", "--samples", "32",
+                 "--seed", "1")
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert json.loads(result.stdout) == {
+        "s": 6, "k": 5, "samples": 32, "keys_found": 32, "transitive": True,
+        "segment_checks_passed": 32}
+    result = run("verify", "join", "--s", "2", "--k", "0", "--samples", "1")
+    assert result.exit_code == 0 and json.loads(result.stdout)["keys_found"] == 2
+    result = run("verify", "join", "--s", "6", "--k", "0", "--samples", "0")
+    assert (result.exit_code, result.stdout) == (64, "")
+    assert result.stderr == "bad input: --samples must be >= 1, got 0\n"
+    # the orbit of 2^(s-1) keys is charged before any draw, and 2^(s-1)
+    # itself is never built
     t0 = time.perf_counter()
-    result = run("verify", "join", "--s", "200", "--k", "2", "--samples", "5")
+    result = run("verify", "join", "--s", "100000000000000000000", "--k", "0",
+                 "--samples", "1")
     assert time.perf_counter() - t0 < 0.1
-    assert result.stderr == "bad input: --samples must be >= 2^(s-1) = 2^199, got 5\n"
-    result = run("verify", "join", "--s", "6", "--k", "0", "--samples", "31")
-    assert result.stderr == "bad input: --samples must be >= 2^(s-1) = 32, got 31\n"
-    # exactly 2^(s-1) samples is enough to run
-    assert run("verify", "join", "--s", "2", "--k", "0", "--samples", "2").exit_code == 0
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == (
+        "undetermined: join(<21-digit int>,0): the check needs "
+        "(samples+2^(s-1))*(k+9) >= 2^68 steps, over the cap of "
+        f"{zclrp.MAX_DP_CELLS}\n")
 
 
-def test_verify_join_missed_keys_exit_undetermined():
-    # just above 2^(s-1) samples, random draws often miss a component key;
-    # that leaves the run undetermined (exit 2), it is not a bug (exit 1)
-    codes = []
+def test_verify_join_realizes_every_key():
+    # 16 samples for 8 keys: sampling alone misses keys in most of these
+    # runs, but the group acting on the first point realizes every one, so
+    # each run exits 0 with the oracle's draws and checks
     for seed in range(20):
         result = run("verify", "join", "--s", "4", "--k", "2", "--samples", "16",
                      "--seed", str(seed))
         want = oracles.sample_report(4, 2, 16, seed).as_dict()
+        want.update(keys_found=8, transitive=True)
+        assert (result.exit_code, result.stderr) == (0, ""), seed
         assert result.stdout == json.dumps(want, separators=(",", ":")) + "\n"
-        found = want["keys_found"]
-        if found < 8:
-            assert result.exit_code == 2, seed
-            assert result.stderr == (f"undetermined: sampled {found} of 8 "
-                                     "component keys; raise --samples\n")
-        else:
-            assert (result.exit_code, result.stderr) == (0, ""), seed
-        codes.append(result.exit_code)
-    assert sorted(set(codes)) == [0, 2]
 
 
 @pytest.mark.parametrize("equivariant,segments", [(False, 16), (True, 15), (False, 15)])
@@ -432,7 +442,7 @@ def test_verify_join():
 
 def test_verify_join_output_is_pinned():
     # stdout and exit code of a grid of runs, so that the draws and their
-    # order cannot drift; at 2^(s-1) samples most runs miss a key and exit 2
+    # order cannot drift; every run realizes all 2^(s-1) keys and exits 0
     transcript, codes = [], []
     for s, k in itertools.product((2, 3, 4, 6), (0, 1, 5)):
         for samples, seed in itertools.product((1 << (s - 1), 300), range(3)):
@@ -441,9 +451,9 @@ def test_verify_join_output_is_pinned():
             transcript.append(f"{s} {k} {samples} {seed} {result.exit_code} "
                               f"{result.stdout}")
             codes.append(result.exit_code)
-    assert (codes.count(0), codes.count(2)) == (41, 31)
+    assert codes == [0] * 72
     assert hashlib.sha256("".join(transcript).encode()).hexdigest() == (
-        "0f3a7def45c6eb09a62f57d3f0fdf29112beeb678f87e3fdd70012dd39f15720")
+        "6e442cfa76a9297254402565e471d5838237af75d228a31e438d79b9bd35b567")
 
 
 def test_report_csv_deterministic():
@@ -466,15 +476,16 @@ def test_report_json_chain():
             assert row["zcl"] <= row["known_tc"] <= row["upper"]
 
 
-@pytest.mark.parametrize("policy", ["exact", "witness-only"])
+@pytest.mark.parametrize("policy", [pytest.param(("--policy", "exact"), id="exact"),
+                                    pytest.param((), id="default")])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_report_equals_one_build_row_per_cell(policy, fmt):
     # the cells are built s-major, so each one's m differs from the last
-    # one's and every DP starts afresh; report shares one DP per m
+    # one's; report builds them m-major
     cells = [(m, s) for s in range(2, 13) for m in range(1, 21)]
-    rows = [zclrp.build_row(m, s, policy.replace("-", "_")) for m, s in cells]
+    rows = [zclrp.build_row(m, s) for m, s in cells]
     result = run("report", "--m-range", "1..20", "--s-range", "2..12",
-                 "--policy", policy, "--format", fmt)
+                 *policy, "--format", fmt)
     assert result.exit_code == 0 and result.stderr == ""
     assert result.stdout == zclrp.emit(rows, fmt).decode()
 
@@ -489,17 +500,27 @@ def test_report_output_is_pinned():
 
 
 def test_report_skips_oversized_rows():
-    # the closed-form witness of (1023, 1026) is over the verifier's work
-    # cap, that of (1023, 1025) just fits it; no row is refused for the
-    # size of (m+1)^s
-    result = run("report", "--policy", "witness-only",
-                 "--m-range", "1023..1023", "--s-range", "1025..1026")
+    # the witness rebuild of (1023, 1026) is over the work cap, that of
+    # (1023, 1025) just fits it; no row is refused for the size of (m+1)^s
+    result = run("report", "--m-range", "1023..1023", "--s-range", "1025..1026")
     assert result.exit_code == 2
     rows = [json.loads(line) for line in result.stdout.splitlines()]
     assert [(r["m"], r["s"]) for r in rows] == [(1023, 1025)]
     assert result.stderr.splitlines() == [
-        "skipped (1023,1026): witness(1023,1026): the check's work bound "
-        f"reaches 1049600 term products, over the cap of {zclrp.MAX_DP_CELLS}"]
+        "skipped (1023,1026): zcl(1023,1026): the search needs 1049600 steps, "
+        f"over the cap of {zclrp.MAX_DP_CELLS}"]
+
+
+def test_report_policy_witness_only_is_a_usage_error():
+    # the policy that emitted the (s-1)*m floor is gone; exact is the only
+    # one, and the default
+    result = run("report", "--m-range", "1..2", "--s-range", "2..3",
+                 "--policy", "witness-only")
+    assert (result.exit_code, result.stdout) == (64, "")
+    lines = result.stderr.splitlines()
+    assert lines[0].startswith("Usage: ") and lines[-1] == (
+        "Error: argument --policy: invalid choice: 'witness-only' "
+        "(choose from 'exact')")
 
 
 def test_report_emits_rows_past_the_old_ring_cap(tmp_path):
@@ -591,7 +612,7 @@ HUGE_M, HUGE_S = "7" * 2200, "3" * 2200
     (("report", "--m-range", f"{HUGE_M}..{HUGE_M}", "--s-range", "2..2"),
      "the search needs >= 2^7307 steps"),
     (("verify", "join", "--s", "2", "--k", HUGE_M, "--samples", HUGE_S),
-     "the sampling needs samples*(k+9) >= 2^14614 steps"),
+     "the check needs (samples+2^(s-1))*(k+9) >= 2^14614 steps"),
     (("verify", "generators", "--m", "1", "--s", str(10 ** 20)),
      "the check needs s*(m+1)^s >= 2^100000000000000000066 steps"),
     (("verify", "generators", "--m", "257", "--s", "2147483648"),
@@ -599,12 +620,14 @@ HUGE_M, HUGE_S = "7" * 2200, "3" * 2200
 ])
 def test_huge_integers_exit_2_with_one_line(args, needs):
     # a charge of more digits than str() of an int may give is named as a
-    # power of 2, and no power of the size of the charge is built
+    # power of 2, no power of the size of the charge is built, and the
+    # inputs are named by their length, so the line stays short
     t0 = time.perf_counter()
     result = run(*args)
     assert time.perf_counter() - t0 < 0.1
     assert result.exit_code == 2 and result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
+    assert len(result.stderr.encode()) <= 200
     assert "Traceback" not in result.stderr
     assert result.stderr.endswith(
         f": {needs}, over the cap of {zclrp.MAX_DP_CELLS}\n")
@@ -614,8 +637,7 @@ def test_report_grid_over_the_cap_exits_2_before_any_row():
     # 99999999 rows: refused from the ranges alone, where every row past
     # s = 2^19 used to be tried and skipped one by one
     t0 = time.perf_counter()
-    result = run("report", "--m-range", "1..1", "--s-range", "2..100000000",
-                 "--policy", "witness-only")
+    result = run("report", "--m-range", "1..1", "--s-range", "2..100000000")
     assert time.perf_counter() - t0 < 0.1
     assert result.exit_code == 2 and result.stdout == ""
     assert result.stderr == ("undetermined: table(1..1,2..100000000): the grid "
@@ -635,26 +657,25 @@ def test_work_cap_bounds_verify_generators():
                              f"{zclrp.MAX_DP_CELLS}\n")
 
 
-@pytest.mark.parametrize("s,k,samples,charge", [
-    (21, 0, 1 << 20, 9 << 20),        # the fewest samples accepted at s = 21
+@pytest.mark.parametrize("s,k,samples,sampling", [
+    (21, 0, 1 << 20, 9 << 20),        # 2^20 samples and 2^20 keys
     (2, 3000000, 2, 6000018),         # two samples of 3000001 levels each
 ])
-def test_work_cap_bounds_verify_join(s, k, samples, charge):
-    # samples * (k + 9) is charged before any draw; unbounded, these ran
-    # for tens of seconds
-    t0 = time.perf_counter()
-    result = run("verify", "join", "--s", str(s), "--k", str(k),
-                 "--samples", str(samples))
-    assert time.perf_counter() - t0 < 0.1
-    assert result.exit_code == 2 and result.stdout == ""
-    assert result.stderr == (f"undetermined: join({s},{k}): the sampling "
-                             f"needs samples*(k+9) = {charge} steps, over the "
-                             f"cap of {zclrp.MAX_DP_CELLS}\n")
-    # too few samples is bad input, checked before the charge
-    result = run("verify", "join", "--s", str(s), "--k", str(k),
-                 "--samples", str((1 << s - 1) - 1))
-    assert result.exit_code == 64 and result.stdout == ""
-    assert result.stderr.startswith("bad input: --samples must be >= 2^(s-1)")
+def test_work_cap_bounds_verify_join(s, k, samples, sampling):
+    # the samples' share samples*(k+9) and the orbit's 2^(s-1)*(k+9) are
+    # charged together before any draw; unbounded, these ran for tens of
+    # seconds.  One sample is charged the orbit as well
+    for n in (samples, 1):
+        charge = sampling // samples * n + (1 << s - 1) * (k + 9)
+        t0 = time.perf_counter()
+        result = run("verify", "join", "--s", str(s), "--k", str(k),
+                     "--samples", str(n))
+        assert time.perf_counter() - t0 < 0.1
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr == (
+            f"undetermined: join({s},{k}): the check needs "
+            f"(samples+2^(s-1))*(k+9) = {charge} steps, over the cap of "
+            f"{zclrp.MAX_DP_CELLS}\n")
 
 
 def test_report_with_cache(tmp_path):
@@ -678,8 +699,7 @@ def test_report_skips_a_cache_line_with_too_many_factors(tmp_path):
          "witness": {"factors": [[1, 3, 1]] * 600000,
                      "certificate": "x1^2*x2^2*x3^2"},
          "engine_version": zclrp.ENGINE_VERSION, "timestamp": 0.0}) + "\n")
-    args = ("report", "--m-range", "2..2", "--s-range", "3..3",
-            "--policy", "witness-only")
+    args = ("report", "--m-range", "2..2", "--s-range", "3..3")
     plain = run(*args)
     t0 = time.perf_counter()
     with pytest.warns(UserWarning, match=":1: skipping corrupt cache line "
@@ -693,3 +713,111 @@ def test_report_skips_a_cache_line_with_too_many_factors(tmp_path):
 def test_report_bad_range():
     assert run("report", "--m-range", "3..1", "--s-range", "2..3").exit_code == 64
     assert run("report", "--m-range", "x", "--s-range", "2..3").exit_code == 64
+
+
+# -- the CLI contract, fuzzed ------------------------------------------------------
+
+# an admitted command charged more than this is stopped at its charge, before
+# any work, and the example is skipped, so that the property stays fast
+_LONG_WORK = 1 << 12
+
+
+class _RunsLong(Exception):
+    pass
+
+
+def _charge_or_stop(work, needs, *args):
+    zclrp.errors.charge(work, needs, *args)
+    if work > _LONG_WORK:
+        raise _RunsLong
+
+
+def _mostly(usual, rare):
+    """usual in 7 draws of 8, rare in the others."""
+    return st.sampled_from([True] * 7 + [False]).flatmap(
+        lambda common: usual if common else rare)
+
+
+_INTS = st.builds(
+    lambda value, negative: -value if negative else value,
+    st.one_of(
+        st.sampled_from([0, 1]),
+        # 2^k +- 1, small k as often as the rest
+        st.builds(lambda k, d: (1 << k) + d,
+                  st.one_of(st.integers(1, 6), st.integers(1, 64)),
+                  st.sampled_from([-1, 1])),
+        # up to 4,000 digits, under the 4,300 that int() reads
+        st.builds(lambda n, d: int(str(d) * n), st.integers(1, 4000),
+                  st.integers(1, 9))),
+    _mostly(st.just(False), st.just(True)))
+_NUMBERS = _mostly(st.builds(str, _INTS), st.sampled_from(
+    ["x", "", " ", "1.5", "1e3", "0x10", "--", "-", "3-"]))
+_RANGES = _mostly(
+    # a few rows wide: a grid whose rows are all over the cap is refused
+    # row by row, and the grid's charge counts rows, not their charges
+    st.builds(lambda a, d: f"{a}..{a + d}", _INTS, st.integers(0, 3)),
+    st.one_of(
+        st.builds(str, _INTS),
+        st.builds(lambda a, b: f"{a}..{b}", _INTS, _INTS),
+        st.sampled_from(["..", "1..", "..2", "3..1", "1...2", "x..2", "1..y",
+                         "1..2..3"])))
+
+
+def _values(kwargs):
+    if kwargs.get("action") in ("version", "help"):
+        return st.just(None)
+    if "choices" in kwargs:
+        return _mostly(st.sampled_from(kwargs["choices"]),
+                       st.sampled_from(["witness-only", "yaml", "1"]))
+    if kwargs.get("type") is zclrp.cli._parse_range:
+        return _RANGES
+    return _NUMBERS
+
+
+@st.composite
+def _command_lines(draw):
+    words = draw(st.sampled_from(sorted(zclrp.cli._TABLE)))
+    # --cache writes a file; it has tests of its own
+    options = {option: kwargs for option, kwargs
+               in zclrp.cli._TABLE[words][1].items() if option != "--cache"}
+    args = list(words)
+    for option, kwargs in options.items():
+        if draw(st.integers(0, 9)) < (8 if kwargs.get("required") else 3):
+            args.append(option)
+            value = draw(_values(kwargs))
+            if value is not None:
+                args.append(value)
+    if draw(st.integers(0, 9)) == 0:  # a stray word or option
+        args.insert(draw(st.integers(0, len(args))),
+                    draw(st.sampled_from(["--help", "--m", "extra", "9" * 30])))
+    return args
+
+
+@settings(max_examples=150, deadline=None)
+@given(_command_lines())
+@example(["report", "--m-range", "1..2", "--s-range", "2..3",
+          "--policy", "witness-only"])
+@example(["verify", "join", "--s", "2", "--k", str(10 ** 3999),
+          "--samples", "1"])
+def test_cli_contract(args):
+    # every command line exits 0, 2 or 64, with no traceback, with no
+    # stdout on a refusal and with stderr lines of at most 200 bytes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("ZCLRP_CACHE", raising=False)
+        for module in ("bounds", "cuplength", "join_model", "zero_divisors"):
+            patch.setattr(f"zclrp.{module}.charge", _charge_or_stop)
+        result = run(*args)
+    if isinstance(result.exception, _RunsLong):
+        return
+    assert result.exit_code in (0, 2, 64), (args, result.exception)
+    assert "Traceback" not in result.stderr
+    assert all(len(line.encode()) <= 200 for line in result.stderr.splitlines())
+    if result.exit_code == 64 or (result.exit_code == 2 and args[0] != "report"):
+        assert result.stdout == ""
+    elif result.exit_code == 2:
+        # report: the rows it decided, then one line per skipped row; or, for
+        # a grid over the cap, one line and no rows
+        lines = result.stderr.splitlines()
+        assert all(line.startswith("skipped (") for line in lines) or (
+            result.stdout == "" and len(lines) == 1
+            and lines[0].startswith("undetermined: "))

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zclrp import (JoinPoint, act, component_key, in_U, join_point,
-                   sample_report, segment_in_component, vertex)
+from zclrp import (JoinPoint, JoinReport, act, component_key, in_U,
+                   join_point, sample_report, segment_in_component, vertex)
 from zclrp import join_model
 from zclrp.join_model import _labels_compatible, sample_point
 
@@ -370,21 +370,29 @@ def test_sample_report_deterministic():
                                 "transitive", "segment_checks_passed"}
 
 
-def test_sample_report_separates_missed_keys_from_failed_checks():
-    # 16 samples for 8 keys: seed 1 misses some keys, yet every check holds
+def test_sample_report_realizes_keys_by_the_action(monkeypatch):
+    # 16 samples for 8 keys: the draws of seed 1 miss some keys, yet the
+    # group acting on the first point realizes all of them
     report = sample_report(4, 2, samples=16, seed=1)
-    assert report.keys_found < 8 and not report.transitive
+    assert report.keys_found == 8 and report.transitive
     assert report.equivariant and report.segment_checks_passed == 16
     assert "equivariant" not in report.as_dict()
-    full = sample_report(4, 2, samples=16, seed=0)
-    assert full.keys_found == 8 and full.transitive and full.equivariant
+    # the keys are read back, not assumed: an action that moves a point by
+    # 1 where it should fix it realizes 7 of them
+    real_act = join_model.act
+    monkeypatch.setattr(join_model, "act", lambda g, p: real_act(g or 1, p))
+    report = sample_report(4, 2, samples=16, seed=1)
+    assert report.keys_found == 7 and not report.transitive
 
 
-def test_sample_report_needs_a_sample_per_key():
-    for s, samples in [(2, 1), (4, 7), (200, 5), (3, 0), (3, -9)]:
-        with pytest.raises(ValueError):
+def test_sample_report_needs_one_sample():
+    for s, samples in [(2, 0), (200, 0), (3, -9)]:
+        with pytest.raises(ValueError, match=f"^samples must be >= 1, got {samples}$"):
             sample_report(s, 1, samples=samples)
-    assert sample_report(4, 1, samples=8).samples == 8
+    for s, samples in [(2, 1), (4, 7), (8, 1)]:
+        report = sample_report(s, 1, samples=samples)
+        assert (report.samples, report.keys_found) == (samples, 1 << (s - 1))
+        assert report.transitive
 
 
 def test_sample_report_rejects_bad_shape(monkeypatch):
@@ -412,14 +420,32 @@ def test_points_have_reduced_integer_weights():
     assert (vertex(2, 2, 1, 1).entries[1], vertex(2, 2, 1, 1).denom) == ((1, 1), 1)
 
 
+def _record_generators(monkeypatch, module):
+    """The generators that module's random.Random(seed) makes, in order."""
+    made = []
+    monkeypatch.setattr(module, "random", SimpleNamespace(
+        Random=lambda seed: made.append(random.Random(seed)) or made[-1]))
+    return made
+
+
 @pytest.mark.parametrize("s", range(2, 8))
-def test_sample_report_matches_fraction_oracle(s):
-    # a few samples over 2^(s-1), so some keys can go unseen, too
+def test_sample_report_matches_fraction_oracle(s, monkeypatch):
+    # a few samples over 2^(s-1), so the oracle's draws can miss keys; the
+    # package realizes every key by the action, which takes no draws, so
+    # both generators end in the same state
     samples = (1 << (s - 1)) + 16
+    ours = _record_generators(monkeypatch, join_model)
+    theirs = _record_generators(monkeypatch, oracles)
     for k in range(7):
         for seed in range(3):
-            assert (sample_report(s, k, samples, seed)
-                    == oracles.sample_report(s, k, samples, seed)), (s, k, seed)
+            got = sample_report(s, k, samples, seed)
+            want = oracles.sample_report(s, k, samples, seed)
+            assert (got.samples, got.segment_checks_passed, got.equivariant) \
+                == (want.samples, want.segment_checks_passed, want.equivariant)
+            assert got == JoinReport(s, k, samples, 1 << (s - 1), True,
+                                     samples, True), (s, k, seed)
+            assert ours[-1].getstate() == theirs[-1].getstate(), (s, k, seed)
+    assert len(ours) == len(theirs) == 21
 
 
 def _outcome(segment, p, q, j):
