@@ -63,17 +63,6 @@ class BoundsRow(Record):
     __slots__ = ("m", "s", "upper", "zcl", "zcl_method", "known_tc",
                  "tc_source", "equality")
 
-    def __init__(self, m: int, s: int, upper: int, zcl: int, zcl_method: str,
-                 known_tc: int | None, tc_source: str | None, equality: bool):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "zcl", zcl)
-        object.__setattr__(self, "zcl_method", zcl_method)
-        object.__setattr__(self, "known_tc", known_tc)
-        object.__setattr__(self, "tc_source", tc_source)
-        object.__setattr__(self, "equality", equality)
-
     def validate(self) -> None:
         if self.upper != self.m * self.s:
             raise InvariantViolationError(f"row ({self.m},{self.s}): bad upper bound")
@@ -102,16 +91,6 @@ class CacheEntry(Record):
 
     __slots__ = ("m", "s", "zcl", "method", "witness", "engine_version",
                  "timestamp")
-
-    def __init__(self, m: int, s: int, zcl: int, method: str, witness: Witness,
-                 engine_version: str, timestamp: float):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "zcl", zcl)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "engine_version", engine_version)
-        object.__setattr__(self, "timestamp", timestamp)
 
 
 def _entry_to_json(entry: CacheEntry) -> str:
@@ -257,11 +236,8 @@ def build_row(m: int, s: int, *, cache_path: str | None = None) -> BoundsRow:
         if cache_path is not None:
             cache_put(cache_path, m, s, zcl, METHOD_EXACT, result.witness)
 
-    tc = known_tc(m, s)
-    row = BoundsRow(m=m, s=s, upper=s * m, zcl=zcl, zcl_method=METHOD_EXACT,
-                    known_tc=tc[0] if tc else None,
-                    tc_source=tc[1] if tc else None,
-                    equality=zcl == s * m)
+    tc, source = known_tc(m, s) or (None, None)
+    row = BoundsRow(m, s, s * m, zcl, METHOD_EXACT, tc, source, zcl == s * m)
     row.validate()
     return row
 

@@ -145,7 +145,9 @@ class Witness(Record):
     factors: multiset of (i, j, exponent) encoding (x_i + x_j)^exponent with
     1 <= i < j <= s.  certificate: the exponent vector of a basis monomial
     asserted to occur in the fully expanded, truncated product; checked by
-    verify_witness via plain ring arithmetic.
+    verify_witness via plain ring arithmetic.  Both are stored as tuples
+    however they are passed in, so that equal witnesses compare equal and
+    hash alike.
     """
 
     __slots__ = ("m", "s", "factors", "certificate")
@@ -156,6 +158,7 @@ class Witness(Record):
             raise ValueError(f"m {m!r} is not an integer")
         if not isinstance(s, int):
             raise ValueError(f"s {s!r} is not an integer")
+        factors = tuple(map(tuple, factors))
         for i, j, e in factors:
             for index in (i, j):
                 if not isinstance(index, int):
@@ -166,6 +169,7 @@ class Witness(Record):
                 raise ValueError(f"factor indices ({i},{j}) need 1 <= i < j <= {s}")
             if e < 1:
                 raise ValueError(f"factor exponent {e} must be >= 1")
+        certificate = tuple(certificate)
         if len(certificate) != s:
             raise ValueError("certificate length differs from s")
         for e in certificate:
@@ -173,10 +177,7 @@ class Witness(Record):
                 raise ValueError(f"certificate exponent {e!r} is not an integer")
             if not 0 <= e <= m:
                 raise ValueError(f"certificate exponent {e} outside [0, {m}]")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "certificate", certificate)
+        super().__init__(m, s, factors, certificate)
 
     @property
     def length(self) -> int:
@@ -201,13 +202,6 @@ class ZclResult(Record):
     """
 
     __slots__ = ("m", "s", "value", "method", "witness")
-
-    def __init__(self, m: int, s: int, value: int, method: str, witness: Witness):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "witness", witness)
 
     @property
     def g(self) -> int:
@@ -497,15 +491,6 @@ class GapProbe(Record):
 
     __slots__ = ("m", "s_max", "zcl_values", "g_values", "stable_gap",
                  "reached_stable")
-
-    def __init__(self, m: int, s_max: int, zcl_values: tuple[int, ...],
-                 g_values: tuple[int, ...], stable_gap: int, reached_stable: bool):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s_max", s_max)
-        object.__setattr__(self, "zcl_values", zcl_values)
-        object.__setattr__(self, "g_values", g_values)
-        object.__setattr__(self, "stable_gap", stable_gap)
-        object.__setattr__(self, "reached_stable", reached_stable)
 
     def as_dict(self) -> dict:
         return {"m": self.m, "s_max": self.s_max,

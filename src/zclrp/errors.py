@@ -19,8 +19,8 @@ class ZclError(Exception):
 
 
 class UndeterminedError(ZclError, RuntimeError):
-    """No certified result: the work is over MAX_DP_CELLS, or a sampled
-    check fell short.  Raised instead of a best-effort number."""
+    """No certified result: the work is over MAX_DP_CELLS.  Raised instead
+    of a best-effort number."""
 
 
 class InvariantViolationError(ZclError, RuntimeError):
@@ -56,11 +56,28 @@ def charge(work: int, needs: str, *args) -> None:
 class Record:
     """Base of the package's immutable value classes, in place of frozen
     dataclasses, whose import and class creation cost start-up time.  A
-    subclass names its fields in __slots__ and sets each one in __init__
-    with object.__setattr__; equality, hash, repr and pickling read the
-    fields in that order, as those of a frozen dataclass do."""
+    subclass names its fields in __slots__ and needs no __init__: one is
+    called as a function of those fields, positionally or by name, and sets
+    them in order.  A subclass with checks or defaults defines __init__ and
+    ends it in super().__init__(...) with every field.  Equality, hash, repr
+    and pickling read the fields in __slots__ order, as those of a frozen
+    dataclass do."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        slots = self.__slots__
+        if kwargs:  # the named fields after the positional ones, in order
+            args += tuple([kwargs.pop(f) for f in slots[len(args):] if f in kwargs])
+            if kwargs:
+                raise TypeError(f"{type(self).__name__}() got repeated or "
+                                f"unknown fields: {', '.join(kwargs)}")
+        if len(args) != len(slots):
+            raise TypeError(f"{type(self).__name__}() takes the {len(slots)} "
+                            f"fields {', '.join(slots)}; got {len(args)}")
+        setattr = object.__setattr__
+        for f, value in zip(slots, args):
+            setattr(self, f, value)
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])

@@ -73,15 +73,12 @@ class JoinPoint(Record):
             raise ValueError(f"coordinates sum to {total}/{denom}, not 1")
         common = math.gcd(denom, *(w for w, _ in entries))
         entries = tuple((w // common, g) for w, g in entries)
-        denom //= common
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "denom", denom)
+        super().__init__(s, k, entries, denom // common)
 
 
 # The __set__ of each slot of JoinPoint, in __slots__ order: calling them
-# skips the attribute lookup of object.__setattr__ by name.
+# sets a field directly, past the checks of JoinPoint.__init__ and the
+# arity check and by-name slot lookups of Record.__init__.
 _set_s, _set_k, _set_entries, _set_denom = (
     JoinPoint.__dict__[f].__set__ for f in JoinPoint.__slots__)
 
@@ -212,16 +209,6 @@ class JoinReport(Record):
 
     __slots__ = ("s", "k", "samples", "keys_found", "transitive",
                  "segment_checks_passed", "equivariant")
-
-    def __init__(self, s: int, k: int, samples: int, keys_found: int,
-                 transitive: bool, segment_checks_passed: int, equivariant: bool):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "keys_found", keys_found)
-        object.__setattr__(self, "transitive", transitive)
-        object.__setattr__(self, "segment_checks_passed", segment_checks_passed)
-        object.__setattr__(self, "equivariant", equivariant)
 
     def as_dict(self) -> dict:
         return {"s": self.s, "k": self.k, "samples": self.samples,

@@ -43,15 +43,9 @@ class TwoAdicProfile(Record):
 
     __slots__ = ("m", "e", "z", "sigma")
 
-    def __init__(self, m: int, e: int, z: int, sigma: int | None):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "sigma", sigma)
-
     def as_dict(self) -> dict:
         return {"m": self.m, "e": self.e, "z": self.z, "sigma": self.sigma}
 
 
 def two_adic_profile(m: int) -> TwoAdicProfile:
-    return TwoAdicProfile(m=m, e=trailing_ones(m), z=z_of(m), sigma=sigma_of(m))
+    return TwoAdicProfile(m, trailing_ones(m), z_of(m), sigma_of(m))

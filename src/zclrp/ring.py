@@ -32,8 +32,7 @@ class RingSpec(Record):
             raise ValueError(f"m must be >= 1, got {m}")
         if s < 2:
             raise ValueError(f"s must be >= 2, got {s}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", s)
+        super().__init__(m, s)
 
     @property
     def size(self) -> int:

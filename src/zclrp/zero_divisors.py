@@ -104,11 +104,7 @@ class DegreeCheck(Record):
 
     def __init__(self, degree: int, dim_kernel: int, dim_ideal: int,
                  passed: bool, mismatch: str | None = None):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "dim_kernel", dim_kernel)
-        object.__setattr__(self, "dim_ideal", dim_ideal)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "mismatch", mismatch)
+        super().__init__(degree, dim_kernel, dim_ideal, passed, mismatch)
 
     def as_dict(self) -> dict:
         return {"degree": self.degree, "dim_kernel": self.dim_kernel,

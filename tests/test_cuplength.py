@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zclrp import (MAX_DP_CELLS, UndeterminedError, Witness,
+from zclrp import (MAX_DP_CELLS, UndeterminedError, Witness, ZclResult,
                    explicit_witness, g_stabilization_probe, verify_witness,
                    word_nonzero, z_of, zcl_exact)
 from zclrp import cuplength
@@ -284,6 +284,18 @@ def test_witness_rejects_non_int_entries():
         with pytest.raises(ValueError) as info:
             Witness(*args)
         assert str(info.value) == f"{message} is not an integer"
+
+
+def test_witness_stores_tuples():
+    # lists are stored as tuples: the witness equals and hashes as the one
+    # built from tuples, and so does a result that holds it
+    w = Witness(3, 3, ((1, 3, 3), (2, 3, 3)), (3, 3, 0))
+    listed = Witness(3, 3, [[1, 3, 3], [2, 3, 3]], [3, 3, 0])
+    assert listed == w and hash(listed) == hash(w) and verify_witness(listed)
+    assert (listed.factors, listed.certificate) == (w.factors, w.certificate)
+    assert type(listed.factors[0]) is type(listed.certificate) is tuple
+    result = ZclResult(3, 3, 6, "exact", listed)
+    assert result == zcl_exact(3, 3) and hash(result) == hash(zcl_exact(3, 3))
 
 
 def test_verify_witness_rejects_dead_factor():

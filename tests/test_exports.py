@@ -123,3 +123,17 @@ def test_value_classes_compare_hash_print_and_copy_as_frozen_records():
             assert type(twin) is cls and twin == x and repr(twin) == text
     assert DegreeCheck(1, 2, 2, True) == samples[-1][0]  # mismatch=None
     assert JoinPoint(3, 0, ((1, 0),)).denom == 1
+
+
+def test_value_classes_check_their_arity():
+    # each constructor is called as a function of its fields: one too
+    # many, one missing, an unknown name or a field given twice is a
+    # TypeError, whether the class checks its fields or not
+    for x, fields, *_ in _value_samples():
+        cls, values, first = type(x), tuple(fields.values()), next(iter(fields))
+        rest = {f: v for f, v in fields.items() if f != first}
+        for args, kwargs in [(values + (None,), {}), ((), rest),
+                             (values, {"unknown": None}),
+                             (values, {first: fields[first]})]:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)

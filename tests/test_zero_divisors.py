@@ -1,12 +1,17 @@
+import json
+
 import pytest
 
+from cli_runner import invoke as run_cli
 from oracles import (degree_slice, forest_lemma, generator, get_ring,
                      graded_slices, ideal_degree_basis, ideal_forest,
                      ideal_rows, in_span, kernel_basis,
                      kernel_rows_by_nullspace, naive_diagonal, poly_to_set,
                      polys, rref, slice_table, vector_from_text)
-from zclrp import RingSpec, verify_generators_lemma, zero_divisors
+from zclrp import (DegreeCheck, RingSpec, cli, verify_generators_lemma,
+                   zero_divisors)
 from zclrp.gf2 import closure
+from zclrp.ring import monomial_to_text
 
 
 def is_zero_divisor(p):
@@ -266,6 +271,32 @@ def test_verify_generators_lemma_mismatch_text(monkeypatch):
     assert low and high
     assert verify_generators_lemma(RingSpec(2, 2))[1].mismatch == \
         "x1^2 + x1^1*x2^1"
+
+
+def test_verify_generators_cli_names_the_first_failing_degree(monkeypatch):
+    # exit 1 with the same stdout as a pass, one line per degree, and one
+    # stderr line naming the number of failing degrees, the first of them
+    # and its mismatch vector; the longest one within the work cap, every
+    # variable of (1, 16), keeps the line within 200 bytes
+    _faulty_rows(monkeypatch, lambda real, spec, generators: real(
+        spec, [i for i in generators if i != 1]))
+    for m, s in [(2, 3), (3, 2), (2, 4)]:
+        checks = verify_generators_lemma(RingSpec(m, s))
+        failed = [c for c in checks if not c.passed]
+        result = run_cli("verify", "generators", "--m", str(m), "--s", str(s))
+        assert result.exit_code == 1
+        assert [json.loads(line) for line in result.stdout.splitlines()] == \
+            [c.as_dict() for c in checks]
+        assert result.stderr == (
+            f"invariant violation: {len(failed)} of {len(checks)} degrees "
+            f"failed; the first is degree {failed[0].degree}, mismatch "
+            f"{failed[0].mismatch}\n")
+    top = monomial_to_text((1,) * 16)
+    monkeypatch.setattr(cli, "verify_generators_lemma", lambda spec, _: [
+        DegreeCheck(16, 1, 0, False, top)] * 16)
+    result = run_cli("verify", "generators", "--m", "1", "--s", "16")
+    assert result.exit_code == 1 and len(top) == 86
+    assert len(result.stderr.rstrip("\n").encode()) <= 200
 
 
 def test_verify_generators_lemma_odd_row_fails(monkeypatch):
