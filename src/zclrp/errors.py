@@ -56,12 +56,12 @@ def charge(work: int, needs: str, *args) -> None:
 class Record:
     """Base of the package's immutable value classes, in place of frozen
     dataclasses, whose import and class creation cost start-up time.  A
-    subclass names its fields in __slots__ and needs no __init__: one is
-    called as a function of those fields, positionally or by name, and sets
-    them in order.  A subclass with checks or defaults defines __init__ and
-    ends it in super().__init__(...) with every field.  Equality, hash, repr
-    and pickling read the fields in __slots__ order, as those of a frozen
-    dataclass do."""
+    subclass names its fields in __slots__ and needs no __init__: Record's
+    takes those fields as a function would, positionally or by name, and
+    sets them in order.  A subclass with checks or defaults defines
+    __init__ and ends it in super().__init__(...) with every field.
+    Equality, hash, repr and pickling read the fields in __slots__ order,
+    as those of a frozen dataclass do."""
 
     __slots__ = ()
 

@@ -87,7 +87,10 @@ def _trusted_point(s: int, k: int, entries: tuple[Entry, ...],
                    denom: int) -> JoinPoint:
     """A JoinPoint from fields its caller built valid and gcd-reduced,
     set through the slot setters without the checks of JoinPoint.__init__.
-    sample_point fills it with the draws rng.randrange would take (_below)."""
+    It builds every point of verify join: each drawn one (sample_point), q
+    moved to p's key (sample_report), each image act makes with a label in
+    range, and the routing vertex of segment_in_component.  The orbit and
+    the equivariance check read keys from entries and build no point."""
     p = object.__new__(JoinPoint)
     _set_s(p, s)
     _set_k(p, k)
@@ -123,6 +126,13 @@ def vertex(s: int, k: int, level: int, g: int) -> JoinPoint:
     return join_point(s, k, {level: (1, g)})
 
 
+def _acted(g: int, entries: tuple[Entry, ...]) -> tuple[Entry, ...]:
+    """The entries of a point moved by the label g: each label XORed with g,
+    weights untouched.  act and sample_report's checks move points through
+    it, so the group law has one implementation."""
+    return tuple([(w, None if h is None else g ^ h) for w, h in entries])
+
+
 def act(g: int, p: JoinPoint) -> JoinPoint:
     """Diagonal action on labels; coordinates untouched.
 
@@ -133,7 +143,7 @@ def act(g: int, p: JoinPoint) -> JoinPoint:
     """
     if not isinstance(g, int):
         raise ValueError(f"label {g!r} is not an integer")
-    entries = tuple([(w, None if h is None else g ^ h) for w, h in p.entries])
+    entries = _acted(g, p.entries)
     if 0 <= g < 1 << (p.s - 1):
         return _trusted_point(p.s, p.k, entries, p.denom)
     return JoinPoint(p.s, p.k, entries, p.denom)
@@ -238,9 +248,11 @@ def sample_point(rng: random.Random, s: int, k: int, j: int) -> JoinPoint:
     Refuses s < 2, k < 0 and a level j outside [0, k] with ValueError
     before any draw.  The draws are those of rng.random() < 0.5 per level
     other than j, then rng.randrange(1, MAX_WEIGHT + 1) per weight and
-    rng.randrange(2^(s-1)) per label, taken through _below.  The drawn
-    weights, divided by their gcd, and labels in [0, 2^(s-1)) make a valid
-    reduced point, built without re-checking.
+    rng.randrange(2^(s-1)) per label, taken inline by _below's rule with
+    the bit widths MAX_WEIGHT.bit_length() and s computed once a call.
+    The drawn weights, divided by their gcd, and labels in [0, 2^(s-1))
+    make a valid reduced point, built here through _trusted_point without
+    re-checking; sample_report draws both points of every sample here.
     """
     if s < 2:
         raise ValueError("need s >= 2")
@@ -248,25 +260,38 @@ def sample_point(rng: random.Random, s: int, k: int, j: int) -> JoinPoint:
         raise ValueError("need k >= 0")
     if not 0 <= j <= k:
         raise ValueError(f"level {j} outside [0, {k}]")
-    levels = [l for l in range(k + 1) if l == j or rng.random() < 0.5]
+    coin = rng.random
+    levels = [l for l in range(k + 1) if l == j or coin() < 0.5]
     bits = rng.getrandbits
-    weights = [1 + _below(bits, MAX_WEIGHT) for _ in levels]
+    weight_bits = MAX_WEIGHT.bit_length()
+    weights = []
+    for _ in levels:
+        w = bits(weight_bits)
+        while w >= MAX_WEIGHT:
+            w = bits(weight_bits)
+        weights.append(1 + w)
     common = math.gcd(*weights)
-    n_keys = 1 << (s - 1)
+    n_keys = 1 << (s - 1)  # of bit length s
     entries: list[Entry] = [(0, None)] * (k + 1)
     for l, w in zip(levels, weights):
-        entries[l] = (w // common, _below(bits, n_keys))
+        g = bits(s)
+        while g >= n_keys:
+            g = bits(s)
+        entries[l] = (w // common, g)
     return _trusted_point(s, k, tuple(entries), sum(weights) // common)
 
 
 def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinReport:
     """Sample U_j points and check the component structure.
 
-    Realizes the component keys by acting with every g in [0, 2^(s-1)) on
-    the first sampled point p, reading each key of act(g, p) back through
-    component_key; these take no draws.  The action is simply transitive
-    when the keys read back are all 2^(s-1) of them.  Each sample also
-    checks the label action on its key and runs one same-key segment check.
+    Realizes the component keys by moving the level-j entry of the first
+    sampled point p by every g in [0, 2^(s-1)) through _acted, the action
+    act applies entry by entry, and reading each key back; these take no
+    draws.  The action is simply transitive when the keys read back are
+    all 2^(s-1) of them.  Each sample draws p and q through sample_point,
+    checks that p's level-j entry moved by a drawn g has the key the group
+    law predicts, moves q to p's key when they differ (the one point built
+    here, through _trusted_point) and runs one segment_in_component check.
     Raises ValueError when s < 2, k < 0 or samples < 1, then, before any
     draw, charges (samples+2^(s-1))*(k+9): two points of k+1 levels and a
     fixed 9 per sample, one image per key, with 2^(s-1) built only up to
@@ -292,19 +317,25 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
     for _ in range(samples):
         j = _below(bits, k + 1)
         p = sample_point(rng, s, k, j)
-        key = component_key(p, j)
+        w, key = p.entries[j]
+        if not w > 0:
+            raise ValueError(f"point is not in U_{j}")
         if first is None:
             first = p, j
         g = _below(bits, n_keys)
-        if component_key(act(g, p), j) != g ^ key:
+        if _acted(g, p.entries[j:j + 1])[0][1] != g ^ key:
             equivariant = False
         q = sample_point(rng, s, k, j)
-        if component_key(q, j) != key:
-            q = act(key ^ component_key(q, j), q)
+        w, key_q = q.entries[j]
+        if not w > 0:
+            raise ValueError(f"point is not in U_{j}")
+        if key_q != key:
+            q = _trusted_point(s, k, _acted(key ^ key_q, q.entries), q.denom)
         if segment_in_component(p, q, j):
             segments_ok += 1
     p, j = first
-    keys = {component_key(act(g, p), j) for g in range(n_keys)}
+    entry = p.entries[j:j + 1]
+    keys = {_acted(g, entry)[0][1] for g in range(n_keys)}
     transitive = equivariant and keys == set(range(n_keys))
     return JoinReport(s, k, samples, len(keys), transitive, segments_ok,
                       equivariant)

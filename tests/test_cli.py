@@ -2,11 +2,13 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ import oracles
 import zclrp
 import zclrp.cli
 import zclrp.errors
+import zclrp.join_model
 from cli_runner import invoke as run
 from zclrp import JoinReport
 
@@ -440,20 +443,26 @@ def test_verify_join():
     assert payload["segment_checks_passed"] == 300
 
 
-def test_verify_join_output_is_pinned():
-    # stdout and exit code of a grid of runs, so that the draws and their
-    # order cannot drift; every run realizes all 2^(s-1) keys and exits 0
+def test_verify_join_output_is_pinned(monkeypatch):
+    # stdout, exit code and the generator's final state of a grid of runs,
+    # so that the draws and their order cannot drift: on a valid run no
+    # field of stdout depends on the draws, so the state pins them; every
+    # run realizes all 2^(s-1) keys and exits 0
+    made = []
+    monkeypatch.setattr(zclrp.join_model, "random", SimpleNamespace(
+        Random=lambda seed: made.append(random.Random(seed)) or made[-1]))
     transcript, codes = [], []
     for s, k in itertools.product((2, 3, 4, 6), (0, 1, 5)):
         for samples, seed in itertools.product((1 << (s - 1), 300), range(3)):
             result = run("verify", "join", "--s", str(s), "--k", str(k),
                          "--samples", str(samples), "--seed", str(seed))
+            state = hashlib.sha256(repr(made[-1].getstate()).encode())
             transcript.append(f"{s} {k} {samples} {seed} {result.exit_code} "
-                              f"{result.stdout}")
+                              f"{result.stdout}{state.hexdigest()}\n")
             codes.append(result.exit_code)
-    assert codes == [0] * 72
+    assert codes == [0] * 72 and len(made) == 72
     assert hashlib.sha256("".join(transcript).encode()).hexdigest() == (
-        "6e442cfa76a9297254402565e471d5838237af75d228a31e438d79b9bd35b567")
+        "77060651830c4f4cf95c21b7a7ec093b1b52744eff86c95fd112832557733ad6")
 
 
 def test_report_csv_deterministic():

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -379,10 +380,39 @@ def test_sample_report_realizes_keys_by_the_action(monkeypatch):
     assert "equivariant" not in report.as_dict()
     # the keys are read back, not assumed: an action that moves a point by
     # 1 where it should fix it realizes 7 of them
-    real_act = join_model.act
-    monkeypatch.setattr(join_model, "act", lambda g, p: real_act(g or 1, p))
+    real_acted = join_model._acted
+    monkeypatch.setattr(join_model, "_acted",
+                        lambda g, entries: real_acted(g or 1, entries))
     report = sample_report(4, 2, samples=16, seed=1)
     assert report.keys_found == 7 and not report.transitive
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_sample_report_draws_and_checks_through_the_module_names(seed, monkeypatch):
+    # the benchmark's tracer times verify join by wrapping the module-level
+    # sample_point and segment_in_component, and fails a run where either
+    # is never called: every sample draws both points and checks their
+    # segment through those names.  Every point built past JoinPoint's
+    # checks passes them unchanged.
+    samples, calls, built = 1000, Counter(), []
+    for name in ("sample_point", "segment_in_component"):
+        def counted(*args, name=name, real=getattr(join_model, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(join_model, name, counted)
+    trusted = join_model._trusted_point
+
+    def recording(*fields):
+        built.append(trusted(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(join_model, "_trusted_point", recording)
+    report = sample_report(6, 5, samples, seed)
+    assert report.transitive and report.segment_checks_passed == samples
+    assert calls == {"sample_point": 2 * samples, "segment_in_component": samples}
+    assert len(built) >= 2 * samples
+    for p in built:
+        _assert_canonical(p)
 
 
 def test_sample_report_needs_one_sample():
