@@ -12,7 +12,7 @@ rows of one table parse each of its lines once, and every lookup
 re-verifies its entry by verify_witness, the sparse product of the
 factors' terms; every witness a row computes is checked the same way.
 Neither check builds the ring, so no row is refused for the size of
-(m+1)^s; a row is skipped only when its witness rebuild is over
+(m+1)^s; a row is skipped only when its charge (s-1)*(m+1) is over
 MAX_DP_CELLS.  Each row is charged, computed and checked on its own.
 """
 
@@ -218,9 +218,9 @@ def build_row(m: int, s: int, *, cache_path: str | None = None) -> BoundsRow:
     """Compute one table row: the exact zcl by the digit greedy of
     zcl_exact, its witness additionally re-verified by verify_witness,
     through sparse ring arithmetic (a disagreement would be a bug and
-    raises).  A cached entry is used only when it is exact.  A witness
-    rebuild over MAX_DP_CELLS raises UndeterminedError before the cache is
-    read or any work is done.
+    raises).  A cached entry is used only when it is exact.  A charge
+    (s-1)*(m+1) over MAX_DP_CELLS raises UndeterminedError before the
+    cache is read or any work is done.
     """
     _check_cells(m, s)
     entry = None if cache_path is None else cache_get(cache_path, m, s)
@@ -245,9 +245,9 @@ def build_row(m: int, s: int, *, cache_path: str | None = None) -> BoundsRow:
 def build_table(m_range: tuple[int, int], s_range: tuple[int, int], *,
                 cache_path: str | None = None,
                 ) -> tuple[list[BoundsRow], list[tuple[int, int, str]]]:
-    """All rows over inclusive ranges.  A row over the cap on its witness
-    rebuild (see build_row) is skipped and reported as (m, s, reason)
-    instead of aborting the table.  A grid of more rows than MAX_DP_CELLS
+    """All rows over inclusive ranges.  A row whose charge is over the cap
+    (see build_row) is skipped and reported as (m, s, reason) instead of
+    aborting the table.  A grid of more rows than MAX_DP_CELLS
     raises UndeterminedError before any row."""
     (a, b), (c, d) = m_range, s_range
     charge(max(0, b - a + 1) * max(0, d - c + 1),

@@ -90,8 +90,8 @@ def profile_cmd(m):
 def zcl_exact_cmd(m, s):
     """Exact cup-length by the residue digit greedy, with a certified witness.
 
-    Shapes whose witness rebuild would exceed the work cap exit 2 before
-    any work.
+    Shapes whose charge (s-1)*(m+1), the size of the witness, is over the
+    work cap exit 2 before any work.
     """
     _at_least("--m", m, 1)
     _at_least("--s", s, 2)
@@ -157,9 +157,9 @@ def verify_join_cmd(s, k, samples, seed):
 def report_cmd(m_range, s_range, policy, fmt, cache_path):
     """Bound-table rows s*m >= TC_s >= secat >= zcl over the given ranges.
 
-    Each row holds the exact zcl.  Rows whose witness rebuild is over the
-    work cap are skipped with a note on stderr and exit code 2.  A grid of
-    more rows than the cap exits 2 before any row.
+    Each row holds the exact zcl.  Rows whose charge (s-1)*(m+1) is over
+    the work cap are skipped with a note on stderr and exit code 2.  A grid
+    of more rows than the cap exits 2 before any row.
     """
     if cache_path is None:
         cache_path = os.environ.get("ZCLRP_CACHE") or None

@@ -52,8 +52,9 @@ of m below its top one, the knapsack reduces to a digit greedy:
 So zcl(m, s) = (s-1)*m + H(s-1, m) (see _gain): p = 1 gives
 zcl(m, 2) = m + C = 2^L - 1, and every sum is a multiple of 2^e,
 e = trailing_ones(m), the lowest bit of C, so the gap s*m - zcl never
-falls below 2^e - 1, the stable gap that large s reach.  The witness
-rebuild is charged up front (MAX_DP_CELLS), never part-way through.
+falls below 2^e - 1, the stable gap that large s reach.  zcl_exact reads
+its witness off the greedy's digits, and its charge is taken up front
+(MAX_DP_CELLS), never part-way through.
 """
 
 from __future__ import annotations
@@ -70,12 +71,11 @@ from .ring import monomial_to_text
 def _check_cells(m: int, s: int) -> None:
     """Raise unless m >= 1, s >= 2 and the search of (m, s) fits MAX_DP_CELLS.
 
-    The charge is (s-1)*(m+1): the witness rebuild makes at most one
-    greedy call per position and one per exponent it steps over in
-    (m, 2m], never going back, and a rebuilt witness keeps only x_s open,
-    so its check's work bound in verify_witness is at most this too.  It is computed from
-    (m, s) alone, so a shape over the cap raises UndeterminedError before
-    any work.
+    The charge is (s-1)*(m+1), the bound on the size of zcl_exact's witness
+    and on its check: each of its s-1 factors has at most m+1 terms and
+    closes its own x_i, so only x_s stays open and _work_bound is at most
+    (s-1)*(m+1).  It is computed from (m, s) alone, so a shape over the
+    cap raises UndeterminedError before any work.
     """
     if m < 1 or s < 2:
         raise ValueError("need m >= 1 and s >= 2")
@@ -97,15 +97,24 @@ def _largest_submask(k: int, x: int) -> int:
     return (x & -(h << 1)) | (k & (h - 1))
 
 
-def _gain(m: int, parts: int, budget: int) -> int:
-    """H(parts, budget): the largest sum of parts submasks of C at most
-    budget, by the digit greedy of the module docstring."""
-    rest, free = budget, ~m & ((1 << m.bit_length()) - 1)
+def _digits(m: int, parts: int, budget: int) -> list[tuple[int, int]]:
+    """The digit greedy of the module docstring: (a_j, 2^j) for the bits j
+    of C from the top down, a_j = min(parts, rest >> j), until the budget
+    is spent; the bits not listed take no copies."""
+    digits, rest, free = [], budget, ~m & ((1 << m.bit_length()) - 1)
     while free and rest:
         j = free.bit_length() - 1
-        rest -= min(parts, rest >> j) << j
+        copies = min(parts, rest >> j)
+        digits.append((copies, 1 << j))
+        rest -= copies << j
         free ^= 1 << j
-    return budget - rest
+    return digits
+
+
+def _gain(m: int, parts: int, budget: int) -> int:
+    """H(parts, budget): the largest sum of parts submasks of C at most
+    budget, summed from _digits."""
+    return sum(copies * bit for copies, bit in _digits(m, parts, budget))
 
 
 def word_nonzero(m: int, s: int,
@@ -216,47 +225,30 @@ class ZclResult(Record):
 def zcl_exact(m: int, s: int) -> ZclResult:
     """Exact zero-divisor cup-length by the digit greedy.
 
-    The value is the longest word: (s-1)*m + H(s-1, m) (see _gain).  The
-    witness is rebuilt position by position as the lexicographically
-    smallest sorted word of that length: each position takes the least
-    exponent v that still leaves an optimal completion of the rest, i.e.
-    f(v) fits the residue budget and v plus the best completion equals the
-    length still to place.  Such a v is never below the previous one, since
-    an optimal word with a smaller entry would have put it first.  Every
-    v <= m has residue 0, so there v is solved for directly; above m the
-    walk steps v up to 2m at most, over all positions together.  Once the
-    greedy gains nothing on the positions after this one (always so after
-    the last), none of them exceeds m, since the residue of a v > m that
-    fits is a nonzero submask of C the greedy would gain: this position
-    takes what is left beyond them and they take m each.  The certificate
-    comes from one word_nonzero call on the finished word, so the greedy is
+    The witness is read off the greedy's digits a_j for H(s-1, m) (see
+    _digits), as in the second lemma of the module docstring: position i,
+    for 0 <= i < s-1, takes m | x_i, where x_i is the sum of 2^j over the j
+    with i < a_j.  Each x_i is a submask of C, so it is that entry's
+    residue, and the x_i sum to H(s-1, m) <= m: the word is nonzero and its
+    length (s-1)*m + H(s-1, m) is the value.  x_i shrinks as i grows, so
+    the word is built from the last position to the first, sorted
+    ascending, as at most L+1 runs of equal entries.  The certificate comes
+    from one word_nonzero call on the finished word, so the greedy is
     checked against the criterion it optimizes.  A shape over MAX_DP_CELLS
     raises UndeterminedError before any work.
     """
     _check_cells(m, s)
-    value = (s - 1) * m + _gain(m, s - 1, m)
-    word, v, budget, remaining = [], 0, m, value
-    for parts in range(s - 2, -1, -1):
-        rest = remaining - parts * m
-        gain = _gain(m, parts, budget)
-        if not gain:
-            word += [rest] + [m] * parts
-            break
-        if v <= rest - gain <= m:
-            v = rest - gain
-        else:
-            v = max(v, m + 1)
-            while ((f := v - _largest_submask(v, m)) > budget
-                   or v + _gain(m, parts, budget - f) != rest):
-                v += 1
-        word.append(v)
-        budget -= v - _largest_submask(v, m)
-        remaining -= v
+    word, x, top = [], 0, s - 1
+    for copies, bit in sorted(_digits(m, s - 1, m), reverse=True):
+        word += [m | x] * (top - copies)
+        x, top = x | bit, copies
+    word += [m | x] * top
+    value = sum(word)
     ok, certificate = word_nonzero(m, s, word)
     if not ok:
         raise InvariantViolationError(
             f"zcl({m},{s}): the greedy word {word} is zero; this is a bug")
-    factors = tuple((i + 1, s, e) for i, e in enumerate(word) if e)
+    factors = tuple((i + 1, s, e) for i, e in enumerate(word))
     return ZclResult(m, s, value, "exact", Witness(m, s, factors, certificate))
 
 

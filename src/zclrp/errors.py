@@ -5,13 +5,13 @@ import re
 MAX_DP_CELLS = 1 << 20
 """Cap on the work of one command, charged from its inputs before any work
 (charge).  The charges: zcl exact, zcl probe and each report row,
-(s-1)*(m+1), the greedy's witness rebuild (cuplength._check_cells); zcl
-witness and every witness check, the verifier's term products
-(cuplength._work_bound); verify generators, s*(m+1)^s
-(zero_divisors._check_closure); verify join, (samples+2^(s-1))*(k+9), the
-sampled points and the orbit of the first (join_model.sample_report);
-report, besides each row's charge, the number of rows of its grid
-(bounds.build_table)."""
+(s-1)*(m+1), the size of the greedy's witness and of its check
+(cuplength._check_cells); zcl witness and every witness check, the
+verifier's term products (cuplength._work_bound); verify generators,
+s*(m+1)^s (zero_divisors._check_closure); verify join,
+(samples+2^(s-1))*(k+9), the sampled points and the orbit of the first
+(join_model.sample_report); report, besides each row's charge, the number
+of rows of its grid (bounds.build_table)."""
 
 
 class ZclError(Exception):

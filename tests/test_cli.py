@@ -508,6 +508,21 @@ def test_report_output_is_pinned():
         "493fb788d69ced589500efb0a2a562b05db8b5f60cdf3a8f4c0ce35a0e4e077c")
 
 
+def test_zcl_exact_output_is_pinned():
+    # every key of zcl exact's stdout over a grid, the time masked; recorded
+    # when the witness became the word read off the greedy's digits
+    transcript = []
+    for m in range(1, 41):
+        for s in range(2, 9):
+            result = run("zcl", "exact", "--m", str(m), "--s", str(s))
+            assert (result.exit_code, result.stderr) == (0, "")
+            head, sep, tail = result.stdout.rpartition(',"elapsed_ms":')
+            assert sep and tail.endswith("}\n") and float(tail[:-2]) >= 0
+            transcript.append(head + "}\n")
+    assert hashlib.sha256("".join(transcript).encode()).hexdigest() == (
+        "1b04f2ccf467645b687f7950239ade3afe199e06706dd56444d8e677437f0fe7")
+
+
 def test_report_skips_oversized_rows():
     # the witness rebuild of (1023, 1026) is over the work cap, that of
     # (1023, 1025) just fits it; no row is refused for the size of (m+1)^s

@@ -98,11 +98,66 @@ def test_zcl_exact_witnesses():
     assert verify_witness(r53.witness)
 
 
-def test_zcl_witness_is_lex_smallest():
-    # at (4, 3) both (5, 7) and (6, 6) attain 12; (5, 7) sorts first
+def test_zcl_witness_is_read_off_the_digits():
+    # at (4, 3) both (5, 7) and (6, 6) attain 12; the greedy takes bit 1 of
+    # C = 0b11 twice, so both positions take 4 | 2
     r = zcl_exact(4, 3)
     assert r.value == 12
-    assert r.witness.factors == ((1, 3, 5), (2, 3, 7))
+    assert r.witness.factors == ((1, 3, 6), (2, 3, 6))
+
+
+def assert_certified(result):
+    """result is exact and its witness a nonzero word of its length, by the
+    criterion and by ring arithmetic."""
+    w = result.witness
+    word = [e for _, _, e in w.factors]
+    assert result.method == "exact" and sum(word) == result.value
+    assert word_nonzero(w.m, w.s, word) == (True, w.certificate)
+    assert verify_witness(w)
+
+
+def check_digit_words(m_max, s_max):
+    # the word is sorted, its length is (s-1)m + H(s-1, m), and each entry
+    # is m | x for a submask x of C, in at most L+1 runs
+    for m in range(1, m_max + 1):
+        free = ~m & ((1 << m.bit_length()) - 1)
+        for s in range(2, s_max + 1):
+            result = zcl_exact(m, s)
+            word = [e for _, _, e in result.witness.factors]
+            assert len(word) == s - 1 and word == sorted(word), (m, s)
+            assert sum(word) == result.value == (
+                (s - 1) * m + cuplength._gain(m, s - 1, m)), (m, s)
+            assert all(e & m == m and (e ^ m) & ~free == 0 for e in word), \
+                (m, s)
+            assert len(set(word)) <= m.bit_length() + 1, (m, s)
+            # each residue is a submask of the next: position i of the
+            # digits takes the bits j with i < a_j
+            assert all(a & b == a for a, b in zip(word, word[1:])), (m, s)
+
+
+def test_digit_words():
+    check_digit_words(64, 12)
+
+
+@pytest.mark.slow
+def test_digit_words_below_300_by_40():
+    check_digit_words(299, 39)
+
+
+@pytest.mark.parametrize("m,s", [(349524, 4), (393216, 3), (363520, 3),
+                                 (87381, 12)])
+def test_zcl_exact_does_no_m_sized_work(monkeypatch, m, s):
+    # shapes whose witnesses sit far above m: the greedy and the residue
+    # are called O(s + L) times, not once per exponent in (m, 2m]
+    calls = []
+    for name in ("_largest_submask", "_gain"):
+        def counted(*args, _inner=getattr(cuplength, name)):
+            calls.append(args)
+            return _inner(*args)
+        monkeypatch.setattr(cuplength, name, counted)
+    result = zcl_exact(m, s)
+    assert len(calls) <= 2 * (s + m.bit_length())
+    assert_certified(result)
 
 
 def test_zcl_closed_formula_at_two_factors():
@@ -129,7 +184,7 @@ def test_zcl_budget_exhaustion(monkeypatch):
     def no_work(m, parts, budget):
         raise AssertionError("greedy called for a shape over the cap")
 
-    monkeypatch.setattr(cuplength, "_gain", no_work)
+    monkeypatch.setattr(cuplength, "_digits", no_work)
     with pytest.raises(UndeterminedError, match="cap"):
         zcl_exact(1_000_000, 1000)
     with pytest.raises(UndeterminedError, match="cap"):
@@ -182,11 +237,13 @@ def test_gain_matches_the_dp_rows_to_1199():
 
 
 def test_dp_matches_enumerator_oracle():
-    # the whole result, witness included: the DP rebuilds the enumerator's
-    # lexicographically smallest sorted word of maximal length
+    # the enumerator's value; its witness is the lexicographically smallest
+    # sorted word, so the digit word is certified on its own
     for m in range(1, 17):
         for s in range(2, 7):
-            assert zcl_exact(m, s) == enumerate_zcl(m, s), (m, s)
+            result = zcl_exact(m, s)
+            assert result.value == enumerate_zcl(m, s).value, (m, s)
+            assert_certified(result)
 
 
 def test_dp_matches_textbook_knapsack():
@@ -215,7 +272,7 @@ def _call_orders():
 
 def test_shared_dp_matches_the_stateless_dp_in_any_call_order():
     # the greedy keeps no state between calls, so every call order gives
-    # the stateless DP's whole result and gap sequence
+    # the stateless DP's value and gap sequence, with a certified witness
     expected = {}
     for m, s in SHARED_SHAPES:
         expected[m, s] = dp_zcl(m, s)
@@ -223,8 +280,9 @@ def test_shared_dp_matches_the_stateless_dp_in_any_call_order():
     for name, order in _call_orders().items():
         assert sorted(order) == SHARED_SHAPES, name
         for m, s in order:
-            result = expected[m, s]
-            assert zcl_exact(m, s) == result, (name, m, s)
+            result = zcl_exact(m, s)
+            assert result.value == expected[m, s].value, (name, m, s)
+            assert_certified(result)
             probe = g_stabilization_probe(m, s)
             assert probe.zcl_values == tuple(
                 expected[m, t].value for t in range(2, s + 1)), (name, m, s)
@@ -233,7 +291,9 @@ def test_shared_dp_matches_the_stateless_dp_in_any_call_order():
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 40), s=st.integers(2, 4))
 def test_dp_matches_enumerator_property(m, s):
-    assert zcl_exact(m, s) == enumerate_zcl(m, s)
+    result = zcl_exact(m, s)
+    assert result.value == enumerate_zcl(m, s).value
+    assert_certified(result)
 
 
 @settings(max_examples=200, deadline=None)
