@@ -179,23 +179,25 @@ def _cached_lines(path: str, m: int, s: int) -> list[tuple[int, CacheEntry]]:
 
 
 def cache_get(path: str, m: int, s: int) -> CacheEntry | None:
-    """Newest verified entry for (m, s) at the current engine version.
+    """Newest verified exact entry for (m, s) at the current engine version.
 
     Corrupt lines are skipped with a warning when they are parsed (see
-    _cached_lines for when that is).  An entry whose method is unknown,
-    whose zcl is not its witness length, or whose witness fails
-    re-verification by verify_witness or is over its work cap is distrusted
-    (warning, then older entries are tried), so every cached zcl is
-    certified as a lower bound.  The witness is re-verified on every
-    lookup.  That an "exact" entry is maximal is taken on trust: checking
-    it would rerun zcl_exact, the work a cache hit exists to skip.
-    Anything else -- absent file, no matching key, version mismatch -- is
-    simply a miss.
+    _cached_lines for when that is).  Lines of method witness_lower_bound,
+    which only the retired witness-only policy of report wrote, are passed
+    over silently.  An entry whose method is unknown, whose zcl is not its
+    witness length, or whose witness fails re-verification by
+    verify_witness or is over its work cap is distrusted (warning, then
+    older entries are tried), so every cached zcl is certified as a lower
+    bound.  The witness is re-verified on every lookup.  That an entry is
+    maximal is taken on trust: checking it would rerun zcl_exact, the work
+    a cache hit exists to skip.  Anything else -- absent file, no matching
+    key, version mismatch -- is simply a miss.
     """
     matches = [(n, entry) for n, entry in _cached_lines(path, m, s)
-               if entry.engine_version == ENGINE_VERSION]
+               if entry.engine_version == ENGINE_VERSION
+               and entry.method != METHOD_WITNESS]
     for n, entry in reversed(matches):
-        if entry.method not in (METHOD_EXACT, METHOD_WITNESS):
+        if entry.method != METHOD_EXACT:
             warnings.warn(f"{path}:{n}: unknown cached method {entry.method!r}")
             continue
         if entry.zcl != entry.witness.length:
@@ -218,13 +220,13 @@ def build_row(m: int, s: int, *, cache_path: str | None = None) -> BoundsRow:
     """Compute one table row: the exact zcl by the digit greedy of
     zcl_exact, its witness additionally re-verified by verify_witness,
     through sparse ring arithmetic (a disagreement would be a bug and
-    raises).  A cached entry is used only when it is exact.  A charge
-    (s-1)*(m+1) over MAX_DP_CELLS raises UndeterminedError before the
-    cache is read or any work is done.
+    raises).  A cached entry is used when cache_get finds one, which is
+    always exact.  A charge (s-1)*(m+1) over MAX_DP_CELLS raises
+    UndeterminedError before the cache is read or any work is done.
     """
     _check_cells(m, s)
     entry = None if cache_path is None else cache_get(cache_path, m, s)
-    if entry is not None and entry.method == METHOD_EXACT:
+    if entry is not None:
         zcl = entry.zcl
     else:
         result = zcl_exact(m, s)

@@ -1,9 +1,13 @@
 """Command-line interface, on the standard library's argparse.
 
 Commands live in one flat table from their command words to a handler and
-its options, with one parser per entry built at import.  main() takes the
-leading words while they name an entry, parses the rest with that entry's
-parser alone and runs its handler.  Every command emits only what it has
+its options.  main() takes the leading words while they name an entry.  A
+rest of plain "--option value" pairs that argparse would take as given is
+read straight off the entry's options; anything else (--help, --version,
+--opt=value, a repeated option, "--", a value that fails its type or
+choices, a missing option, a group) goes to the entry's argparse parser,
+built on first use, so argparse alone formats help and usage errors.  Then
+main() runs the entry's handler.  Every command emits only what it has
 decided.  Exit codes: 0 success, 1 invariant violation (an internal
 certified check failed, i.e. a bug), 2 undetermined (the work is over
 MAX_DP_CELLS, checked before any work), 64 bad input: an option value out
@@ -18,6 +22,7 @@ stderr gives an integer of more than 20 digits by its length
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -203,6 +208,11 @@ class _Formatter(argparse.HelpFormatter):
             self._dedent()
 
 
+# a value that starts with "-" is an option to argparse unless it matches this;
+# _Parser gives it to argparse and _read judges values by it
+_NEGATIVE = re.compile(r"^-\d")
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors exit EX_USAGE with a "Usage: " line and an
     "Error: " line on stderr.  Options are never abbreviated (--sam is not
@@ -212,7 +222,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(formatter_class=_Formatter, allow_abbrev=False,
                          add_help=False, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d")
+        self._negative_number_matcher = _NEGATIVE
         self.add_argument("--help", action="help",
                           help="Show this message and exit.")
 
@@ -265,7 +275,10 @@ def _doc(head) -> str:
     return head if isinstance(head, str) else head.__doc__
 
 
-def _build(words: tuple[str, ...], head, options: dict) -> _Parser:
+@functools.cache
+def _parser(words: tuple[str, ...]) -> _Parser:
+    """The argparse parser of the entry that words name, built on first use."""
+    head, options = _TABLE[words]
     parser = _Parser(prog=" ".join(("zclrp", *words)), description=_doc(head))
     for option, kwargs in options.items():
         parser.add_argument(option, **kwargs)
@@ -280,8 +293,39 @@ def _build(words: tuple[str, ...], head, options: dict) -> _Parser:
     return parser
 
 
-_COMMANDS = {words: (head, _build(words, head, options))
-             for words, (head, options) in _TABLE.items()}
+def _read(words: tuple[str, ...], rest: list[str]) -> dict | None:
+    """The options of the command that words name, read straight off its
+    table entry, or None where its parser must read rest.
+
+    They are read when rest is "--option value" pairs that the parser would
+    take as given: each option spelled in full and given once, no value
+    that the parser would take for an option, each value converted by the
+    option's type and among its choices, and every required option given;
+    the others take their defaults.  A group's rest is always None.
+    """
+    head, options = _TABLE[words]
+    pairs = dict(zip(rest[::2], rest[1::2]))
+    if isinstance(head, str) or 2 * len(pairs) != len(rest):
+        return None
+    read = {}
+    for option, kwargs in options.items():
+        dest = kwargs.get("dest", option[2:].replace("-", "_"))
+        if option not in pairs:
+            if kwargs.get("required"):
+                return None
+            read[dest] = kwargs.get("default")
+            continue
+        value = pairs.pop(option)
+        if value[:1] == "-" and not _NEGATIVE.match(value):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        read[dest] = value
+    return None if pairs else read
 
 
 def main(args: list[str] | None = None, *, standalone_mode: bool = True) -> None:
@@ -295,13 +339,15 @@ def main(args: list[str] | None = None, *, standalone_mode: bool = True) -> None
         args = sys.argv[1:]
     words = ()
     for word in args:
-        if words + (word,) not in _COMMANDS:
+        if words + (word,) not in _TABLE:
             break
         words += (word,)
-    handler, parser = _COMMANDS[words]
-    options = vars(parser.parse_args(args[len(words):]))
+    rest = args[len(words):]
+    options = _read(words, rest)
+    if options is None:
+        options = vars(_parser(words).parse_args(rest))
     try:
-        handler(**options)
+        _TABLE[words][0](**options)
     except UndeterminedError as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         sys.exit(2)

@@ -89,8 +89,8 @@ def test_gap_nonincreasing_across_rows():
 
 
 def test_build_table_skips_oversized_rows():
-    # the witness rebuild of (1023, 1025) is charged (s-1)*(m+1) = 2^20,
-    # just within the cap; that of every other cell is over it
+    # (1023, 1025) is charged (s-1)*(m+1) = 2^20, just within the cap;
+    # every other cell's charge is over it
     rows, skipped = build_table((1023, 1024), (1025, 1026))
     assert [(r.m, r.s, r.zcl, r.zcl_method) for r in rows] == [
         (1023, 1025, 1047552, "exact")]
@@ -120,10 +120,10 @@ def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "zcl.jsonl")
     assert cache_get(path, 5, 3) is None
     w = explicit_witness(5, 3)
-    cache_put(path, 5, 3, w.length, "witness_lower_bound", w)
+    cache_put(path, 5, 3, w.length, "exact", w)
     entry = cache_get(path, 5, 3)
     assert entry is not None
-    assert (entry.zcl, entry.method) == (14, "witness_lower_bound")
+    assert (entry.zcl, entry.method) == (14, "exact")
     assert entry.witness == w
     assert cache_get(path, 5, 4) is None
 
@@ -131,7 +131,7 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_ignores_corrupt_lines(tmp_path):
     path = str(tmp_path / "zcl.jsonl")
     w = explicit_witness(3, 3)
-    cache_put(path, 3, 3, w.length, "witness_lower_bound", w)
+    cache_put(path, 3, 3, w.length, "exact", w)
     with open(path, "a") as fh:
         fh.write("{not json\n")
     with pytest.warns(UserWarning):
@@ -143,7 +143,7 @@ def test_cache_rejects_failing_witness(tmp_path):
     path = str(tmp_path / "zcl.jsonl")
     # certificate monomial that does not occur in the product
     fake = Witness(2, 3, ((1, 3, 1),), (0, 2, 0))
-    cache_put(path, 2, 3, 1, "witness_lower_bound", fake)
+    cache_put(path, 2, 3, 1, "exact", fake)
     with pytest.warns(UserWarning):
         assert cache_get(path, 2, 3) is None
 
@@ -154,7 +154,7 @@ def test_cache_distrusts_witness_over_the_work_cap(tmp_path):
     # the row computed afresh
     path = str(tmp_path / "zcl.jsonl")
     heavy = Witness(1023, 3, ((1, 3, 1023), (1, 3, 1023)), (1023, 0, 1023))
-    cache_put(path, 1023, 3, 2046, "witness_lower_bound", heavy)
+    cache_put(path, 1023, 3, 2046, "exact", heavy)
     with pytest.warns(UserWarning, match="not re-verified .*over the cap"):
         assert cache_get(path, 1023, 3) is None
     with pytest.warns(UserWarning):
@@ -165,7 +165,7 @@ def test_cache_distrusts_witness_over_the_work_cap(tmp_path):
 def test_cache_rejects_other_engine_version(tmp_path):
     path = str(tmp_path / "zcl.jsonl")
     w = explicit_witness(3, 3)
-    entry = cache_put(path, 3, 3, w.length, "witness_lower_bound", w)
+    entry = cache_put(path, 3, 3, w.length, "exact", w)
     stale = _entry_to_json(entry).replace(
         f'"engine_version":"{ENGINE_VERSION}"', '"engine_version":"0"')
     with open(path, "w") as fh:
@@ -176,9 +176,9 @@ def test_cache_rejects_other_engine_version(tmp_path):
 def test_cache_takes_newest_verified(tmp_path):
     path = str(tmp_path / "zcl.jsonl")
     w = explicit_witness(3, 3)
-    cache_put(path, 3, 3, w.length, "witness_lower_bound", w)
+    cache_put(path, 3, 3, w.length, "exact", w)
     fake = Witness(3, 3, ((1, 3, 1),), (0, 0, 2))
-    cache_put(path, 3, 3, 1, "witness_lower_bound", fake)
+    cache_put(path, 3, 3, 1, "exact", fake)
     with pytest.warns(UserWarning):
         entry = cache_get(path, 3, 3)
     assert entry is not None and entry.zcl == 6
@@ -201,8 +201,8 @@ def test_cache_rejects_zcl_above_witness_length(tmp_path):
     path = str(tmp_path / "zcl.jsonl")
     w = explicit_witness(5, 3)
     assert w.length == 14
-    cache_put(path, 5, 3, 14, "witness_lower_bound", w)
-    cache_put(path, 5, 3, 15, "witness_lower_bound", w)
+    cache_put(path, 5, 3, 14, "exact", w)
+    cache_put(path, 5, 3, 15, "exact", w)
     with pytest.warns(UserWarning, match="does not match witness length"):
         entry = cache_get(path, 5, 3)
     assert entry is not None and entry.zcl == 14   # the older, honest line
@@ -217,6 +217,27 @@ def test_build_row_uses_cache(tmp_path):
     assert row1 == row2
     with open(path) as fh:
         assert len(fh.readlines()) == 1  # cache hit, nothing appended
+
+
+def test_build_row_passes_over_witness_lower_bound_lines(tmp_path, monkeypatch):
+    # only the retired witness-only policy wrote such lines; one after an
+    # exact line used to hide it, so the row was searched again and the
+    # exact line appended a second time
+    path = str(tmp_path / "zcl.jsonl")
+    w = explicit_witness(5, 3)
+    cache_put(path, 5, 3, w.length, "witness_lower_bound", w)
+    assert cache_get(path, 5, 3) is None
+    row = build_row(5, 3, cache_path=path)
+    cache_put(path, 5, 3, w.length, "witness_lower_bound", w)
+    with open(path) as fh:
+        before = fh.read()
+    assert len(before.splitlines()) == 3
+    calls = []
+    monkeypatch.setattr(bounds, "zcl_exact", lambda m, s: calls.append((m, s)))
+    assert build_row(5, 3, cache_path=path) == row and calls == []
+    assert cache_get(path, 5, 3).method == "exact"
+    with open(path) as fh:
+        assert fh.read() == before
 
 
 def test_cache_parses_each_line_once(tmp_path, monkeypatch):
@@ -254,7 +275,7 @@ def test_cache_sees_lines_appended_during_a_table(tmp_path, monkeypatch):
 def test_cache_rereads_a_rewritten_file(tmp_path):
     path = str(tmp_path / "zcl.jsonl")
     w = explicit_witness(3, 3)
-    entry = cache_put(path, 3, 3, w.length, "witness_lower_bound", w)
+    entry = cache_put(path, 3, 3, w.length, "exact", w)
     assert cache_get(path, 3, 3) == entry
     with open(path, "w") as fh:
         fh.write(_entry_to_json(entry).replace('"zcl":6', '"zcl":7') + "\n")
@@ -265,7 +286,7 @@ def test_cache_rereads_a_rewritten_file(tmp_path):
 def test_cache_reads_a_last_line_without_newline(tmp_path):
     path = str(tmp_path / "zcl.jsonl")
     w = explicit_witness(3, 3)
-    entry = cache_put(path, 3, 3, w.length, "witness_lower_bound", w)
+    entry = cache_put(path, 3, 3, w.length, "exact", w)
     with open(path, "w") as fh:
         fh.write(_entry_to_json(entry))
     assert cache_get(path, 3, 3) == entry
@@ -281,7 +302,7 @@ def test_cache_warning_raised_as_error_parses_nothing(tmp_path):
     # not recorded twice
     path = str(tmp_path / "zcl.jsonl")
     w = explicit_witness(3, 3)
-    entry = cache_put(path, 3, 3, w.length, "witness_lower_bound", w)
+    entry = cache_put(path, 3, 3, w.length, "exact", w)
     with open(path, "a") as fh:
         fh.write("{not json\n")
     with warnings.catch_warnings():
@@ -289,7 +310,7 @@ def test_cache_warning_raised_as_error_parses_nothing(tmp_path):
         for _ in range(2):
             with pytest.raises(UserWarning, match=":2: skipping corrupt"):
                 cache_get(path, 3, 3)
-    cache_put(path, 3, 3, 1, "witness_lower_bound",
+    cache_put(path, 3, 3, 1, "exact",
               Witness(3, 3, ((1, 3, 1),), (0, 0, 2)))
     with pytest.warns(UserWarning) as record:
         assert cache_get(path, 3, 3) == entry

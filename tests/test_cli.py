@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -524,7 +526,7 @@ def test_zcl_exact_output_is_pinned():
 
 
 def test_report_skips_oversized_rows():
-    # the witness rebuild of (1023, 1026) is over the work cap, that of
+    # the charge (s-1)*(m+1) of (1023, 1026) is over the work cap, that of
     # (1023, 1025) just fits it; no row is refused for the size of (m+1)^s
     result = run("report", "--m-range", "1023..1023", "--s-range", "1025..1026")
     assert result.exit_code == 2
@@ -790,6 +792,11 @@ _RANGES = _mostly(
 def _values(kwargs):
     if kwargs.get("action") in ("version", "help"):
         return st.just(None)
+    if kwargs.get("dest") == "cache_path":
+        # a free string: argparse takes "-" and a \d digit for a value and
+        # "-" and any other character for an option
+        return st.one_of(_NUMBERS, st.sampled_from(
+            ["rows.jsonl", "-x", "-\u00b2x", "-\u0663", "--m", "- 1", "a b"]))
     if "choices" in kwargs:
         return _mostly(st.sampled_from(kwargs["choices"]),
                        st.sampled_from(["witness-only", "yaml", "1"]))
@@ -799,11 +806,12 @@ def _values(kwargs):
 
 
 @st.composite
-def _command_lines(draw):
+def _command_lines(draw, cache=False):
     words = draw(st.sampled_from(sorted(zclrp.cli._TABLE)))
-    # --cache writes a file; it has tests of its own
+    # --cache writes a file when the command runs; it has tests of its own
     options = {option: kwargs for option, kwargs
-               in zclrp.cli._TABLE[words][1].items() if option != "--cache"}
+               in zclrp.cli._TABLE[words][1].items()
+               if cache or option != "--cache"}
     args = list(words)
     for option, kwargs in options.items():
         if draw(st.integers(0, 9)) < (8 if kwargs.get("required") else 3):
@@ -845,3 +853,75 @@ def test_cli_contract(args):
         assert all(line.startswith("skipped (") for line in lines) or (
             result.stdout == "" and len(lines) == 1
             and lines[0].startswith("undetermined: "))
+
+
+def _argparse_reads(words, rest):
+    """vars() of what the parser of words reads off rest, or None where it
+    exits (help, version or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(zclrp.cli._parser(words).parse_args(rest))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_lines(cache=True))
+@example(["zcl", "exact", "--m=5", "--s", "3"])
+@example(["zcl", "exact", "--m", "x", "--m", "5", "--s", "3"])
+@example(["zcl", "exact", "--m", "-3", "--s", "3"])
+@example(["report", "--m-range", "1..2", "--s-range", "2..3", "--cache",
+          "-\u00b2x"])
+@example(["zcl", "exact", "--m", "--", "5", "--s", "3"])
+@example(["report", "--m-range", "1..2", "--s-range", "2..3", "--cache", ""])
+@example(["zcl", "exact", "--m", "9" * 4000, "--s", "3"])
+def test_table_read_is_what_argparse_reads(args):
+    # main reads the options off the table, or declines and lets argparse
+    # read them; where argparse would exit, the table read declines
+    words = ()
+    for word in args:
+        if words + (word,) not in zclrp.cli._TABLE:
+            break
+        words += (word,)
+    rest = args[len(words):]
+    read = zclrp.cli._read(words, rest)
+    parsed = _argparse_reads(words, rest)
+    if parsed is None:
+        assert read is None, args
+    else:
+        assert read is None or read == parsed, args
+
+
+@pytest.mark.parametrize("words,rest,options", [
+    (("zcl", "exact"), ["--m", "13", "--s", "5"], {"m": 13, "s": 5}),
+    (("zcl", "probe"), ["--s-max", "60", "--m", "-2"], {"m": -2, "s_max": 60}),
+    (("verify", "generators"), ["--m", "4", "--s", "6"],
+     {"m": 4, "s": 6, "max_degree": None}),
+    (("verify", "join"), ["--s", "6", "--k", "5", "--seed", "7"],
+     {"s": 6, "k": 5, "samples": 1000, "seed": 7}),
+    (("report",), ["--m-range", "1..15", "--s-range", "2..6", "--policy",
+                   "exact", "--format", "csv", "--cache", "-3"],
+     {"m_range": (1, 15), "s_range": (2, 6), "policy": "exact", "fmt": "csv",
+      "cache_path": "-3"}),
+])
+def test_table_reads_plain_commands(words, rest, options):
+    # the property above holds as well for a table read that declines
+    # every line; these are read, as the benchmark's commands are
+    assert zclrp.cli._read(words, rest) == options
+
+
+def test_cli_import_builds_no_parser_and_loads_no_locale():
+    # the first parser built loads gettext and locale for argparse's
+    # messages, about 2 ms of start-up, and the ten parsers took about
+    # 0.8 ms more; a plain command builds none
+    src = str(Path(zclrp.__file__).resolve().parents[1])
+    code = ("import sys, zclrp.cli as cli; "
+            "print(cli._parser.cache_info().currsize, 'locale' in sys.modules); "
+            "cli.main(['zcl', 'exact', '--m', '13', '--s', '5']); "
+            "print(cli._parser.cache_info().currsize, 'locale' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[2]) == ("0 False", "0 False")
