@@ -12,8 +12,9 @@ rows of one table parse each of its lines once, and every lookup
 re-verifies its entry by verify_witness, the sparse product of the
 factors' terms; every witness a row computes is checked the same way.
 Neither check builds the ring, so no row is refused for the size of
-(m+1)^s; a row is skipped only when its charge (s-1)*(m+1) is over
-MAX_DP_CELLS.  Each row is charged, computed and checked on its own.
+(m+1)^s; a row is skipped only when its charge, the check's bound for its
+witness (cuplength._check_cells), is over MAX_DP_CELLS.  Each row is
+charged, computed and checked on its own.
 """
 
 from __future__ import annotations
@@ -221,11 +222,15 @@ def build_row(m: int, s: int, *, cache_path: str | None = None) -> BoundsRow:
     zcl_exact, its witness additionally re-verified by verify_witness,
     through sparse ring arithmetic (a disagreement would be a bug and
     raises).  A cached entry is used when cache_get finds one, which is
-    always exact.  A charge (s-1)*(m+1) over MAX_DP_CELLS raises
-    UndeterminedError before the cache is read or any work is done.
+    always exact.  A charge over MAX_DP_CELLS raises UndeterminedError
+    before the cache is read or any work is done.  zcl_exact takes the
+    charge; a cache lookup takes it first, so only a row missing from the
+    cache is charged twice.
     """
-    _check_cells(m, s)
-    entry = None if cache_path is None else cache_get(cache_path, m, s)
+    entry = None
+    if cache_path is not None:
+        _check_cells(m, s)
+        entry = cache_get(cache_path, m, s)
     if entry is not None:
         zcl = entry.zcl
     else:

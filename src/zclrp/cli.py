@@ -32,8 +32,7 @@ import time
 from . import __version__
 from ._kernels import BACKEND_NAME
 from .bounds import build_table, emit
-from .cuplength import (ZclResult, explicit_witness, g_stabilization_probe,
-                        zcl_exact)
+from .cuplength import ZclResult, g_stabilization_probe, zcl_exact
 from .errors import InvariantViolationError, UndeterminedError, short_ints
 from .join_model import sample_report
 from .parity import two_adic_profile
@@ -95,29 +94,14 @@ def profile_cmd(m):
 def zcl_exact_cmd(m, s):
     """Exact cup-length by the residue digit greedy, with a certified witness.
 
-    Shapes whose charge (s-1)*(m+1), the size of the witness, is over the
-    work cap exit 2 before any work.
+    Shapes whose charge, the check's bound for the witness (at most
+    (s-1)*(m+1)), is over the work cap exit 2 before the witness is built.
     """
     _at_least("--m", m, 1)
     _at_least("--s", s, 2)
     t0 = time.perf_counter()
     result = zcl_exact(m, s)
     _echo_json(_zcl_payload(result, (time.perf_counter() - t0) * 1000))
-
-
-def zcl_witness_cmd(m, s):
-    """Closed-form lower-bound witness (no search); witness may be null."""
-    _at_least("--m", m, 1)
-    _at_least("--s", s, 2)
-    t0 = time.perf_counter()
-    w = explicit_witness(m, s)
-    elapsed = (time.perf_counter() - t0) * 1000
-    if w is None:
-        _echo_json({"m": m, "s": s, "zcl": None, "method": None, "g": None,
-                    "witness": None, "elapsed_ms": round(elapsed, 3)})
-        return
-    result = ZclResult(m, s, w.length, "witness_lower_bound", w)
-    _echo_json(_zcl_payload(result, elapsed))
 
 
 def zcl_probe_cmd(m, s_max):
@@ -162,9 +146,10 @@ def verify_join_cmd(s, k, samples, seed):
 def report_cmd(m_range, s_range, policy, fmt, cache_path):
     """Bound-table rows s*m >= TC_s >= secat >= zcl over the given ranges.
 
-    Each row holds the exact zcl.  Rows whose charge (s-1)*(m+1) is over
-    the work cap are skipped with a note on stderr and exit code 2.  A grid
-    of more rows than the cap exits 2 before any row.
+    Each row holds the exact zcl.  Rows whose charge, the check's bound for
+    their witness, is over the work cap are skipped with a note on stderr
+    and exit code 2.  A grid of more rows than the cap exits 2 before any
+    row.
     """
     if cache_path is None:
         cache_path = os.environ.get("ZCLRP_CACHE") or None
@@ -245,7 +230,6 @@ _TABLE = {
     ("profile",): (profile_cmd, {"--m": _INT}),
     ("zcl",): ("Zero-divisor cup-length computations.", {}),
     ("zcl", "exact"): (zcl_exact_cmd, {"--m": _INT, "--s": _INT}),
-    ("zcl", "witness"): (zcl_witness_cmd, {"--m": _INT, "--s": _INT}),
     ("zcl", "probe"): (zcl_probe_cmd, {"--m": _INT, "--s-max": _INT}),
     ("verify",): ("Structural verifications (linear algebra, join model).", {}),
     ("verify", "generators"): (verify_generators_cmd, {

@@ -1,4 +1,4 @@
-"""Zero-divisor cup-length of (RP^m)^s: exact digit greedy, explicit witnesses.
+"""Zero-divisor cup-length of (RP^m)^s: exact digit greedy, certified witnesses.
 
 The cup-length zcl is the maximal number of zero-divisors with nonzero
 product.  Since the zero-divisor ideal is generated by the degree-1 elements
@@ -53,8 +53,8 @@ So zcl(m, s) = (s-1)*m + H(s-1, m) (see _gain): p = 1 gives
 zcl(m, 2) = m + C = 2^L - 1, and every sum is a multiple of 2^e,
 e = trailing_ones(m), the lowest bit of C, so the gap s*m - zcl never
 falls below 2^e - 1, the stable gap that large s reach.  zcl_exact reads
-its witness off the greedy's digits, and its charge is taken up front
-(MAX_DP_CELLS), never part-way through.
+its witness off the greedy's digits, and is charged that witness's own
+check (MAX_DP_CELLS) up front, never part-way through.
 """
 
 from __future__ import annotations
@@ -67,20 +67,34 @@ from .errors import MAX_DP_CELLS, InvariantViolationError, Record, charge
 from .parity import trailing_ones
 from .ring import monomial_to_text
 
+_NEEDS = "zcl({},{}): the search needs {work} steps"
 
-def _check_cells(m: int, s: int) -> None:
-    """Raise unless m >= 1, s >= 2 and the search of (m, s) fits MAX_DP_CELLS.
 
-    The charge is (s-1)*(m+1), the bound on the size of zcl_exact's witness
-    and on its check: each of its s-1 factors has at most m+1 terms and
-    closes its own x_i, so only x_s stays open and _work_bound is at most
-    (s-1)*(m+1).  It is computed from (m, s) alone, so a shape over the
-    cap raises UndeterminedError before any work.
+def _check_cells(m: int, s: int) -> list[tuple[int, int]]:
+    """Raise unless m >= 1, s >= 2 and the check of zcl_exact's witness for
+    (m, s) fits MAX_DP_CELLS; return the witness word as runs (n, e) of n
+    equal entries e, in ascending order of e (see zcl_exact).
+
+    The charge is verify_witness's work bound for that witness: each
+    factor closes its own x_i, so only x_s stays open, one term is live,
+    and _work_bound is the factors' term counts, the sum of
+    n * _term_count(m, e) over the runs.  It is at most (s-1)*(m+1), since
+    a factor has at most m+1 terms.  For m >= MAX_DP_CELLS the charge is
+    (s-1)*(m+1) itself, always over the cap, so the greedy never runs on a
+    huge m.  Either way a shape over the cap raises UndeterminedError
+    before its word is built.
     """
     if m < 1 or s < 2:
         raise ValueError("need m >= 1 and s >= 2")
-    charge((s - 1) * (m + 1), "zcl({},{}): the search needs {work} steps",
-           m, s)
+    if m >= MAX_DP_CELLS:
+        charge((s - 1) * (m + 1), _NEEDS, m, s)
+    runs, x, top = [], 0, s - 1
+    for copies, bit in sorted(_digits(m, s - 1, m), reverse=True):
+        runs.append((top - copies, m | x))
+        x, top = x | bit, copies
+    runs.append((top, m | x))
+    charge(sum(n * _term_count(m, e) for n, e in runs), _NEEDS, m, s)
+    return runs
 
 
 def _largest_submask(k: int, x: int) -> int:
@@ -205,20 +219,16 @@ class Witness(Record):
 class ZclResult(Record):
     """A zcl value with its provenance and certifying witness.
 
-    method "exact" asserts both directions: the witness product is nonzero
-    and the greedy found no longer nonzero word.  method "witness_lower_bound"
-    asserts only the witness.
+    method "exact", the one method zcl_exact gives, asserts both
+    directions: the witness product is nonzero and the greedy found no
+    longer nonzero word.
     """
 
     __slots__ = ("m", "s", "value", "method", "witness")
 
     @property
     def g(self) -> int:
-        """Gap s*m - value between the top degree and the cup-length.
-
-        Exact when method == "exact"; otherwise an upper bound for the gap
-        (a zcl lower bound under-counts nothing on the other side).
-        """
+        """Gap s*m - value between the top degree and the cup-length."""
         return self.s * self.m - self.value
 
 
@@ -231,18 +241,15 @@ def zcl_exact(m: int, s: int) -> ZclResult:
     with i < a_j.  Each x_i is a submask of C, so it is that entry's
     residue, and the x_i sum to H(s-1, m) <= m: the word is nonzero and its
     length (s-1)*m + H(s-1, m) is the value.  x_i shrinks as i grows, so
-    the word is built from the last position to the first, sorted
-    ascending, as at most L+1 runs of equal entries.  The certificate comes
+    _check_cells builds the word from the last position to the first,
+    sorted ascending, as at most L+1 runs of equal entries, and charges
+    their check before the word is spelled out.  The certificate comes
     from one word_nonzero call on the finished word, so the greedy is
-    checked against the criterion it optimizes.  A shape over MAX_DP_CELLS
-    raises UndeterminedError before any work.
+    checked against the criterion it optimizes.
     """
-    _check_cells(m, s)
-    word, x, top = [], 0, s - 1
-    for copies, bit in sorted(_digits(m, s - 1, m), reverse=True):
-        word += [m | x] * (top - copies)
-        x, top = x | bit, copies
-    word += [m | x] * top
+    word = []
+    for n, e in _check_cells(m, s):
+        word += [e] * n
     value = sum(word)
     ok, certificate = word_nonzero(m, s, word)
     if not ok:
@@ -361,7 +368,7 @@ def verify_witness(w: Witness) -> bool:
     C_v + 1 over all but the largest of them are live, each multiplied by
     the factor's terms.  A factor with no term ends the product, and the
     bound with it.  A zcl_exact witness keeps only x_s open, so its bound
-    is at most (s-1)(m+1), the charge zcl_exact passed.
+    is the charge zcl_exact passed (see _check_cells).
     """
     target = w.certificate
     first, last = uses = _uses(w.factors)
@@ -401,76 +408,6 @@ def verify_witness(w: Witness) -> bool:
         if not terms:
             return False
     return bool(terms)
-
-
-def _explicit_work(m: int, s: int) -> int:
-    """verify_witness's work bound for the closed-form witness of (m, s),
-    from the shape of explicit_witness alone; 0 when there is none.
-
-    For m = 2^e - 1 each of the s-1 factors has m+1 terms and x_s, the one
-    variable left open, has certificate exponent 0.  Otherwise the first of
-    the sigma-1 block factors meets no open variable, the others meet
-    x_sigma and, when s > sigma, x_1, so min(m, (sigma-1) 2^e) + 1 live
-    terms; each extension factor meets x_1 alone.
-    """
-    e = trailing_ones(m)
-    sigma = (m + 1) >> e
-    if sigma == 1:
-        return (s - 1) * (m + 1)
-    if s < sigma:
-        return 0
-    block = _term_count(m, m + (1 << e))
-    live = 1 if s == sigma else min(m, (sigma - 1) << e) + 1
-    return block + (sigma - 2) * block * live + (s - sigma) * _term_count(m, m)
-
-
-def explicit_witness(m: int, s: int) -> Witness | None:
-    """Best closed-form witness available from the dyadic shape of m.
-
-    With e = trailing_ones(m):
-
-    * m = 2^e - 1: the word (x_1 + x_s)^m ... (x_(s-1) + x_s)^m of length
-      m(s-1) survives on x_1^m ... x_(s-1)^m.
-    * otherwise, with sigma = (m+1)/2^e and s >= sigma: the block
-      (x_1 + x_sigma)^(m + 2^e) ... (x_(sigma-1) + x_sigma)^(m + 2^e)
-      survives on x_1^m ... x_(sigma-1)^m x_sigma^((sigma-1) 2^e) -- the
-      parity C(m + 2^e, 2^e) is odd, so each factor contributes its top
-      x_i^m term -- and each additional variable t > sigma appends one
-      factor (x_1 + x_t)^m whose x_t^m term extends the product without
-      cancellation.  Total length s*m - (2^e - 1).
-    * s < sigma (and m not of the first shape): no construction; None.
-
-    A witness whose check is over verify_witness's work cap raises
-    UndeterminedError before its factors are built.  The witness is
-    verified before being returned; a verification failure is a defect,
-    not a data condition.
-    """
-    if m < 1 or s < 2:
-        raise ValueError("need m >= 1 and s >= 2")
-    _check_work(m, s, _explicit_work(m, s))
-    e = trailing_ones(m)
-    if m == (1 << e) - 1:
-        factors = tuple((i, s, m) for i in range(1, s))
-        certificate = (m,) * (s - 1) + (0,)
-    else:
-        sigma = (m + 1) >> e
-        if s < sigma:
-            return None
-        factors = tuple((i, sigma, m + (1 << e)) for i in range(1, sigma))
-        factors += tuple((1, t, m) for t in range(sigma + 1, s + 1))
-        certificate = [0] * s
-        for i in range(1, sigma):
-            certificate[i - 1] = m
-        certificate[sigma - 1] = (sigma - 1) << e
-        for t in range(sigma + 1, s + 1):
-            certificate[t - 1] = m
-        certificate = tuple(certificate)
-    w = Witness(m, s, factors, certificate)
-    if not verify_witness(w):
-        raise InvariantViolationError(
-            f"explicit witness for (m={m}, s={s}) failed ring verification; "
-            "this is a bug")
-    return w
 
 
 class GapProbe(Record):

@@ -4,9 +4,10 @@ import re
 
 MAX_DP_CELLS = 1 << 20
 """Cap on the work of one command, charged from its inputs before any work
-(charge).  The charges: zcl exact, zcl probe and each report row,
-(s-1)*(m+1), the size of the greedy's witness and of its check
-(cuplength._check_cells); zcl witness and every witness check, the
+(charge).  The charges: zcl exact, zcl probe and each report row, the
+verifier's term products for the greedy's witness, from the greedy's
+O(log m) digits, at most (s-1)*(m+1), and (s-1)*(m+1) itself for
+m >= MAX_DP_CELLS (cuplength._check_cells); every witness check, the
 verifier's term products (cuplength._work_bound); verify generators,
 s*(m+1)^s (zero_divisors._check_closure); verify join,
 (samples+2^(s-1))*(k+9), the sampled points and the orbit of the first

@@ -12,7 +12,9 @@ package no longer has and which check the sparse witness verifier and the
 rank-built ideal rows; the zcl enumerator and the textbook knapsack below,
 which check the knapsack against the word criterion it optimizes; the
 knapsack DP rows and the DP zcl_exact the package had before the digit
-greedy replaced them, which check the greedy; the
+greedy replaced them, which check the greedy; the closed-form
+witness the package had before zcl_exact covered every shape it admits,
+and that witness's work bound, which check zcl_exact and its charge; the
 residue table, which checks the residue formula against the submask
 definition; the F2 nullspace, which derives kernel bases by row reduction
 for the closed form to match; the quadratic rref, which checks the sparse
@@ -29,8 +31,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from zclrp import (DegreeCheck, JoinReport, RingSpec, Witness, ZclError,
-                   ZclResult, monomial_from_text, monomial_to_text, rank,
-                   unrank, word_nonzero)
+                   ZclResult, cuplength, monomial_from_text, monomial_to_text,
+                   rank, trailing_ones, unrank, verify_witness, word_nonzero)
 
 
 def slice_table(spec: RingSpec) -> tuple[tuple[int, ...], ...]:
@@ -820,6 +822,75 @@ def dp_zcl(m: int, s: int) -> ZclResult:
     assert ok, (m, s, word)
     factors = tuple((i + 1, s, e) for i, e in enumerate(word) if e)
     return ZclResult(m, s, value, "exact", Witness(m, s, factors, certificate))
+
+
+def explicit_work(m: int, s: int) -> int:
+    """verify_witness's work bound for the closed-form witness of (m, s),
+    from the shape of explicit_witness alone; 0 when there is none.
+
+    For m = 2^e - 1 each of the s-1 factors has m+1 terms and x_s, the one
+    variable left open, has certificate exponent 0.  Otherwise the first of
+    the sigma-1 block factors meets no open variable, the others meet
+    x_sigma and, when s > sigma, x_1, so min(m, (sigma-1) 2^e) + 1 live
+    terms; each extension factor meets x_1 alone.
+    """
+    e = trailing_ones(m)
+    sigma = (m + 1) >> e
+    if sigma == 1:
+        return (s - 1) * (m + 1)
+    if s < sigma:
+        return 0
+    block = cuplength._term_count(m, m + (1 << e))
+    live = 1 if s == sigma else min(m, (sigma - 1) << e) + 1
+    return (block + (sigma - 2) * block * live
+            + (s - sigma) * cuplength._term_count(m, m))
+
+
+def explicit_witness(m: int, s: int) -> Witness | None:
+    """The package's closed-form lower-bound witness before zcl_exact
+    covered every shape it admits: the paper's construction of a word of
+    length s*m - (2^e - 1) for s >= sigma.
+
+    With e = trailing_ones(m):
+
+    * m = 2^e - 1: the word (x_1 + x_s)^m ... (x_(s-1) + x_s)^m of length
+      m(s-1) survives on x_1^m ... x_(s-1)^m.
+    * otherwise, with sigma = (m+1)/2^e and s >= sigma: the block
+      (x_1 + x_sigma)^(m + 2^e) ... (x_(sigma-1) + x_sigma)^(m + 2^e)
+      survives on x_1^m ... x_(sigma-1)^m x_sigma^((sigma-1) 2^e) -- the
+      parity C(m + 2^e, 2^e) is odd, so each factor contributes its top
+      x_i^m term -- and each additional variable t > sigma appends one
+      factor (x_1 + x_t)^m whose x_t^m term extends the product without
+      cancellation.  Total length s*m - (2^e - 1).
+    * s < sigma (and m not of the first shape): no construction; None.
+
+    A witness whose check is over verify_witness's work cap raises
+    UndeterminedError before its factors are built; the witness is
+    verified before being returned.
+    """
+    if m < 1 or s < 2:
+        raise ValueError("need m >= 1 and s >= 2")
+    cuplength._check_work(m, s, explicit_work(m, s))
+    e = trailing_ones(m)
+    if m == (1 << e) - 1:
+        factors = tuple((i, s, m) for i in range(1, s))
+        certificate = (m,) * (s - 1) + (0,)
+    else:
+        sigma = (m + 1) >> e
+        if s < sigma:
+            return None
+        factors = tuple((i, sigma, m + (1 << e)) for i in range(1, sigma))
+        factors += tuple((1, t, m) for t in range(sigma + 1, s + 1))
+        certificate = [0] * s
+        for i in range(1, sigma):
+            certificate[i - 1] = m
+        certificate[sigma - 1] = (sigma - 1) << e
+        for t in range(sigma + 1, s + 1):
+            certificate[t - 1] = m
+        certificate = tuple(certificate)
+    w = Witness(m, s, factors, certificate)
+    assert verify_witness(w), (m, s)
+    return w
 
 
 def rref_quadratic(rows: list[int]) -> list[int]:

@@ -7,12 +7,12 @@ Each test prints a single PASS line on success (visible with pytest -s or
 import json
 import time
 
-from zclrp import (MAX_DP_CELLS, RingSpec, build_row, explicit_witness,
-                   g_stabilization_probe, rank, sample_report, sigma_of,
-                   trailing_ones, verify_generators_lemma, verify_witness,
-                   word_nonzero, z_of, zcl_exact)
+from zclrp import (MAX_DP_CELLS, RingSpec, build_row, g_stabilization_probe,
+                   rank, sample_report, sigma_of, trailing_ones,
+                   verify_generators_lemma, verify_witness, word_nonzero, z_of,
+                   zcl_exact)
 from cli_runner import invoke as run_cli
-from oracles import (brute_force_zcl, dense_mul, get_ring,
+from oracles import (brute_force_zcl, dense_mul, explicit_witness, get_ring,
                      ideal_basis_by_products, ideal_degree_basis)
 
 

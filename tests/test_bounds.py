@@ -5,9 +5,11 @@ import pytest
 
 from zclrp import (BoundsRow, InvariantViolationError, UndeterminedError,
                    Witness, build_row, build_table, cache_get, cache_put, emit,
-                   explicit_witness, known_tc, zcl_exact)
+                   known_tc, zcl_exact)
 from zclrp import bounds
 from zclrp.bounds import CSV_HEADER, ENGINE_VERSION, _entry_to_json
+
+from oracles import explicit_witness
 
 
 def test_known_tc_sources():
@@ -35,8 +37,8 @@ def test_build_row_size_cap(tmp_path):
     # refused by the greedy's charge before the cache is read: reading a
     # directory would raise IsADirectoryError instead
     with pytest.raises(UndeterminedError,
-                       match="the search needs 2000999 steps"):
-        build_row(1000, 2000, cache_path=str(tmp_path))
+                       match="the search needs 1286508 steps"):
+        build_row(10 ** 6, 10 ** 4, cache_path=str(tmp_path))
     # the size of (m+1)^s alone refuses nothing: 10^9 basis monomials
     assert build_row(9, 9, cache_path=str(tmp_path / "c")).zcl == 80
 
@@ -89,13 +91,15 @@ def test_gap_nonincreasing_across_rows():
 
 
 def test_build_table_skips_oversized_rows():
-    # (1023, 1025) is charged (s-1)*(m+1) = 2^20, just within the cap;
-    # every other cell's charge is over it
+    # (1023, 1025) is charged (s-1)*(m+1) = 2^20, just within the cap, as
+    # each factor (x_i + x_s)^1023 of its witness has m+1 terms; the charge
+    # of (1023, 1026) is over it.  The other rows are emitted: a factor
+    # (x_i + x_s)^1024 has two terms, so (1024, s) is charged about 2s
     rows, skipped = build_table((1023, 1024), (1025, 1026))
     assert [(r.m, r.s, r.zcl, r.zcl_method) for r in rows] == [
-        (1023, 1025, 1047552, "exact")]
-    assert [(m, s) for m, s, _ in skipped] == [
-        (1023, 1026), (1024, 1025), (1024, 1026)]
+        (1023, 1025, 1047552, "exact"), (1024, 1025, 1049600, "exact"),
+        (1024, 1026, 1050624, "exact")]
+    assert [(m, s) for m, s, _ in skipped] == [(1023, 1026)]
     assert all("over the cap of 1048576" in reason for *_, reason in skipped)
 
 

@@ -43,13 +43,14 @@ def test_zcl_exact():
 
 
 def test_zcl_exact_budget_exit_code():
-    # the work cap is checked before any work, so a huge shape exits at once
+    # the work cap is checked before the witness is built, so a huge shape
+    # exits at once
     t0 = time.perf_counter()
-    result = run("zcl", "exact", "--m", "1000000", "--s", "1000")
+    result = run("zcl", "exact", "--m", "1000000", "--s", "10000")
     assert time.perf_counter() - t0 < 0.1
     assert result.exit_code == 2
     assert result.stderr.startswith("undetermined:") and "cap" in result.stderr
-    assert run("zcl", "probe", "--m", "1000000", "--s-max", "1000").exit_code == 2
+    assert run("zcl", "probe", "--m", "1000000", "--s-max", "10000").exit_code == 2
 
 
 def test_zcl_exact_large_shapes():
@@ -85,7 +86,8 @@ STRICT_USAGE_ERRORS = [
 ]
 
 # the ring cap is a constant: --limit-bits is gone from all three commands
-# that had it, so passing it is an unknown-option usage error
+# that had it, so passing it is an unknown-option usage error (zcl witness
+# is gone itself, so its lines meet the unknown command first)
 REMOVED_OPTION_ERRORS = [
     ("zcl", "witness", "--m", "3", "--s", "3", "--limit-bits", "0"),
     ("zcl", "witness", "--m", "3", "--s", "3", "--limit-bits", "-3"),
@@ -95,13 +97,18 @@ REMOVED_OPTION_ERRORS = [
     ("report", "--m-range", "1..2", "--s-range", "2..3", "--limit-bits", "-3"),
 ]
 
+# zcl witness is gone: its out-of-range lines are unknown-command usage errors
+REMOVED_COMMAND_ERRORS = [
+    ("zcl", "witness", "--m", "0", "--s", "3"),
+    ("zcl", "witness", "--m", "3", "--s", "1"),
+]
+
 
 @pytest.mark.parametrize("args", [
     ("profile", "--m", "0"),
     ("zcl", "exact", "--m", "0", "--s", "3"),
     ("zcl", "exact", "--m", "3", "--s", "1"),
-    ("zcl", "witness", "--m", "0", "--s", "3"),
-    ("zcl", "witness", "--m", "3", "--s", "1"),
+    *REMOVED_COMMAND_ERRORS,
     ("zcl", "probe", "--m", "0", "--s-max", "3"),
     ("zcl", "probe", "--m", "3", "--s-max", "1"),
     ("verify", "generators", "--m", "0", "--s", "3"),
@@ -126,7 +133,8 @@ def test_bad_input_exit_code(args):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     lines = result.stderr.splitlines()
-    if args in USAGE_ERRORS + REMOVED_OPTION_ERRORS + STRICT_USAGE_ERRORS:
+    if args in (USAGE_ERRORS + REMOVED_OPTION_ERRORS + STRICT_USAGE_ERRORS
+                + REMOVED_COMMAND_ERRORS):
         assert lines[0].startswith("Usage: ") and lines[-1].startswith("Error: ")
     else:
         assert result.stderr.startswith("bad input: ")
@@ -137,7 +145,7 @@ def test_bad_input_messages():
     result = run("verify", "generators", "--m", "2", "--s", "2",
                  "--max-degree", "100")
     assert result.stderr == "bad input: --max-degree must be <= s*m = 4, got 100\n"
-    result = run("zcl", "witness", "--m", "3", "--s", "1")
+    result = run("zcl", "exact", "--m", "3", "--s", "1")
     assert result.stderr == "bad input: --s must be >= 2, got 1\n"
     # the top degree itself is fine
     top = run("verify", "generators", "--m", "2", "--s", "2", "--max-degree", "4")
@@ -245,8 +253,6 @@ def test_help_and_version_exit_zero(monkeypatch):
             (("zcl", "--help"), "zclrp zcl [--help] COMMAND ...", {
                 "exact": "Exact cup-length by the residue digit greedy, "
                          "with a certified witness.",
-                "witness": "Closed-form lower-bound witness (no search); "
-                           "witness may be null.",
                 "probe": "Gap sequence s*m - zcl over s = 2..s-max, with "
                          "stabilization flag."})]:
         help_text = run(*args).stdout
@@ -352,50 +358,11 @@ def test_report_cache_in_no_directory_is_bad_input(tmp_path, monkeypatch):
     assert not (tmp_path / "missing").exists()
 
 
-def test_zcl_witness():
-    result = run("zcl", "witness", "--m", "11", "--s", "3")
-    assert result.exit_code == 0
-    payload = json.loads(result.output)
-    assert payload["zcl"] == 30 and payload["method"] == "witness_lower_bound"
-
-    absent = run("zcl", "witness", "--m", "5", "--s", "2")
-    assert absent.exit_code == 0
-    assert json.loads(absent.output)["witness"] is None
-
-
-@pytest.mark.parametrize("m,s,line", [
-    (11, 3, '{"m":11,"s":3,"zcl":30,"method":"witness_lower_bound","g":3,'
-            '"witness":{"factors":[[1,3,15],[2,3,15]],'
-            '"certificate":"x1^11*x2^11*x3^8"}}'),
-    # the m = 2^e - 1 shape
-    (7, 4, '{"m":7,"s":4,"zcl":21,"method":"witness_lower_bound","g":7,'
-           '"witness":{"factors":[[1,4,7],[2,4,7],[3,4,7]],'
-           '"certificate":"x1^7*x2^7*x3^7"}}'),
-    # s < sigma: no witness
-    (5, 2, '{"m":5,"s":2,"zcl":null,"method":null,"g":null,"witness":null}'),
-])
-def test_zcl_witness_stdout(m, s, line):
-    # every key, in order; only the time varies, and it comes last
-    result = run("zcl", "witness", "--m", str(m), "--s", str(s))
-    assert (result.exit_code, result.stderr) == (0, "")
-    head, sep, tail = result.stdout.rpartition(',"elapsed_ms":')
-    assert sep and tail.endswith("}\n") and float(tail[:-2]) >= 0
-    assert head + "}" == line
-
-
-def test_zcl_witness_over_the_cap_is_one_line():
-    result = run("zcl", "witness", "--m", "1", "--s", "2000000")
-    assert (result.exit_code, result.stdout) == (2, "")
-    assert result.stderr == ("undetermined: witness(1,2000000): the check's "
-                             "work bound reaches 3999998 term products, over "
-                             "the cap of 1048576\n")
-
-
 # each command, with the package function it looks up in zclrp.cli
 COMMAND_FUNCTIONS = [
     (("profile", "--m", "3"), "two_adic_profile"),
     (("zcl", "exact", "--m", "3", "--s", "3"), "zcl_exact"),
-    (("zcl", "witness", "--m", "3", "--s", "3"), "explicit_witness"),
+    (("report", "--m-range", "1..2", "--s-range", "2..3"), "emit"),
     (("zcl", "probe", "--m", "3", "--s-max", "3"), "g_stabilization_probe"),
     (("verify", "generators", "--m", "2", "--s", "2"),
      "verify_generators_lemma"),
@@ -582,7 +549,7 @@ def test_report_skips_rows_over_the_dp_cap():
 
 
 @pytest.mark.parametrize("args", [
-    ("zcl", "witness", "--m", "1", "--s", "2000000"),
+    ("zcl", "exact", "--m", "1", "--s", "2000000"),
     ("verify", "generators", "--m", "9", "--s", "9"),
 ])
 def test_ring_cap_exit_code(args):
@@ -594,8 +561,8 @@ def test_ring_cap_exit_code(args):
     assert result.exit_code == 2 and result.stdout == ""
     if args[0] == "zcl":
         assert result.stderr == (
-            "undetermined: witness(1,2000000): the check's work bound reaches "
-            f"3999998 term products, over the cap of {zclrp.MAX_DP_CELLS}\n")
+            "undetermined: zcl(1,2000000): the search needs 3999998 steps, "
+            f"over the cap of {zclrp.MAX_DP_CELLS}\n")
     else:
         assert result.stderr == (
             "undetermined: generators(9,9): the check needs s*(m+1)^s = "
@@ -603,26 +570,27 @@ def test_ring_cap_exit_code(args):
 
 
 @pytest.mark.parametrize("args", [
-    ("zcl", "witness", "--m", "1000", "--s", "2000"),
+    ("zcl", "probe", "--m", "1000000", "--s-max", "10000"),
     ("verify", "generators", "--m", "1000", "--s", "2000"),
-    ("report", "--m-range", "1000..1000", "--s-range", "2000..2000"),
+    ("report", "--m-range", "1000000..1000000", "--s-range", "10000..10000"),
 ])
 def test_huge_ring_exits_2_with_one_line(args):
     # each command meets its own charge against the one work cap: the
-    # verifier's bound, the generators check's s*(m+1)^s (1001^2000 has
-    # over 6000 digits, past Python's int-to-str limit, so the charge is
-    # given as a power of 2) and the greedy's charge (s-1)*(m+1)
+    # verifier's bound for the greedy's witness, which zcl probe and a
+    # report row share, and the generators check's s*(m+1)^s (1001^2000
+    # has over 6000 digits, past Python's int-to-str limit, so the charge
+    # is given as a power of 2)
     t0 = time.perf_counter()
     result = run(*args)
     assert time.perf_counter() - t0 < 0.1
     assert result.exit_code == 2 and result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.endswith({
-        "zcl": ": the check's work bound reaches 126063936 term products, "
-               f"over the cap of {zclrp.MAX_DP_CELLS}\n",
+        "zcl": ": the search needs 1286508 steps, over the cap of "
+               f"{zclrp.MAX_DP_CELLS}\n",
         "verify": ": the check needs s*(m+1)^s >= 2^18010 steps, over the "
                   f"cap of {zclrp.MAX_DP_CELLS}\n",
-        "report": ": the search needs 2000999 steps, over the cap of "
+        "report": ": the search needs 1286508 steps, over the cap of "
                   f"{zclrp.MAX_DP_CELLS}\n",
     }[args[0]])
 

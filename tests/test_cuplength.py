@@ -1,18 +1,20 @@
 import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zclrp import (MAX_DP_CELLS, UndeterminedError, Witness, ZclResult,
-                   explicit_witness, g_stabilization_probe, verify_witness,
+                   g_stabilization_probe, trailing_ones, verify_witness,
                    word_nonzero, z_of, zcl_exact)
 from zclrp import cuplength
 
 from oracles import (DENSE_RING_BITS, brute_force_zcl, dense_factor_product,
                      dense_mul, dense_verify_witness, dp_zcl, enumerate_zcl,
-                     gain_rows, get_ring, knapsack_zcl,
-                     min_residues_by_submasks, min_residues_closed_form)
+                     explicit_witness, explicit_work, gain_rows, get_ring,
+                     knapsack_zcl, min_residues_by_submasks,
+                     min_residues_closed_form)
 
 
 def ring_word_product(m, s, exponents):
@@ -180,17 +182,30 @@ def test_zcl_lower_bound_and_strictness():
 
 
 def test_zcl_budget_exhaustion(monkeypatch):
-    # the charge is checked from (m, s) alone, before any greedy call
-    def no_work(m, parts, budget):
-        raise AssertionError("greedy called for a shape over the cap")
+    # the charge reads the greedy's digits once, and a shape over the cap
+    # gets no further: no word, no word_nonzero call, no Witness
+    calls = []
+    digits = cuplength._digits
 
-    monkeypatch.setattr(cuplength, "_digits", no_work)
+    def no_word(*args):
+        raise AssertionError("a word was checked or built over the cap")
+
+    monkeypatch.setattr(cuplength, "_digits",
+                        lambda *args: calls.append(args) or digits(*args))
+    monkeypatch.setattr(cuplength, "word_nonzero", no_word)
+    monkeypatch.setattr(cuplength, "Witness", no_word)
+    for run, m, s in [(zcl_exact, 1_000_000, 10_000),
+                      (g_stabilization_probe, 1_000_000, 10_000),
+                      (zcl_exact, 1, MAX_DP_CELLS)]:  # linear in s alone
+        calls.clear()
+        with pytest.raises(UndeterminedError, match="cap"):
+            run(m, s)
+        assert len(calls) <= 1, (m, s)
+    # a huge m is charged (s-1)*(m+1) without the greedy
+    calls.clear()
     with pytest.raises(UndeterminedError, match="cap"):
-        zcl_exact(1_000_000, 1000)
-    with pytest.raises(UndeterminedError, match="cap"):
-        g_stabilization_probe(1_000_000, 1000)
-    with pytest.raises(UndeterminedError, match="cap"):
-        zcl_exact(1, cuplength.MAX_DP_CELLS)     # the witness alone is linear in s
+        zcl_exact(MAX_DP_CELLS, 2)
+    assert calls == []
 
 
 def residues(m):
@@ -429,18 +444,78 @@ def test_dp_witnesses_past_the_dense_oracle(m, s):
                     Witness(m, s, w.factors, tuple(moved))), (v, step)
 
 
+def charged(m, s):
+    """The work _check_cells charges (m, s), read off its refusal under a
+    cap of 0."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("zclrp.errors.MAX_DP_CELLS", 0)
+        with pytest.raises(UndeterminedError) as exc:
+            cuplength._check_cells(m, s)
+    return int(re.search(r"needs (\d+) steps", str(exc.value))[1])
+
+
+def runs_charge(m, s):
+    """The same charge, summed over the runs _check_cells returns."""
+    return sum(n * cuplength._term_count(m, e)
+               for n, e in cuplength._check_cells(m, s))
+
+
 def test_dp_witness_bound_within_its_dp_size():
-    # at the largest s the charge (s-1)(m+1) admits, the check of the
-    # zcl_exact witness meets only x_s open, so its bound is within the
-    # charge: no witness the charge admits is refused by its check
+    # the check of the zcl_exact witness meets only x_s open, so its bound
+    # is the charge: no witness the charge admits is refused by its check.
+    # (s-1)(m+1), the charge before it, still bounds it
     for m in [2 ** b - 1 for b in range(4, 11)] + [16, 64, 256, 512,
                                                    100, 300, 700, 1000]:
         s = MAX_DP_CELLS // (m + 1) + 1
-        with pytest.raises(UndeterminedError, match="cap"):
-            zcl_exact(m, s + 1)
         w = zcl_exact(m, s).witness
-        assert cuplength._work_bound(w) <= (s - 1) * (m + 1) <= MAX_DP_CELLS, m
+        assert cuplength._work_bound(w) == charged(m, s) == \
+            runs_charge(m, s) <= (s - 1) * (m + 1), m
     assert verify_witness(w)
+    with pytest.raises(UndeterminedError, match="cap"):
+        zcl_exact(1023, 1026)            # (s-1)(m+1) for m = 2^e - 1
+
+
+def test_charge_admits_every_shape_the_old_charge_admitted(monkeypatch):
+    # no factor has more than m+1 terms, so the charge is at most the
+    # former (s-1)(m+1), here at the largest s that one admitted; shapes
+    # it refused, such as (1000, 2000), are admitted by their check's bound
+    for m in range(1, 2 ** 12 + 1):
+        s = MAX_DP_CELLS // (m + 1) + 1
+        assert runs_charge(m, s) <= (s - 1) * (m + 1), m
+    assert zcl_exact(1000, 2000).value == 2000 * 1000
+    assert runs_charge(1000, 2000) == 131900
+    monkeypatch.setattr("zclrp.errors.MAX_DP_CELLS", 1 << 64)
+    for m in range(1, 65):
+        for s in range(2, 65):
+            assert runs_charge(m, s) <= (s - 1) * (m + 1), (m, s)
+
+
+def test_charge_within_the_closed_form_bound(monkeypatch):
+    # wherever the closed-form witness exists, zcl_exact's charge is at
+    # most that witness's check, shape by shape: the charge is not
+    # monotone in s, so no bound at one s carries to the next
+    monkeypatch.setattr("zclrp.errors.MAX_DP_CELLS", 1 << 64)
+    for m in range(1, 2 ** 8 + 1):
+        for s in range(2, 400):
+            bound = explicit_work(m, s)
+            if bound:
+                assert runs_charge(m, s) <= bound, (m, s)
+
+
+def test_zcl_exact_admits_every_closed_form_shape():
+    # the largest s whose closed-form witness fits the cap: zcl_exact's
+    # charge admits it too, so the closed form covers no shape zcl_exact
+    # refuses
+    for m in range(1, 2 ** 12 + 1):
+        sigma = (m + 1) >> trailing_ones(m)
+        low, high = max(2, sigma), MAX_DP_CELLS + sigma + 2
+        if explicit_work(m, low) > MAX_DP_CELLS:
+            continue
+        while high - low > 1:            # explicit_work rises from sigma on
+            mid = (low + high) // 2
+            low, high = (mid, high) if explicit_work(m, mid) <= MAX_DP_CELLS \
+                else (low, mid)
+        cuplength._check_cells(m, low)
 
 
 def test_long_dp_witness_verifies_fast():
@@ -476,7 +551,7 @@ def test_explicit_work_bound_matches_the_verifier():
     shapes += [(255, 300), (383, 400), (1023, 1025), (1023, 1026),
                (1024, 1025), (1024, 1026), (1000, 2000)]
     for m, s in shapes:
-        bound = cuplength._explicit_work(m, s)
+        bound = explicit_work(m, s)
         if bound > MAX_DP_CELLS:
             with pytest.raises(UndeterminedError, match="over the cap"):
                 explicit_witness(m, s)

@@ -5,9 +5,10 @@ import pytest
 
 import zclrp
 from zclrp import (CacheEntry, DegreeCheck, JoinPoint, RingSpec, ZclResult,
-                   _kernels, build_row, errors, g_stabilization_probe, gf2,
-                   ring, sample_report, two_adic_profile,
-                   verify_generators_lemma, zcl_exact, zero_divisors)
+                   _kernels, build_row, cli, cuplength, errors,
+                   g_stabilization_probe, gf2, ring, sample_report,
+                   two_adic_profile, verify_generators_lemma, zcl_exact,
+                   zero_divisors)
 
 # Public names removed from the package -- test-only algebra, the default
 # of the ring cap that became the constant MAX_RING_BITS, the dense ring
@@ -17,7 +18,8 @@ from zclrp import (CacheEntry, DegreeCheck, JoinPoint, RingSpec, ZclResult,
 # SizeLimitError, folded into the one work cap MAX_DP_CELLS and its
 # UndeterminedError, then the union-find of the generators check and its
 # slice table, then the word class whose checks word_nonzero makes itself,
-# then the join model's label class, now plain ints -- and the methods
+# then the join model's label class, now plain ints, then the closed-form
+# witness that zcl_exact made redundant, now an oracle -- and the methods
 # that went with them; none may come back as a stale export.  Classes that
 # left the package whole stand for the methods listed before them: Ring and
 # Poly for pow, square, diagonal_restriction, mul, __pow__, __mul__,
@@ -30,7 +32,7 @@ REMOVED_NAMES = ["DEFAULT_BIT_LIMIT", "UniPoly", "binom_parity", "embed",
                  "SpecMismatchError", "SubspaceBasis", "ideal_degree_basis",
                  "kernel_basis", "rref", "DegreeSlice", "degree_slice",
                  "MAX_RING_BITS", "SizeLimitError", "GeneratorWord",
-                 "GroupElem"]
+                 "GroupElem", "explicit_witness"]
 REMOVED_ATTRIBUTES = [
     (ring, "Ring"), (ring, "Poly"), (ring, "get_ring"),
     (ring, "poly_to_text"), (zero_divisors, "generator"),
@@ -41,7 +43,8 @@ REMOVED_ATTRIBUTES = [
     (zero_divisors, "DegreeSlice"), (zero_divisors, "degree_slice"),
     (ring, "MAX_RING_BITS"), (errors, "SizeLimitError"),
     (ring, "graded_slices"), (gf2, "find"), (gf2, "components"),
-    (zero_divisors, "_ideal_forest"),
+    (zero_divisors, "_ideal_forest"), (cuplength, "explicit_witness"),
+    (cuplength, "_explicit_work"), (cli, "zcl_witness_cmd"),
 ]
 
 
@@ -49,7 +52,7 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from zclrp import *", namespace)
     assert [n for n in zclrp.__all__ if n not in namespace] == []
-    assert len(set(zclrp.__all__)) == len(zclrp.__all__) == 43
+    assert len(set(zclrp.__all__)) == len(zclrp.__all__) == 42
 
 
 def test_removed_names_are_gone():
