@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # annotation only: importing fractions costs start-up time
 
 Entry = tuple[int, int | None]
 
-MAX_WEIGHT = 16  # sample_point draws each weight from [1, MAX_WEIGHT]
+WEIGHT_BITS = 4  # sample_point draws each weight from [1, 2^WEIGHT_BITS]
 
 
 class JoinPoint(Record):
@@ -226,33 +226,18 @@ class JoinReport(Record):
                 "segment_checks_passed": self.segment_checks_passed}
 
 
-def _below(bits, n: int) -> int:
-    """rng.randrange(n) for an int n >= 1, given bits = rng.getrandbits.
-
-    The rejection rule of CPython's Random._randbelow_with_getrandbits:
-    draw bits(n.bit_length()) until the result is below n.  So it returns
-    the value rng.randrange(n) would and leaves rng in the same state,
-    without randrange's argument checks and call layers.
-    """
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
 def sample_point(rng: random.Random, s: int, k: int, j: int) -> JoinPoint:
-    """Random point of U_j: weights in [1, MAX_WEIGHT] at level j and at
+    """Random point of U_j: weights in [1, 2^WEIGHT_BITS] at level j and at
     each other level with probability 1/2, over their sum.
 
     Refuses s < 2, k < 0 and a level j outside [0, k] with ValueError
-    before any draw.  The draws are those of rng.random() < 0.5 per level
-    other than j, then rng.randrange(1, MAX_WEIGHT + 1) per weight and
-    rng.randrange(2^(s-1)) per label, taken inline by _below's rule with
-    the bit widths MAX_WEIGHT.bit_length() and s computed once a call.
-    The drawn weights, divided by their gcd, and labels in [0, 2^(s-1))
-    make a valid reduced point, built here through _trusted_point without
-    re-checking; sample_report draws both points of every sample here.
+    before any draw.  Every draw is one rng.getrandbits call of the bits it
+    uses: a 1-bit coin per level other than j, then WEIGHT_BITS bits per
+    weight (1 plus the draw) and s-1 bits per label, in level order; that
+    is k + 2*len(levels) calls.  The drawn weights, divided by their gcd,
+    and labels in [0, 2^(s-1)) make a valid reduced point, built here
+    through _trusted_point without re-checking; sample_report draws both
+    points of every sample here.
     """
     if s < 2:
         raise ValueError("need s >= 2")
@@ -260,24 +245,13 @@ def sample_point(rng: random.Random, s: int, k: int, j: int) -> JoinPoint:
         raise ValueError("need k >= 0")
     if not 0 <= j <= k:
         raise ValueError(f"level {j} outside [0, {k}]")
-    coin = rng.random
-    levels = [l for l in range(k + 1) if l == j or coin() < 0.5]
     bits = rng.getrandbits
-    weight_bits = MAX_WEIGHT.bit_length()
-    weights = []
-    for _ in levels:
-        w = bits(weight_bits)
-        while w >= MAX_WEIGHT:
-            w = bits(weight_bits)
-        weights.append(1 + w)
+    levels = [l for l in range(k + 1) if l == j or bits(1)]
+    weights = [1 + bits(WEIGHT_BITS) for _ in levels]
     common = math.gcd(*weights)
-    n_keys = 1 << (s - 1)  # of bit length s
     entries: list[Entry] = [(0, None)] * (k + 1)
     for l, w in zip(levels, weights):
-        g = bits(s)
-        while g >= n_keys:
-            g = bits(s)
-        entries[l] = (w // common, g)
+        entries[l] = (w // common, bits(s - 1))
     return _trusted_point(s, k, tuple(entries), sum(weights) // common)
 
 
@@ -296,8 +270,8 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
     draw, charges (samples+2^(s-1))*(k+9): two points of k+1 levels and a
     fixed 9 per sample, one image per key, with 2^(s-1) built only up to
     2^65, past which the charge is over the cap anyway.  Each sample draws j
-    as rng.randrange(k + 1) and g as rng.randrange(2^(s-1)), taken through
-    _below, so a seed gives the draws it gave with randrange.
+    as rng.randrange(k + 1), whose bound is not a power of 2, and g as
+    rng.getrandbits(s - 1), between the draws of p and q.
     """
     if s < 2:
         raise ValueError("need s >= 2")
@@ -313,16 +287,15 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
     first = None
     equivariant = True
     segments_ok = 0
-    bits = rng.getrandbits
     for _ in range(samples):
-        j = _below(bits, k + 1)
+        j = rng.randrange(k + 1)
         p = sample_point(rng, s, k, j)
         w, key = p.entries[j]
         if not w > 0:
             raise ValueError(f"point is not in U_{j}")
         if first is None:
             first = p, j
-        g = _below(bits, n_keys)
+        g = rng.getrandbits(s - 1)
         if _acted(g, p.entries[j:j + 1])[0][1] != g ^ key:
             equivariant = False
         q = sample_point(rng, s, k, j)

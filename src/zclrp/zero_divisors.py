@@ -30,11 +30,16 @@ def _check_closure(spec: RingSpec) -> None:
     """Charge s*(m+1)^s steps, an (m+1)^s-bit mask for each generator's
     rows and one for the marks, building nothing; a charge of 2^65 or more
     by bit lengths is given as that power of 2 and charged as 2^65, without
-    computing (m+1)^s or the power."""
+    computing (m+1)^s or the power, and an exponent of over 40 digits by
+    its digit count, as short_ints gives it: str() refuses 4,301 digits."""
     m, s = spec.m, spec.s
     low = s.bit_length() - 1 + s * ((m + 1).bit_length() - 1)
     work = 1 << 65 if low > 64 else s * spec.size
-    shown = f">= 2^{low}" if low > 64 else f"= {work}"
+    digits = (low.bit_length() - 1) * 30102 // 100000 + 1  # at most the count
+    while low >= 10 ** digits:
+        digits += 1
+    shown = (f"= {work}" if low <= 64 else f">= 2^{low}" if digits <= 40
+             else f">= 2^<{digits}-digit int>")
     charge(work, "generators({},{}): the check needs s*(m+1)^s {} steps",
            m, s, shown)
 

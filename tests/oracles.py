@@ -1094,12 +1094,17 @@ def segment_in_component(p: JoinPoint, q: JoinPoint, j: int) -> bool:
 
 
 def sample_point(rng: random.Random, s: int, k: int, j: int,
-                 max_numerator: int = 16) -> JoinPoint:
-    """Random point of U_j with denominator-bounded rational coordinates."""
-    levels = [l for l in range(k + 1) if l == j or rng.random() < 0.5]
-    weights = {l: rng.randint(1, max_numerator) for l in levels}
+                 weight_bits: int = 4) -> JoinPoint:
+    """Random point of U_j with denominator-bounded rational coordinates.
+
+    Draws a 1-bit coin per level other than j, then a weight 1 +
+    getrandbits(weight_bits) per chosen level, then a label
+    getrandbits(s - 1) per chosen level.
+    """
+    levels = [l for l in range(k + 1) if l == j or rng.getrandbits(1)]
+    weights = {l: 1 + rng.getrandbits(weight_bits) for l in levels}
     total = sum(weights.values())
-    parts = {l: (Fraction(w, total), GroupElem(s, rng.randrange(1 << (s - 1))))
+    parts = {l: (Fraction(w, total), GroupElem(s, rng.getrandbits(s - 1)))
              for l, w in weights.items()}
     return join_point(k, parts)
 
@@ -1121,7 +1126,7 @@ def sample_report(s: int, k: int, samples: int = 1000, seed: int = 0) -> JoinRep
         p = sample_point(rng, s, k, j)
         key = component_key(p, j)
         seen.add(key.bits)
-        g = GroupElem(s, rng.randrange(n_keys))
+        g = GroupElem(s, rng.getrandbits(s - 1))
         if component_key(act(g, p), j) != g + key:
             equivariant = False
         q = sample_point(rng, s, k, j)

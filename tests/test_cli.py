@@ -431,7 +431,7 @@ def test_verify_join_output_is_pinned(monkeypatch):
             codes.append(result.exit_code)
     assert codes == [0] * 72 and len(made) == 72
     assert hashlib.sha256("".join(transcript).encode()).hexdigest() == (
-        "77060651830c4f4cf95c21b7a7ec093b1b52744eff86c95fd112832557733ad6")
+        "71adfb1e67424b49e8cb4dd6743d98a7e04046db16cf968bdb4ac5792ec1d89f")
 
 
 def test_report_csv_deterministic():
@@ -469,8 +469,9 @@ def test_report_equals_one_build_row_per_cell(policy, fmt):
 
 
 def test_report_output_is_pinned():
-    # rows of 31 m, each sharing one DP over s = 2..30; recorded before the
-    # DP was shared
+    # 31 m by s = 2..30: each row's zcl from the digit greedy, its witness
+    # re-verified, with its bounds and provenance; recorded under the
+    # knapsack search the greedy replaced, and unchanged since
     result = run("report", "--m-range", "200..230", "--s-range", "2..30")
     assert result.exit_code == 0 and result.stderr == ""
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
@@ -611,6 +612,11 @@ HUGE_M, HUGE_S = "7" * 2200, "3" * 2200
      "the check needs s*(m+1)^s >= 2^100000000000000000066 steps"),
     (("verify", "generators", "--m", "257", "--s", "2147483648"),
      "the check needs s*(m+1)^s >= 2^17179869215 steps"),
+    # exponents of more digits than str() of an int may give
+    (("verify", "generators", "--m", "1", "--s", "9" * 4300),
+     "the check needs s*(m+1)^s >= 2^<4301-digit int> steps"),
+    (("verify", "generators", "--m", "9" * 4300, "--s", "9" * 4297),
+     "the check needs s*(m+1)^s >= 2^<4302-digit int> steps"),
 ])
 def test_huge_integers_exit_2_with_one_line(args, needs):
     # a charge of more digits than str() of an int may give is named as a
@@ -740,8 +746,8 @@ _INTS = st.builds(
         st.builds(lambda k, d: (1 << k) + d,
                   st.one_of(st.integers(1, 6), st.integers(1, 64)),
                   st.sampled_from([-1, 1])),
-        # up to 4,000 digits, under the 4,300 that int() reads
-        st.builds(lambda n, d: int(str(d) * n), st.integers(1, 4000),
+        # up to the 4,300 digits that int() reads
+        st.builds(lambda n, d: int(str(d) * n), st.integers(1, 4300),
                   st.integers(1, 9))),
     _mostly(st.just(False), st.just(True)))
 _NUMBERS = _mostly(st.builds(str, _INTS), st.sampled_from(
@@ -799,6 +805,7 @@ def _command_lines(draw, cache=False):
           "--policy", "witness-only"])
 @example(["verify", "join", "--s", "2", "--k", str(10 ** 3999),
           "--samples", "1"])
+@example(["verify", "generators", "--m", "1", "--s", "9" * 4300])
 def test_cli_contract(args):
     # every command line exits 0, 2 or 64, with no traceback, with no
     # stdout on a refusal and with stderr lines of at most 200 bytes

@@ -411,9 +411,9 @@ def test_sparse_verifier_equals_dense_oracle(data, m, s):
 
 
 def test_sparse_verifier_equals_dense_oracle_on_table_grid():
-    # every DP witness of the report grid m <= 15, s <= 6 within the dense
-    # oracle's cap, and the same words with the certificate's x_s exponent
-    # lowered
+    # every zcl_exact witness, the digit greedy's word, of the report grid
+    # m <= 15, s <= 6 within the dense oracle's cap, and the same words with
+    # the certificate's x_s exponent lowered
     for m in range(1, 16):
         for s in range(2, 7):
             if (m + 1) ** s > DENSE_RING_BITS:

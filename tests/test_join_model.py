@@ -199,23 +199,60 @@ def test_points_built_without_checks_are_canonical(s, k, seed):
         _assert_canonical(p)
 
 
-# 1..300 covers every bit length of a label or weight the CLI draws; the
-# others straddle the 32-bit words getrandbits is built from
-_BELOW_BOUNDS = [*range(1, 301), 2**31, 2**32 - 1, 2**32, 2**32 + 1,
-                 2**64 + 7, 2**100]
+class _CountingRandom(random.Random):
+    """A Random that counts the getrandbits calls made outside randrange,
+    whose rejection loop takes a varying number, and refuses random()."""
+
+    def __init__(self, seed):
+        self.bit_calls = 0
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.bit_calls += 1
+        return super().getrandbits(k)
+
+    def randrange(self, *args):
+        calls = self.bit_calls
+        value = super().randrange(*args)
+        self.bit_calls = calls
+        return value
+
+    def random(self):
+        raise AssertionError("a float draw")
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_below_takes_the_draws_of_randrange(seed):
-    # sample_point and sample_report draw through _below; were a CPython's
-    # randrange to draw otherwise, verify join output would drift unseen
-    rng, twin = random.Random(seed), random.Random(seed)
-    below = join_model._below
-    for n in _BELOW_BOUNDS:
-        assert below(rng.getrandbits, n) == twin.randrange(n), n
-        assert rng.getstate() == twin.getstate(), n
-        assert 1 + below(rng.getrandbits, n) == twin.randrange(1, n + 1), n
-        assert rng.getstate() == twin.getstate(), n
+@pytest.mark.parametrize("s", [2, 3, 6, 17, 40])
+def test_sample_point_draws_each_value_in_one_call(s):
+    # a coin per level other than j, then a weight and a label per level
+    # drawn: no draw is rejected and none is a float
+    rng = _CountingRandom(s)
+    for k in range(9):
+        for j in range(k + 1):
+            before = rng.bit_calls
+            p = sample_point(rng, s, k, j)
+            levels = sum(w > 0 for w, _ in p.entries)
+            assert rng.bit_calls - before == k + 2 * levels, (k, j)
+
+
+@pytest.mark.parametrize("s", [2, 3, 6, 12])
+def test_sample_report_draws_one_g_per_sample(s, monkeypatch):
+    # past j, drawn by randrange, and its two points, each sample takes one
+    # getrandbits call, its g
+    made, in_points = [], []
+
+    def counted(rng, *args):
+        before = rng.bit_calls
+        p = sample_point(rng, *args)
+        in_points.append(rng.bit_calls - before)
+        return p
+
+    monkeypatch.setattr(join_model, "random", SimpleNamespace(
+        Random=lambda seed: made.append(_CountingRandom(seed)) or made[-1]))
+    monkeypatch.setattr(join_model, "sample_point", counted)
+    samples = 50
+    sample_report(s, 5, samples, seed=s)
+    assert len(in_points) == 2 * samples
+    assert made[-1].bit_calls - sum(in_points) == samples
 
 
 @pytest.mark.parametrize("s", [2, 3, 5, 33, 34, 65, 100])
