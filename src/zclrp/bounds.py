@@ -9,9 +9,11 @@ collapses to s*m).
 Rows serialize deterministically (JSON lines or CSV ordered by (m, s));
 computed values can be persisted in an append-only JSON-lines cache.  The
 rows of one table parse each of its lines once, and every lookup
-re-verifies its entry by verify_witness, the sparse product of the
-factors' terms; every witness a row computes is checked the same way.
-Neither check builds the ring, so no row is refused for the size of
+re-verifies its entry by verify_witness, which multiplies out the factors'
+terms: a factor that alone uses a variable gives one term, the others a
+sparse product.  Every witness a row computes is checked the same way, in
+one pass, as each of its factors alone uses its x_i.  Neither check builds
+the ring, so no row is refused for the size of
 (m+1)^s; a row is skipped only when its charge, the check's bound for its
 witness (cuplength._check_cells), is over MAX_DP_CELLS.  Each row is
 charged, computed and checked on its own.
@@ -146,7 +148,10 @@ def _parse_line(path: str, n: int, line: str) -> CacheEntry | None:
     if not line.strip():
         return None
     try:
-        return _entry_from_json(line)
+        # a byte that is not UTF-8 was read as a lone surrogate (see
+        # _cached_lines); decoding the line's bytes again raises on it
+        return _entry_from_json(
+            line.encode("utf-8", "surrogateescape").decode("utf-8"))
     except (ValueError, KeyError, TypeError) as exc:
         warnings.warn(f"{path}:{n}: skipping corrupt cache line ({exc})")
         return None
@@ -163,7 +168,7 @@ def _cached_lines(path: str, m: int, s: int) -> list[tuple[int, CacheEntry]]:
     """
     global _parsed
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     except FileNotFoundError:
         return []

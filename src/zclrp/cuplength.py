@@ -20,7 +20,7 @@ every j_i <= m and the residue sum <= m.  By the parity constraint the
 admissible residues b_i - j_i are exactly the binary submasks of b_i, so the
 word is nonzero iff the per-coordinate minimal residues sum to at most m.
 An independent check by plain ring arithmetic is kept (verify_witness): it
-multiplies the factors' terms as sparse sets of exponent vectors.
+multiplies the factors' terms out, without building the ring.
 
 Because the criterion is additive, the longest nonzero word is a
 multiple-choice knapsack (Kellerer-Pferschy-Pisinger, Knapsack Problems,
@@ -328,20 +328,23 @@ def _work_bound(w: Witness, uses=None) -> int:
     factor that takes it past MAX_DP_CELLS (see there).  uses is
     _uses(w.factors), when the caller has it already."""
     first, last = _uses(w.factors) if uses is None else uses
-    work, sizes = 0, {}
+    work, sizes, live = 0, {}, 1
     for n, (i, j, e) in enumerate(w.factors):
         count = _term_count(w.m, e)
         if not count:
             break
-        live = math.prod(sizes.values()) // max(sizes.values(), default=1)
         work += live * count
         if work > MAX_DP_CELLS:
             break
+        changed = False
         for v in (i, j):
             if last[v] == n:
-                sizes.pop(v, None)
+                changed |= sizes.pop(v, None) is not None
             elif first[v] == n and w.certificate[v - 1]:
                 sizes[v] = w.certificate[v - 1] + 1
+                changed = True
+        if changed:
+            live = math.prod(sizes.values()) // max(sizes.values(), default=1)
     return work
 
 
@@ -351,32 +354,57 @@ def verify_witness(w: Witness) -> bool:
 
     Independent of word_nonzero -- this is the oracle that cross-validates
     the combinatorial criterion.  Each factor's terms come from the closed
-    form of (x_i + x_j)^k (see _binomial_terms), and the product runs over
-    sets of exponent vectors, each new term cancelling an equal one mod 2.
-    Only the terms that can still reach the certificate C are kept: a term
-    must divide C, since exponents only grow, and once the last factor using
-    a variable is multiplied in, its exponent on that variable must equal
-    C's.  So a term is kept only over the open variables, those used by an
-    earlier factor and by a later one; a variable no factor uses must have
-    exponent 0 in C.  This drops nothing the coefficient of C depends on,
-    and the truncation x_i^(m+1) = 0 never bites, as C's exponents are at
-    most m.  No ring is built.
+    form of (x_i + x_j)^k (see _binomial_terms).  The truncation
+    x_i^(m+1) = 0 never bites, as the certificate C's exponents are at most
+    m, so no ring is built.
 
-    The work is bounded from the factor list before any product, and over
-    MAX_DP_CELLS raises UndeterminedError: every term before a factor has
-    the same total degree, so with k open variables at most the product of
-    C_v + 1 over all but the largest of them are live, each multiplied by
-    the factor's terms.  A factor with no term ends the product, and the
-    bound with it.  A zcl_exact witness keeps only x_s open, so its bound
-    is the charge zcl_exact passed (see _check_cells).
+    First each factor that alone uses one of its variables, x_v, is
+    multiplied out on its own.  The other factors have no x_v, so of its
+    terms only x_v^(C_v) x_u^(k - C_v), u its other variable, can reach C.
+    When that term is missing (C(k, C_v) even, or an exponent over m), or
+    k - C_v exceeds what is left of C_u, the coefficient of C is 0;
+    otherwise it is the coefficient of the target with C_v cut to 0 and C_u
+    lowered by k - C_v in the product of the other factors, as multiplying
+    by one monomial is injective on monomials.  Each factor of a zcl_exact
+    witness alone uses its x_i, so that check is one pass of compares.
+
+    The factors left are multiplied as sets of exponent vectors, each new
+    term cancelling an equal one mod 2.  Only the terms that can still
+    reach the target are kept: a term must divide it, since exponents only
+    grow, and once the last factor using a variable is multiplied in, its
+    exponent on that variable must equal the target's.  So a term is kept
+    only over the open variables, those used by an earlier factor and by a
+    later one; a variable no factor uses must have exponent 0 in the
+    target.  This drops nothing the coefficient depends on.
+
+    The work is bounded from the whole factor list before any product, and
+    over MAX_DP_CELLS raises UndeterminedError: every term before a factor
+    has the same total degree, so with k open variables at most the product
+    of C_v + 1 over all but the largest of them are live, each multiplied
+    by the factor's terms.  A factor with no term ends the product, and the
+    bound with it.  A factor multiplied out on its own is counted so too,
+    though it takes one step.  A zcl_exact witness keeps only x_s open, so
+    its bound is the charge zcl_exact passed (see _check_cells).
     """
-    target = w.certificate
     first, last = uses = _uses(w.factors)
-    if any(c and v not in first for v, c in enumerate(target, 1)):
+    if any(c and v not in first for v, c in enumerate(w.certificate, 1)):
         return False
     _check_work(w.m, w.s, _work_bound(w, uses))
+    target, factors = list(w.certificate), []
+    for i, j, e in w.factors:
+        v, u = (i, j) if first[i] == last[i] else (j, i)
+        if first[v] != last[v]:
+            factors.append((i, j, e))
+            continue
+        t = target[v - 1]
+        if e & t != t or not e - w.m <= t <= w.m or e - t > target[u - 1]:
+            return False
+        target[v - 1], target[u - 1] = 0, target[u - 1] - (e - t)
+    first, last = _uses(factors)
+    if any(c and v not in first for v, c in enumerate(target, 1)):
+        return False
     layout, terms = (), {()}
-    for n, (i, j, e) in enumerate(w.factors):
+    for n, (i, j, e) in enumerate(factors):
         ci, cj = target[i - 1], target[j - 1]
         keep = [p for p, v in enumerate(layout) if v != i and v != j]
         at_i = layout.index(i) if i in layout else None

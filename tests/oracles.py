@@ -9,8 +9,11 @@ union-find over the ideal rows that replaced them, which the package no
 longer has and which check its bitset closure over the ideal rows;
 the dense ring -- its elements, binomial powers and product, which the
 package no longer has and which check the sparse witness verifier and the
-rank-built ideal rows; the zcl enumerator and the textbook knapsack below,
-which check the knapsack against the word criterion it optimizes; the
+rank-built ideal rows; the witness check by set products alone and its
+work bound, which the package had before it multiplied out the factors
+that alone use a variable, and which check the verifier and its bound;
+the zcl enumerator and the textbook knapsack below, which check the
+knapsack against the word criterion it optimizes; the
 knapsack DP rows and the DP zcl_exact the package had before the digit
 greedy replaced them, which check the greedy; the closed-form
 witness the package had before zcl_exact covered every shape it admits,
@@ -25,6 +28,7 @@ GroupElem labels, which checks the integer weights and the int labels.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -641,6 +645,99 @@ def dense_verify_witness(w):
     coefficient in the dense product of the factor powers."""
     product = dense_factor_product(w.m, w.s, w.factors)
     return bool((product.bits >> rank(product.spec, w.certificate)) & 1)
+
+
+# -- the witness check by set products alone -------------------------------
+# The package's verify_witness before it multiplied out on their own the
+# factors that alone use a variable: every factor goes through the product
+# of term sets, and the work bound recomputes its live terms at every
+# factor.  Tests check the verifier and its bound against these.
+
+def set_product_work_bound(w: Witness, uses=None) -> int:
+    """verify_witness's bound on its term products, summed up to the first
+    factor that takes it past MAX_DP_CELLS (see there).  uses is
+    cuplength._uses(w.factors), when the caller has it already."""
+    first, last = cuplength._uses(w.factors) if uses is None else uses
+    work, sizes = 0, {}
+    for n, (i, j, e) in enumerate(w.factors):
+        count = cuplength._term_count(w.m, e)
+        if not count:
+            break
+        live = math.prod(sizes.values()) // max(sizes.values(), default=1)
+        work += live * count
+        if work > cuplength.MAX_DP_CELLS:
+            break
+        for v in (i, j):
+            if last[v] == n:
+                sizes.pop(v, None)
+            elif first[v] == n and w.certificate[v - 1]:
+                sizes[v] = w.certificate[v - 1] + 1
+    return work
+
+
+def set_product_verify_witness(w: Witness) -> bool:
+    """Check a witness by plain ring arithmetic: multiply the factor powers
+    and test the certificate monomial's coefficient.
+
+    Independent of word_nonzero -- this is the oracle that cross-validates
+    the combinatorial criterion.  Each factor's terms come from the closed
+    form of (x_i + x_j)^k (see _binomial_terms), and the product runs over
+    sets of exponent vectors, each new term cancelling an equal one mod 2.
+    Only the terms that can still reach the certificate C are kept: a term
+    must divide C, since exponents only grow, and once the last factor using
+    a variable is multiplied in, its exponent on that variable must equal
+    C's.  So a term is kept only over the open variables, those used by an
+    earlier factor and by a later one; a variable no factor uses must have
+    exponent 0 in C.  This drops nothing the coefficient of C depends on,
+    and the truncation x_i^(m+1) = 0 never bites, as C's exponents are at
+    most m.  No ring is built.
+
+    The work is bounded from the factor list before any product, and over
+    MAX_DP_CELLS raises UndeterminedError: every term before a factor has
+    the same total degree, so with k open variables at most the product of
+    C_v + 1 over all but the largest of them are live, each multiplied by
+    the factor's terms.  A factor with no term ends the product, and the
+    bound with it.  A zcl_exact witness keeps only x_s open, so its bound
+    is the charge zcl_exact passed (see _check_cells).
+    """
+    target = w.certificate
+    first, last = uses = cuplength._uses(w.factors)
+    if any(c and v not in first for v, c in enumerate(target, 1)):
+        return False
+    cuplength._check_work(w.m, w.s, set_product_work_bound(w, uses))
+    layout, terms = (), {()}
+    for n, (i, j, e) in enumerate(w.factors):
+        ci, cj = target[i - 1], target[j - 1]
+        keep = [p for p, v in enumerate(layout) if v != i and v != j]
+        at_i = layout.index(i) if i in layout else None
+        at_j = layout.index(j) if j in layout else None
+        open_i, open_j = last[i] > n, last[j] > n
+        # a variable this factor closes leaves one exponent t to try per
+        # term; only when both stay open are all of the factor's terms read
+        every_t = cuplength._binomial_terms(w.m, e) if open_i and open_j else ()
+        product = set()
+        for term in terms:
+            rest = tuple(term[p] for p in keep)
+            have_i = 0 if at_i is None else term[at_i]
+            have_j = 0 if at_j is None else term[at_j]
+            if not open_i:
+                choices = (ci - have_i,)
+            elif not open_j:
+                choices = (e - cj + have_j,)
+            else:
+                choices = every_t
+            for t in choices:
+                a, b = have_i + t, have_j + e - t
+                if (e & t != t or not e - w.m <= t <= w.m or a > ci
+                        or b > cj or (not open_i and a != ci)
+                        or (not open_j and b != cj)):
+                    continue
+                product ^= {rest + (a,) * open_i + (b,) * open_j}
+        layout = tuple(layout[p] for p in keep) + (i,) * open_i + (j,) * open_j
+        terms = product
+        if not terms:
+            return False
+    return bool(terms)
 
 
 def ideal_basis_by_products(spec, degree):

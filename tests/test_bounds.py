@@ -143,6 +143,26 @@ def test_cache_ignores_corrupt_lines(tmp_path):
     assert entry is not None and entry.zcl == 6
 
 
+def test_cache_skips_a_line_that_is_not_utf8(tmp_path):
+    # an undecodable line is a corrupt line, and the good lines around it,
+    # one of them holding a non-ASCII character, are still read
+    path = tmp_path / "zcl.jsonl"
+    w = explicit_witness(3, 3)
+    cache_put(str(path), 3, 3, w.length, "exact", w)
+    with open(path, "ab") as fh:
+        fh.write(b'\xff\xfe {"m": 3}\n{"m": "\xc3\xa9"}\n')
+    cache_put(str(path), 5, 3, 14, "exact", explicit_witness(5, 3))
+    with pytest.warns(UserWarning) as record:
+        entry = cache_get(str(path), 3, 3)
+    assert entry is not None and entry.zcl == 6
+    assert [str(r.message) for r in record] == [
+        f"{path}:2: skipping corrupt cache line ('utf-8' codec can't decode "
+        "byte 0xff in position 0: invalid start byte)",
+        f"{path}:3: skipping corrupt cache line (invalid literal for int() "
+        "with base 10: 'é')"]
+    assert cache_get(str(path), 5, 3).zcl == 14
+
+
 def test_cache_rejects_failing_witness(tmp_path):
     path = str(tmp_path / "zcl.jsonl")
     # certificate monomial that does not occur in the product

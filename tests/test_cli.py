@@ -690,6 +690,21 @@ def test_report_with_cache(tmp_path):
     assert len(path.read_text().splitlines()) == 4
 
 
+def test_report_with_a_cache_that_is_not_utf8(tmp_path):
+    # an undecodable cache line is skipped with a warning, as any corrupt
+    # line is, and the row is the one computed without it
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b"\xff\xfe garbage\n")
+    args = ("report", "--m-range", "1..1", "--s-range", "2..2")
+    plain = run(*args)
+    with pytest.warns(UserWarning, match=":1: skipping corrupt cache line "
+                      r"\('utf-8' codec can't decode byte 0xff"):
+        cached = run(*args, "--cache", str(path))
+    assert cached.exit_code == plain.exit_code == 0
+    assert cached.stdout == plain.stdout
+    assert path.read_bytes().startswith(b"\xff\xfe garbage\n")
+
+
 def test_report_skips_a_cache_line_with_too_many_factors(tmp_path):
     # 600,000 factors for (2,3), where s*m = 6: corrupt, refused before its
     # factors are read, and the row is the one computed without the line

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -14,7 +15,8 @@ from oracles import (DENSE_RING_BITS, brute_force_zcl, dense_factor_product,
                      dense_mul, dense_verify_witness, dp_zcl, enumerate_zcl,
                      explicit_witness, explicit_work, gain_rows, get_ring,
                      knapsack_zcl, min_residues_by_submasks,
-                     min_residues_closed_form)
+                     min_residues_closed_form, set_product_verify_witness,
+                     set_product_work_bound)
 
 
 def ring_word_product(m, s, exponents):
@@ -410,6 +412,83 @@ def test_sparse_verifier_equals_dense_oracle(data, m, s):
     assert verify_witness(w) == dense_verify_witness(w)
 
 
+def verdict(check, w):
+    """check(w), or the refusal's text when its work is over the cap."""
+    try:
+        return check(w)
+    except UndeterminedError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 7), s=st.integers(2, 8))
+def test_peeled_verifier_equals_the_set_product(data, m, s):
+    # up to seven factors, at least half of them stars (x_i + x_s)^e as in
+    # zcl_exact's witnesses, each the only user of its x_i unless i is
+    # drawn twice; the others on any pair.  The certificate is one term
+    # picked from each factor's expansion, capped at m, or an arbitrary one
+    star = st.tuples(st.integers(1, s - 1), st.just(s))
+    pair = st.integers(1, s - 1).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(i + 1, s)))
+    count = data.draw(st.integers(0, 7))
+    stars = data.draw(st.integers((count + 1) // 2, count))
+    pairs = data.draw(st.permutations(
+        [data.draw(star) for _ in range(stars)]
+        + [data.draw(pair) for _ in range(count - stars)]))
+    factors = tuple((i, j, data.draw(st.integers(1, 2 * m + 2)))
+                    for i, j in pairs)
+    if data.draw(st.booleans()):
+        exponents = [0] * s
+        for i, j, e in factors:
+            t = data.draw(st.integers(0, e))
+            exponents[i - 1] += t
+            exponents[j - 1] += e - t
+        certificate = tuple(min(x, m) for x in exponents)
+    else:
+        certificate = data.draw(st.tuples(*[st.integers(0, m)] * s))
+    w = Witness(m, s, factors, certificate)
+    assert cuplength._work_bound(w) == set_product_work_bound(w)
+    got = verdict(verify_witness, w)
+    assert got == verdict(set_product_verify_witness, w)
+    if (m + 1) ** s <= DENSE_RING_BITS and isinstance(got, bool):
+        assert got == dense_verify_witness(w)
+
+
+def test_peeled_verifier_equals_the_set_product_exhaustively():
+    # every witness of at most two factors where (m+1)^s <= 27, with
+    # exponents up to 2m + 1 (above 2m a factor vanishes), against every
+    # certificate
+    for m, s in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]:
+        single = [(i, j, e) for i in range(1, s) for j in range(i + 1, s + 1)
+                  for e in range(1, 2 * m + 2)]
+        lists = [()] + [(f,) for f in single] + list(
+            itertools.product(single, repeat=2))
+        for certificate in itertools.product(range(m + 1), repeat=s):
+            for factors in lists:
+                w = Witness(m, s, factors, certificate)
+                assert verify_witness(w) == set_product_verify_witness(w), w
+
+
+def test_peeled_verifier_equals_the_set_product_on_closed_form_witnesses():
+    # every closed-form witness of m, s < 40, most of whose factors alone
+    # use one of their variables, and the same witness with one unit of its
+    # certificate moved from one coordinate to another
+    for m in range(1, 40):
+        for s in range(2, 40):
+            w = explicit_witness(m, s)
+            if w is None:
+                continue
+            assert verify_witness(w) and set_product_verify_witness(w), (m, s)
+            for a, b in ((0, s - 1), (s - 1, 0), (s - 2, s - 1)):
+                moved = list(w.certificate)
+                moved[a] -= 1
+                moved[b] += 1
+                if 0 <= moved[a] and moved[b] <= m:
+                    lowered = Witness(m, s, w.factors, moved)
+                    assert verify_witness(lowered) == \
+                        set_product_verify_witness(lowered), (m, s, a, b)
+
+
 def test_sparse_verifier_equals_dense_oracle_on_table_grid():
     # every zcl_exact witness, the digit greedy's word, of the report grid
     # m <= 15, s <= 6 within the dense oracle's cap, and the same words with
@@ -429,7 +508,7 @@ def test_sparse_verifier_equals_dense_oracle_on_table_grid():
 
 @pytest.mark.parametrize("m,s", [(14, 6), (15, 6), (31, 8), (45, 8),
                                  (100, 100), (511, 200)])
-def test_dp_witnesses_past_the_dense_oracle(m, s):
+def test_greedy_witnesses_past_the_dense_oracle(m, s):
     # shapes no dense ring can hold: the witness verifies, and a certificate
     # moved by one unit in one coordinate, whose total degree then differs
     # from the witness length, does not
@@ -460,7 +539,7 @@ def runs_charge(m, s):
                for n, e in cuplength._check_cells(m, s))
 
 
-def test_dp_witness_bound_within_its_dp_size():
+def test_greedy_witness_bound_within_its_charge():
     # the check of the zcl_exact witness meets only x_s open, so its bound
     # is the charge: no witness the charge admits is refused by its check.
     # (s-1)(m+1), the charge before it, still bounds it
@@ -518,8 +597,9 @@ def test_zcl_exact_admits_every_closed_form_shape():
         cuplength._check_cells(m, low)
 
 
-def test_long_dp_witness_verifies_fast():
-    # terms carry only the open variables, so s = 20000 costs little
+def test_long_greedy_witness_verifies_fast():
+    # each factor alone uses its x_i and is multiplied out on its own, so
+    # s = 20000 costs little
     w = zcl_exact(1, 20000).witness
     t0 = time.perf_counter()
     assert verify_witness(w)
