@@ -13,10 +13,11 @@ re-verifies its entry by verify_witness, which multiplies out the factors'
 terms: a factor that alone uses a variable gives one term, the others a
 sparse product.  Every witness a row computes is checked the same way, in
 one pass, as each of its factors alone uses its x_i.  Neither check builds
-the ring, so no row is refused for the size of
-(m+1)^s; a row is skipped only when its charge, the check's bound for its
-witness (cuplength._check_cells), is over MAX_DP_CELLS.  Each row is
-charged, computed and checked on its own.
+the ring, so no row is refused for the size of (m+1)^s; a row is skipped
+only when its charge, 2*(s-1) steps to build and check its witness
+(cuplength._check_cells), is over MAX_DP_CELLS, that is for s > 524289
+or m >= MAX_DP_CELLS.  Each row is charged, computed and checked on its
+own.
 """
 
 from __future__ import annotations
@@ -227,10 +228,10 @@ def build_row(m: int, s: int, *, cache_path: str | None = None) -> BoundsRow:
     zcl_exact, its witness additionally re-verified by verify_witness,
     through sparse ring arithmetic (a disagreement would be a bug and
     raises).  A cached entry is used when cache_get finds one, which is
-    always exact.  A charge over MAX_DP_CELLS raises UndeterminedError
-    before the cache is read or any work is done.  zcl_exact takes the
-    charge; a cache lookup takes it first, so only a row missing from the
-    cache is charged twice.
+    always exact.  A charge over MAX_DP_CELLS (cuplength._check_cells)
+    raises UndeterminedError before the cache is read or any work is done.
+    zcl_exact takes the charge; a cache lookup takes it first, so only a
+    row missing from the cache is charged twice.
     """
     entry = None
     if cache_path is not None:

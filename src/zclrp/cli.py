@@ -94,8 +94,8 @@ def profile_cmd(m):
 def zcl_exact_cmd(m, s):
     """Exact cup-length by the residue digit greedy, with a certified witness.
 
-    Shapes whose charge, the check's bound for the witness (at most
-    (s-1)*(m+1)), is over the work cap exit 2 before the witness is built.
+    Shapes whose charge, 2*(s-1) steps to build and check the witness's
+    factors, is over the work cap exit 2 before the greedy runs.
     """
     _at_least("--m", m, 1)
     _at_least("--s", s, 2)

@@ -53,8 +53,9 @@ So zcl(m, s) = (s-1)*m + H(s-1, m) (see _gain): p = 1 gives
 zcl(m, 2) = m + C = 2^L - 1, and every sum is a multiple of 2^e,
 e = trailing_ones(m), the lowest bit of C, so the gap s*m - zcl never
 falls below 2^e - 1, the stable gap that large s reach.  zcl_exact reads
-its witness off the greedy's digits, and is charged that witness's own
-check (MAX_DP_CELLS) up front, never part-way through.
+its witness off the greedy's digits, and is charged 2*(s-1) steps
+(MAX_DP_CELLS) up front, one to build and one to check each factor, never
+part-way through.
 """
 
 from __future__ import annotations
@@ -68,33 +69,23 @@ from .parity import trailing_ones
 from .ring import monomial_to_text
 
 _NEEDS = "zcl({},{}): the search needs {work} steps"
+_REACHES = "witness({},{}): the check's work bound reaches {work} term products"
 
 
-def _check_cells(m: int, s: int) -> list[tuple[int, int]]:
-    """Raise unless m >= 1, s >= 2 and the check of zcl_exact's witness for
-    (m, s) fits MAX_DP_CELLS; return the witness word as runs (n, e) of n
-    equal entries e, in ascending order of e (see zcl_exact).
-
-    The charge is verify_witness's work bound for that witness: each
-    factor closes its own x_i, so only x_s stays open, one term is live,
-    and _work_bound is the factors' term counts, the sum of
-    n * _term_count(m, e) over the runs.  It is at most (s-1)*(m+1), since
-    a factor has at most m+1 terms.  For m >= MAX_DP_CELLS the charge is
-    (s-1)*(m+1) itself, always over the cap, so the greedy never runs on a
-    huge m.  Either way a shape over the cap raises UndeterminedError
-    before its word is built.
+def _check_cells(m: int, s: int) -> None:
+    """Raise unless m >= 1, s >= 2 and zcl_exact's work for (m, s) fits
+    MAX_DP_CELLS: 2*(s-1) steps, one to build each factor of its witness
+    and one to check it (each factor alone uses its x_i, so verify_witness
+    multiplies it out on its own).  For m >= MAX_DP_CELLS the charge is
+    (s-1)*(m+1), always over the cap, so the greedy never runs on a huge m.
+    Either way a shape over the cap raises UndeterminedError before any
+    work.
     """
     if m < 1 or s < 2:
         raise ValueError("need m >= 1 and s >= 2")
     if m >= MAX_DP_CELLS:
         charge((s - 1) * (m + 1), _NEEDS, m, s)
-    runs, x, top = [], 0, s - 1
-    for copies, bit in sorted(_digits(m, s - 1, m), reverse=True):
-        runs.append((top - copies, m | x))
-        x, top = x | bit, copies
-    runs.append((top, m | x))
-    charge(sum(n * _term_count(m, e) for n, e in runs), _NEEDS, m, s)
-    return runs
+    charge(2 * (s - 1), _NEEDS, m, s)
 
 
 def _largest_submask(k: int, x: int) -> int:
@@ -241,15 +232,18 @@ def zcl_exact(m: int, s: int) -> ZclResult:
     with i < a_j.  Each x_i is a submask of C, so it is that entry's
     residue, and the x_i sum to H(s-1, m) <= m: the word is nonzero and its
     length (s-1)*m + H(s-1, m) is the value.  x_i shrinks as i grows, so
-    _check_cells builds the word from the last position to the first,
-    sorted ascending, as at most L+1 runs of equal entries, and charges
-    their check before the word is spelled out.  The certificate comes
-    from one word_nonzero call on the finished word, so the greedy is
-    checked against the criterion it optimizes.
+    the word is built from the last position to the first, sorted
+    ascending, as at most L+1 runs of equal entries, after _check_cells
+    has charged 2*(s-1) steps for building and checking it.  The
+    certificate comes from one word_nonzero call on the finished word, so
+    the greedy is checked against the criterion it optimizes.
     """
-    word = []
-    for n, e in _check_cells(m, s):
-        word += [e] * n
+    _check_cells(m, s)
+    word, x, top = [], 0, s - 1
+    for copies, bit in sorted(_digits(m, s - 1, m), reverse=True):
+        word += [m | x] * (top - copies)
+        x, top = x | bit, copies
+    word += [m | x] * top
     value = sum(word)
     ok, certificate = word_nonzero(m, s, word)
     if not ok:
@@ -305,13 +299,6 @@ def _term_count(m: int, k: int) -> int:
     return at_most(min(m, k)) - at_most(max(0, k - m) - 1)
 
 
-def _check_work(m: int, s: int, work: int) -> None:
-    """Raise UndeterminedError when verify_witness's work bound for an
-    (m, s) witness exceeds MAX_DP_CELLS."""
-    charge(work, "witness({},{}): the check's work bound reaches {work} term "
-                 "products", m, s)
-
-
 def _uses(factors) -> tuple[dict[int, int], dict[int, int]]:
     """For each variable: the index of the first and of the last factor
     that uses it."""
@@ -323,28 +310,25 @@ def _uses(factors) -> tuple[dict[int, int], dict[int, int]]:
     return first, last
 
 
-def _work_bound(w: Witness, uses=None) -> int:
-    """verify_witness's bound on its term products, summed up to the first
-    factor that takes it past MAX_DP_CELLS (see there).  uses is
-    _uses(w.factors), when the caller has it already."""
-    first, last = _uses(w.factors) if uses is None else uses
-    work, sizes, live = 0, {}, 1
-    for n, (i, j, e) in enumerate(w.factors):
-        count = _term_count(w.m, e)
+def _work_bound(m: int, factors, target, uses) -> int:
+    """verify_witness's bound on the steps of its set product over factors
+    towards target, summed up to the first factor that takes it past
+    MAX_DP_CELLS (see there).  uses is _uses(factors)."""
+    first, last = uses
+    work, sizes = 0, {}
+    for n, (i, j, e) in enumerate(factors):
+        count = _term_count(m, e)
         if not count:
             break
-        work += live * count
+        live = math.prod(sizes.values()) // max(sizes.values(), default=1)
+        work += live * (count if last[i] > n and last[j] > n else 1)
         if work > MAX_DP_CELLS:
             break
-        changed = False
         for v in (i, j):
             if last[v] == n:
-                changed |= sizes.pop(v, None) is not None
-            elif first[v] == n and w.certificate[v - 1]:
-                sizes[v] = w.certificate[v - 1] + 1
-                changed = True
-        if changed:
-            live = math.prod(sizes.values()) // max(sizes.values(), default=1)
+                sizes.pop(v, None)
+            elif first[v] == n and target[v - 1]:
+                sizes[v] = target[v - 1] + 1
     return work
 
 
@@ -377,19 +361,18 @@ def verify_witness(w: Witness) -> bool:
     later one; a variable no factor uses must have exponent 0 in the
     target.  This drops nothing the coefficient depends on.
 
-    The work is bounded from the whole factor list before any product, and
-    over MAX_DP_CELLS raises UndeterminedError: every term before a factor
-    has the same total degree, so with k open variables at most the product
-    of C_v + 1 over all but the largest of them are live, each multiplied
-    by the factor's terms.  A factor with no term ends the product, and the
-    bound with it.  A factor multiplied out on its own is counted so too,
-    though it takes one step.  A zcl_exact witness keeps only x_s open, so
-    its bound is the charge zcl_exact passed (see _check_cells).
+    The peel takes one pass.  The set product's steps are bounded from the
+    factors and target left before it starts, and over MAX_DP_CELLS raise
+    UndeterminedError: every term before a factor has the same total
+    degree, so with k open variables at most the product of C_v + 1 over
+    all but the largest of them are live.  A factor that closes a variable
+    tries one exponent per live term, one that leaves both open all its
+    terms.  A factor with no term ends the product and the bound.  A
+    zcl_exact witness leaves the set product no factor, so its bound is 0.
     """
-    first, last = uses = _uses(w.factors)
+    first, last = _uses(w.factors)
     if any(c and v not in first for v, c in enumerate(w.certificate, 1)):
         return False
-    _check_work(w.m, w.s, _work_bound(w, uses))
     target, factors = list(w.certificate), []
     for i, j, e in w.factors:
         v, u = (i, j) if first[i] == last[i] else (j, i)
@@ -400,11 +383,14 @@ def verify_witness(w: Witness) -> bool:
         if e & t != t or not e - w.m <= t <= w.m or e - t > target[u - 1]:
             return False
         target[v - 1], target[u - 1] = 0, target[u - 1] - (e - t)
-    first, last = _uses(factors)
+    first, last = uses = _uses(factors)
     if any(c and v not in first for v, c in enumerate(target, 1)):
         return False
+    charge(_work_bound(w.m, factors, target, uses), _REACHES, w.m, w.s)
     layout, terms = (), {()}
     for n, (i, j, e) in enumerate(factors):
+        if not _term_count(w.m, e):
+            return False
         ci, cj = target[i - 1], target[j - 1]
         keep = [p for p, v in enumerate(layout) if v != i and v != j]
         at_i = layout.index(i) if i in layout else None
@@ -458,11 +444,18 @@ class GapProbe(Record):
 
 def g_stabilization_probe(m: int, s_max: int) -> GapProbe:
     """Exact gap sequence over s = 2..s_max from the greedy, with
-    monotonicity asserted: g(s) = m - H(s-1, m) (see _gain)."""
+    monotonicity asserted: g(s) = m - H(s-1, m) (see _gain).  H(p, m)
+    never falls as p grows and no a_j exceeds m, so the greedy stops at the
+    first gap equal to m - H(m, m), its limit, and repeats it."""
     if s_max < 2:
         raise ValueError("need s_max >= 2")
     _check_cells(m, s_max)
-    gs = tuple(m - _gain(m, s - 1, m) for s in range(2, s_max + 1))
+    floor, gs = m - _gain(m, m, m), []
+    for s in range(2, s_max + 1):
+        gs.append(m - _gain(m, s - 1, m))
+        if gs[-1] == floor:
+            break
+    gs = tuple(gs) + (floor,) * (s_max - s)
     for a, b in zip(gs, gs[1:]):
         if b > a:
             raise InvariantViolationError(

@@ -12,10 +12,14 @@ package no longer has and which check the sparse witness verifier and the
 rank-built ideal rows; the witness check by set products alone and its
 work bound, which the package had before it multiplied out the factors
 that alone use a variable, and which check the verifier and its bound;
-the zcl enumerator and the textbook knapsack below, which check the
+a copy of the verifier that counts the steps of its set product, which
+checks the work bound it is charged; the zcl enumerator and the textbook knapsack below, which check the
 knapsack against the word criterion it optimizes; the
 knapsack DP rows and the DP zcl_exact the package had before the digit
-greedy replaced them, which check the greedy; the closed-form
+greedy replaced them, which check the greedy; zcl_exact's charge summed
+over its witness's runs and the gap probe's greedy at every s, which the
+package had before it charged 2*(s-1) and stopped the probe's greedy once
+the gap settles, and which check the charge and the probe; the closed-form
 witness the package had before zcl_exact covered every shape it admits,
 and that witness's work bound, which check zcl_exact and its charge; the
 residue table, which checks the residue formula against the submask
@@ -37,6 +41,7 @@ from typing import Iterable, Iterator, Sequence
 from zclrp import (DegreeCheck, JoinReport, RingSpec, Witness, ZclError,
                    ZclResult, cuplength, monomial_from_text, monomial_to_text,
                    rank, trailing_ones, unrank, verify_witness, word_nonzero)
+from zclrp.errors import charge
 
 
 def slice_table(spec: RingSpec) -> tuple[tuple[int, ...], ...]:
@@ -704,7 +709,7 @@ def set_product_verify_witness(w: Witness) -> bool:
     first, last = uses = cuplength._uses(w.factors)
     if any(c and v not in first for v, c in enumerate(target, 1)):
         return False
-    cuplength._check_work(w.m, w.s, set_product_work_bound(w, uses))
+    charge(set_product_work_bound(w, uses), cuplength._REACHES, w.m, w.s)
     layout, terms = (), {()}
     for n, (i, j, e) in enumerate(w.factors):
         ci, cj = target[i - 1], target[j - 1]
@@ -738,6 +743,78 @@ def set_product_verify_witness(w: Witness) -> bool:
         if not terms:
             return False
     return bool(terms)
+
+
+# -- the peeled check with its steps counted -------------------------------
+# The package's verify_witness without its work cap: the same peel of the
+# factors that alone use a variable, then the same set product, counting
+# each exponent it tries for a term.  Tests check that the package's work
+# bound is never below that count.
+
+def peel(w: Witness) -> tuple[list, list[int]] | None:
+    """The factors verify_witness leaves to its set product and the target
+    reduced by the others, or None when the peel decides the witness is 0
+    (a factor's one term that can reach the target is missing, or too
+    large, or a target exponent is on a variable no factor uses)."""
+    first, last = cuplength._uses(w.factors)
+    if any(c and v not in first for v, c in enumerate(w.certificate, 1)):
+        return None
+    target, factors = list(w.certificate), []
+    for i, j, e in w.factors:
+        v, u = (i, j) if first[i] == last[i] else (j, i)
+        if first[v] != last[v]:
+            factors.append((i, j, e))
+            continue
+        t = target[v - 1]
+        if e & t != t or not e - w.m <= t <= w.m or e - t > target[u - 1]:
+            return None
+        target[v - 1], target[u - 1] = 0, target[u - 1] - (e - t)
+    first, _ = cuplength._uses(factors)
+    if any(c and v not in first for v, c in enumerate(target, 1)):
+        return None
+    return factors, target
+
+
+def counted_verify_witness(w: Witness) -> tuple[bool, int]:
+    """(verify_witness's verdict, the steps of its set product), with no
+    work cap: a step is one exponent t tried for one live term."""
+    peeled = peel(w)
+    if peeled is None:
+        return False, 0
+    factors, target = peeled
+    _, last = cuplength._uses(factors)
+    layout, terms, steps = (), {()}, 0
+    for n, (i, j, e) in enumerate(factors):
+        if not cuplength._term_count(w.m, e):
+            return False, steps
+        ci, cj = target[i - 1], target[j - 1]
+        open_i, open_j = last[i] > n, last[j] > n
+        product = set()
+        for term in terms:
+            have = dict(zip(layout, term))
+            have_i, have_j = have.get(i, 0), have.get(j, 0)
+            if not open_i:
+                choices = [ci - have_i]
+            elif not open_j:
+                choices = [e - cj + have_j]
+            else:
+                choices = cuplength._binomial_terms(w.m, e)
+            for t in choices:
+                steps += 1
+                a, b = have_i + t, have_j + e - t
+                if (e & t != t or not e - w.m <= t <= w.m or a > ci
+                        or b > cj or (not open_i and a != ci)
+                        or (not open_j and b != cj)):
+                    continue
+                rest = tuple(x for v, x in zip(layout, term)
+                             if v != i and v != j)
+                product ^= {rest + (a,) * open_i + (b,) * open_j}
+        layout = tuple(v for v in layout if v != i and v != j) \
+            + (i,) * open_i + (j,) * open_j
+        terms = product
+        if not terms:
+            return False, steps
+    return bool(terms), steps
 
 
 def ideal_basis_by_products(spec, degree):
@@ -921,9 +998,32 @@ def dp_zcl(m: int, s: int) -> ZclResult:
     return ZclResult(m, s, value, "exact", Witness(m, s, factors, certificate))
 
 
+def runs_charge(m: int, s: int) -> int:
+    """The package's charge of zcl_exact before it charged 2*(s-1): the
+    term counts of its witness's factors, summed over the witness word's
+    runs (n, e) of n equal entries e, built as zcl_exact builds them; the
+    old set product's work bound for that witness.  (s-1)*(m+1) for
+    m >= MAX_DP_CELLS, without the greedy."""
+    if m >= cuplength.MAX_DP_CELLS:
+        return (s - 1) * (m + 1)
+    runs, x, top = [], 0, s - 1
+    for copies, bit in sorted(cuplength._digits(m, s - 1, m), reverse=True):
+        runs.append((top - copies, m | x))
+        x, top = x | bit, copies
+    runs.append((top, m | x))
+    return sum(n * cuplength._term_count(m, e) for n, e in runs)
+
+
+def probe_gaps(m: int, s_max: int) -> tuple[int, ...]:
+    """g_stabilization_probe's gaps before it stopped the greedy once the
+    gap settles: one greedy per s = 2..s_max."""
+    return tuple(m - cuplength._gain(m, s - 1, m) for s in range(2, s_max + 1))
+
+
 def explicit_work(m: int, s: int) -> int:
-    """verify_witness's work bound for the closed-form witness of (m, s),
-    from the shape of explicit_witness alone; 0 when there is none.
+    """The set product's work bound (set_product_work_bound) for the
+    closed-form witness of (m, s), from the shape of explicit_witness
+    alone; 0 when there is none.
 
     For m = 2^e - 1 each of the s-1 factors has m+1 terms and x_s, the one
     variable left open, has certificate exponent 0.  Otherwise the first of
@@ -967,7 +1067,7 @@ def explicit_witness(m: int, s: int) -> Witness | None:
     """
     if m < 1 or s < 2:
         raise ValueError("need m >= 1 and s >= 2")
-    cuplength._check_work(m, s, explicit_work(m, s))
+    charge(explicit_work(m, s), cuplength._REACHES, m, s)
     e = trailing_ones(m)
     if m == (1 << e) - 1:
         factors = tuple((i, s, m) for i in range(1, s))

@@ -34,11 +34,11 @@ def test_build_row_exact_examples():
 
 
 def test_build_row_size_cap(tmp_path):
-    # refused by the greedy's charge before the cache is read: reading a
+    # refused by the charge 2*(s-1) before the cache is read: reading a
     # directory would raise IsADirectoryError instead
     with pytest.raises(UndeterminedError,
-                       match="the search needs 1286508 steps"):
-        build_row(10 ** 6, 10 ** 4, cache_path=str(tmp_path))
+                       match="the search needs 1199998 steps"):
+        build_row(10 ** 6, 600000, cache_path=str(tmp_path))
     # the size of (m+1)^s alone refuses nothing: 10^9 basis monomials
     assert build_row(9, 9, cache_path=str(tmp_path / "c")).zcl == 80
 
@@ -91,16 +91,19 @@ def test_gap_nonincreasing_across_rows():
 
 
 def test_build_table_skips_oversized_rows():
-    # (1023, 1025) is charged (s-1)*(m+1) = 2^20, just within the cap, as
-    # each factor (x_i + x_s)^1023 of its witness has m+1 terms; the charge
-    # of (1023, 1026) is over it.  The other rows are emitted: a factor
-    # (x_i + x_s)^1024 has two terms, so (1024, s) is charged about 2s
+    # a row is charged 2*(s-1), so every s past 524289 is over the cap
+    # whatever m is, and is skipped before any work; (1023, 1026), over the
+    # cap when a row was charged its factors' term counts, is emitted
+    rows, skipped = build_table((1, 2), (524290, 524291))
+    assert rows == []
+    assert [(m, s) for m, s, _ in skipped] == [
+        (1, 524290), (1, 524291), (2, 524290), (2, 524291)]
+    assert all("over the cap of 1048576" in reason for *_, reason in skipped)
     rows, skipped = build_table((1023, 1024), (1025, 1026))
     assert [(r.m, r.s, r.zcl, r.zcl_method) for r in rows] == [
-        (1023, 1025, 1047552, "exact"), (1024, 1025, 1049600, "exact"),
-        (1024, 1026, 1050624, "exact")]
-    assert [(m, s) for m, s, _ in skipped] == [(1023, 1026)]
-    assert all("over the cap of 1048576" in reason for *_, reason in skipped)
+        (1023, 1025, 1047552, "exact"), (1023, 1026, 1048575, "exact"),
+        (1024, 1025, 1049600, "exact"), (1024, 1026, 1050624, "exact")]
+    assert skipped == []
 
 
 def test_build_table_charges_its_row_count_before_any_row(monkeypatch):
@@ -173,11 +176,12 @@ def test_cache_rejects_failing_witness(tmp_path):
 
 
 def test_cache_distrusts_witness_over_the_work_cap(tmp_path):
-    # the second factor meets x1 and x3 open with 1024 live terms, each
-    # times 1024 terms: the check is refused, so the line is distrusted and
-    # the row computed afresh
+    # no factor alone uses a variable, and the second one leaves x1 and x3
+    # open with 1024 live terms, each times its 1024 terms: the check is
+    # refused, so the line is distrusted and the row computed afresh
     path = str(tmp_path / "zcl.jsonl")
-    heavy = Witness(1023, 3, ((1, 3, 1023), (1, 3, 1023)), (1023, 0, 1023))
+    heavy = Witness(1023, 3, ((1, 3, 1), (1, 3, 1023), (1, 3, 1022)),
+                    (1023, 0, 1023))
     cache_put(path, 1023, 3, 2046, "exact", heavy)
     with pytest.warns(UserWarning, match="not re-verified .*over the cap"):
         assert cache_get(path, 1023, 3) is None

@@ -46,11 +46,12 @@ def test_zcl_exact_budget_exit_code():
     # the work cap is checked before the witness is built, so a huge shape
     # exits at once
     t0 = time.perf_counter()
-    result = run("zcl", "exact", "--m", "1000000", "--s", "10000")
+    result = run("zcl", "exact", "--m", "1000000", "--s", "600000")
     assert time.perf_counter() - t0 < 0.1
     assert result.exit_code == 2
     assert result.stderr.startswith("undetermined:") and "cap" in result.stderr
-    assert run("zcl", "probe", "--m", "1000000", "--s-max", "10000").exit_code == 2
+    assert run("zcl", "probe", "--m", "1000000", "--s-max", "600000"
+               ).exit_code == 2
 
 
 def test_zcl_exact_large_shapes():
@@ -494,15 +495,18 @@ def test_zcl_exact_output_is_pinned():
 
 
 def test_report_skips_oversized_rows():
-    # the charge (s-1)*(m+1) of (1023, 1026) is over the work cap, that of
-    # (1023, 1025) just fits it; no row is refused for the size of (m+1)^s
-    result = run("report", "--m-range", "1023..1023", "--s-range", "1025..1026")
-    assert result.exit_code == 2
-    rows = [json.loads(line) for line in result.stdout.splitlines()]
-    assert [(r["m"], r["s"]) for r in rows] == [(1023, 1025)]
+    # a row is charged 2*(s-1): every s past 524289 is over the work cap,
+    # and no row is refused for the size of (m+1)^s, so (1023, 1026) is
+    # emitted
+    result = run("report", "--m-range", "1..2", "--s-range", "524290..524290")
+    assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr.splitlines() == [
-        "skipped (1023,1026): zcl(1023,1026): the search needs 1049600 steps, "
-        f"over the cap of {zclrp.MAX_DP_CELLS}"]
+        f"skipped ({m},524290): zcl({m},524290): the search needs 1048578 "
+        f"steps, over the cap of {zclrp.MAX_DP_CELLS}" for m in (1, 2)]
+    result = run("report", "--m-range", "1023..1023", "--s-range", "1025..1026")
+    assert (result.exit_code, result.stderr) == (0, "")
+    rows = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [(r["m"], r["s"]) for r in rows] == [(1023, 1025), (1023, 1026)]
 
 
 def test_report_policy_witness_only_is_a_usage_error():
@@ -571,14 +575,14 @@ def test_ring_cap_exit_code(args):
 
 
 @pytest.mark.parametrize("args", [
-    ("zcl", "probe", "--m", "1000000", "--s-max", "10000"),
+    ("zcl", "probe", "--m", "1000000", "--s-max", "600000"),
     ("verify", "generators", "--m", "1000", "--s", "2000"),
-    ("report", "--m-range", "1000000..1000000", "--s-range", "10000..10000"),
+    ("report", "--m-range", "1000000..1000000", "--s-range", "600000..600000"),
 ])
 def test_huge_ring_exits_2_with_one_line(args):
     # each command meets its own charge against the one work cap: the
-    # verifier's bound for the greedy's witness, which zcl probe and a
-    # report row share, and the generators check's s*(m+1)^s (1001^2000
+    # greedy's 2*(s-1), which zcl probe and a report row share, and the
+    # generators check's s*(m+1)^s (1001^2000
     # has over 6000 digits, past Python's int-to-str limit, so the charge
     # is given as a power of 2)
     t0 = time.perf_counter()
@@ -587,11 +591,11 @@ def test_huge_ring_exits_2_with_one_line(args):
     assert result.exit_code == 2 and result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.endswith({
-        "zcl": ": the search needs 1286508 steps, over the cap of "
+        "zcl": ": the search needs 1199998 steps, over the cap of "
                f"{zclrp.MAX_DP_CELLS}\n",
         "verify": ": the check needs s*(m+1)^s >= 2^18010 steps, over the "
                   f"cap of {zclrp.MAX_DP_CELLS}\n",
-        "report": ": the search needs 1286508 steps, over the cap of "
+        "report": ": the search needs 1199998 steps, over the cap of "
                   f"{zclrp.MAX_DP_CELLS}\n",
     }[args[0]])
 

@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 from zclrp import (MAX_DP_CELLS, UndeterminedError, Witness, ZclResult,
                    g_stabilization_probe, trailing_ones, verify_witness,
                    word_nonzero, z_of, zcl_exact)
-from zclrp import cuplength
+from zclrp import cuplength, errors
 
-from oracles import (DENSE_RING_BITS, brute_force_zcl, dense_factor_product,
-                     dense_mul, dense_verify_witness, dp_zcl, enumerate_zcl,
-                     explicit_witness, explicit_work, gain_rows, get_ring,
-                     knapsack_zcl, min_residues_by_submasks,
-                     min_residues_closed_form, set_product_verify_witness,
+from oracles import (DENSE_RING_BITS, brute_force_zcl, counted_verify_witness,
+                     dense_factor_product, dense_mul, dense_verify_witness,
+                     dp_zcl, enumerate_zcl, explicit_witness, explicit_work,
+                     gain_rows, get_ring, knapsack_zcl,
+                     min_residues_by_submasks, min_residues_closed_form, peel,
+                     probe_gaps, runs_charge, set_product_verify_witness,
                      set_product_work_bound)
 
 
@@ -184,30 +185,19 @@ def test_zcl_lower_bound_and_strictness():
 
 
 def test_zcl_budget_exhaustion(monkeypatch):
-    # the charge reads the greedy's digits once, and a shape over the cap
-    # gets no further: no word, no word_nonzero call, no Witness
-    calls = []
-    digits = cuplength._digits
+    # the charge needs no greedy, so a shape over the cap gets nothing: no
+    # _digits call, no word, no word_nonzero call, no Witness
+    def no_work(*args):
+        raise AssertionError("the greedy ran or a word was built over the cap")
 
-    def no_word(*args):
-        raise AssertionError("a word was checked or built over the cap")
-
-    monkeypatch.setattr(cuplength, "_digits",
-                        lambda *args: calls.append(args) or digits(*args))
-    monkeypatch.setattr(cuplength, "word_nonzero", no_word)
-    monkeypatch.setattr(cuplength, "Witness", no_word)
-    for run, m, s in [(zcl_exact, 1_000_000, 10_000),
-                      (g_stabilization_probe, 1_000_000, 10_000),
-                      (zcl_exact, 1, MAX_DP_CELLS)]:  # linear in s alone
-        calls.clear()
-        with pytest.raises(UndeterminedError, match="cap"):
-            run(m, s)
-        assert len(calls) <= 1, (m, s)
-    # a huge m is charged (s-1)*(m+1) without the greedy
-    calls.clear()
-    with pytest.raises(UndeterminedError, match="cap"):
-        zcl_exact(MAX_DP_CELLS, 2)
-    assert calls == []
+    for name in ("_digits", "word_nonzero", "Witness"):
+        monkeypatch.setattr(cuplength, name, no_work)
+    for run in (zcl_exact, g_stabilization_probe):
+        for m, s in [(1_000_000, 600_000),
+                     (1, 524_290),            # 2*(s-1), linear in s alone
+                     (MAX_DP_CELLS, 2)]:      # a huge m: (s-1)*(m+1)
+            with pytest.raises(UndeterminedError, match="cap"):
+                run(m, s)
 
 
 def residues(m):
@@ -420,13 +410,11 @@ def verdict(check, w):
         return str(exc)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), m=st.integers(1, 7), s=st.integers(2, 8))
-def test_peeled_verifier_equals_the_set_product(data, m, s):
-    # up to seven factors, at least half of them stars (x_i + x_s)^e as in
-    # zcl_exact's witnesses, each the only user of its x_i unless i is
-    # drawn twice; the others on any pair.  The certificate is one term
-    # picked from each factor's expansion, capped at m, or an arbitrary one
+def star_witness(data, m, s):
+    """Up to seven factors, at least half of them stars (x_i + x_s)^e as in
+    zcl_exact's witnesses, each the only user of its x_i unless i is drawn
+    twice; the others on any pair.  The certificate is one term picked
+    from each factor's expansion, capped at m, or an arbitrary one."""
     star = st.tuples(st.integers(1, s - 1), st.just(s))
     pair = st.integers(1, s - 1).flatmap(
         lambda i: st.tuples(st.just(i), st.integers(i + 1, s)))
@@ -446,12 +434,68 @@ def test_peeled_verifier_equals_the_set_product(data, m, s):
         certificate = tuple(min(x, m) for x in exponents)
     else:
         certificate = data.draw(st.tuples(*[st.integers(0, m)] * s))
-    w = Witness(m, s, factors, certificate)
-    assert cuplength._work_bound(w) == set_product_work_bound(w)
+    return Witness(m, s, factors, certificate)
+
+
+def work_bound(w):
+    """The bound verify_witness charges for w's set product, with no cap;
+    None when the peel decides w."""
+    peeled = peel(w)
+    if peeled is None:
+        return None
+    factors, target = peeled
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cuplength, "MAX_DP_CELLS", 1 << 64)
+        return cuplength._work_bound(w.m, factors, target,
+                                     cuplength._uses(factors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 7), s=st.integers(2, 8))
+def test_peeled_verifier_equals_the_set_product(data, m, s):
+    # the bound after the peel is at most the set product's bound of the
+    # whole factor list, so every witness that check decides gets its
+    # verdict, and none is refused
+    w = star_witness(data, m, s)
+    bound, whole = work_bound(w), set_product_work_bound(w)
+    assert bound is None or bound <= whole or whole > MAX_DP_CELLS
     got = verdict(verify_witness, w)
-    assert got == verdict(set_product_verify_witness, w)
+    whole_got = verdict(set_product_verify_witness, w)
+    if isinstance(whole_got, bool):
+        assert got == whole_got
     if (m + 1) ** s <= DENSE_RING_BITS and isinstance(got, bool):
         assert got == dense_verify_witness(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 7), s=st.integers(2, 8))
+def test_work_bound_is_never_below_the_counted_steps(data, m, s):
+    # the step-counting copy gives the package's verdict, its set product
+    # takes no more steps than the bound verify_witness charges for it,
+    # and under a cap one below those steps the witness is refused
+    w = star_witness(data, m, s)
+    got, steps = counted_verify_witness(w)
+    package = verdict(verify_witness, w)
+    assert package == got or not isinstance(package, bool)
+    assert steps <= (work_bound(w) or 0)
+    if steps:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("zclrp.errors.MAX_DP_CELLS", steps - 1)
+            patch.setattr(cuplength, "MAX_DP_CELLS", steps - 1)
+            with pytest.raises(UndeterminedError, match="over the cap"):
+                verify_witness(w)
+
+
+def test_a_factor_with_no_terms_ends_the_set_product(monkeypatch):
+    # (x1 + x2)^10 has no term in A(5, 2), so the product ends there and
+    # the bound stops before it: 4 steps for the 4 terms of (x1 + x2)^3,
+    # none for the 4 live terms the second factor would try
+    w = Witness(5, 2, ((1, 2, 3), (1, 2, 10)), (5, 5))
+    assert counted_verify_witness(w) == (False, 4)
+    assert work_bound(w) == 4 and not verify_witness(w)
+    monkeypatch.setattr("zclrp.errors.MAX_DP_CELLS", 3)
+    with pytest.raises(UndeterminedError, match="reaches 4 term products"):
+        verify_witness(w)
 
 
 def test_peeled_verifier_equals_the_set_product_exhaustively():
@@ -533,52 +577,58 @@ def charged(m, s):
     return int(re.search(r"needs (\d+) steps", str(exc.value))[1])
 
 
-def runs_charge(m, s):
-    """The same charge, summed over the runs _check_cells returns."""
-    return sum(n * cuplength._term_count(m, e)
-               for n, e in cuplength._check_cells(m, s))
-
-
-def test_greedy_witness_bound_within_its_charge():
-    # the check of the zcl_exact witness meets only x_s open, so its bound
-    # is the charge: no witness the charge admits is refused by its check.
-    # (s-1)(m+1), the charge before it, still bounds it
-    for m in [2 ** b - 1 for b in range(4, 11)] + [16, 64, 256, 512,
-                                                   100, 300, 700, 1000]:
-        s = MAX_DP_CELLS // (m + 1) + 1
+def test_greedy_witness_bound_within_its_charge(monkeypatch):
+    # zcl_exact is charged 2*(s-1), at most the charges before it, the
+    # runs' term counts and (s-1)(m+1).  The check of its witness leaves no
+    # factor to the set product, so its bound is 0: no witness the charge
+    # admits is refused by its check, even under a cap of 0
+    shapes = [(m, MAX_DP_CELLS // (m + 1) + 1) for m in
+              [2 ** b - 1 for b in range(4, 11)] + [16, 64, 256, 512,
+                                                   100, 300, 700, 1000]]
+    for m, s in shapes + [(1048575, 3), (699050, 1000), (349524, 4)]:
         w = zcl_exact(m, s).witness
-        assert cuplength._work_bound(w) == charged(m, s) == \
-            runs_charge(m, s) <= (s - 1) * (m + 1), m
-    assert verify_witness(w)
+        assert charged(m, s) == 2 * (s - 1) <= runs_charge(m, s) \
+            <= (s - 1) * (m + 1), (m, s)
+        assert peel(w) == ([], [0] * s), (m, s)
+        with monkeypatch.context() as patch:
+            patch.setattr("zclrp.errors.MAX_DP_CELLS", 0)
+            assert verify_witness(w), (m, s)
     with pytest.raises(UndeterminedError, match="cap"):
-        zcl_exact(1023, 1026)            # (s-1)(m+1) for m = 2^e - 1
+        zcl_exact(1, 524290)             # 2*(s-1) = 2^20 + 2
 
 
-def test_charge_admits_every_shape_the_old_charge_admitted(monkeypatch):
-    # no factor has more than m+1 terms, so the charge is at most the
-    # former (s-1)(m+1), here at the largest s that one admitted; shapes
-    # it refused, such as (1000, 2000), are admitted by their check's bound
+def test_charge_admits_every_shape_the_old_charge_admitted():
+    # every factor (x_i + x_s)^(m|x) of the greedy's witness has at least
+    # the two terms t = m and t = x, so 2*(s-1) is at most the old charge,
+    # the runs' term counts.  Checked for every m <= 2^12 where the old
+    # charge crosses the cap (found by bisection; it is not monotone in s)
+    # and shape by shape on m, s <= 64
     for m in range(1, 2 ** 12 + 1):
-        s = MAX_DP_CELLS // (m + 1) + 1
-        assert runs_charge(m, s) <= (s - 1) * (m + 1), m
+        low, high = 2, 524290
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if runs_charge(m, mid) <= MAX_DP_CELLS \
+                else (low, mid)
+        assert 2 * (low - 1) <= runs_charge(m, low) <= MAX_DP_CELLS, m
+        cuplength._check_cells(m, low)
     assert zcl_exact(1000, 2000).value == 2000 * 1000
     assert runs_charge(1000, 2000) == 131900
-    monkeypatch.setattr("zclrp.errors.MAX_DP_CELLS", 1 << 64)
     for m in range(1, 65):
         for s in range(2, 65):
-            assert runs_charge(m, s) <= (s - 1) * (m + 1), (m, s)
+            assert charged(m, s) == 2 * (s - 1) <= runs_charge(m, s), (m, s)
 
 
 def test_charge_within_the_closed_form_bound(monkeypatch):
     # wherever the closed-form witness exists, zcl_exact's charge is at
-    # most that witness's check, shape by shape: the charge is not
-    # monotone in s, so no bound at one s carries to the next
-    monkeypatch.setattr("zclrp.errors.MAX_DP_CELLS", 1 << 64)
+    # most that witness's check, shape by shape: under a cap equal to the
+    # closed-form bound the charge admits the shape
+    monkeypatch.setattr(errors, "MAX_DP_CELLS", 0)    # restored after
     for m in range(1, 2 ** 8 + 1):
         for s in range(2, 400):
             bound = explicit_work(m, s)
             if bound:
-                assert runs_charge(m, s) <= bound, (m, s)
+                errors.MAX_DP_CELLS = bound
+                cuplength._check_cells(m, s)
 
 
 def test_zcl_exact_admits_every_closed_form_shape():
@@ -607,24 +657,32 @@ def test_long_greedy_witness_verifies_fast():
 
 
 def test_verify_witness_work_cap(monkeypatch):
-    # bounded from the factor list before any product; the cap is inclusive
+    # bounded from the factors the peel leaves, before any product: no
+    # factor here alone uses a variable, the first has 2 terms and the
+    # middle one leaves x1 and x3 open, with 1024 live terms times its 1024
+    # terms, which takes the sum past the cap
     def no_terms(m, k):
         raise AssertionError("factor terms read for a witness over the cap")
 
-    w = Witness(1023, 1026, tuple((i, 1026, 1023) for i in range(1, 1026)),
-                (1023,) * 1025 + (0,))
+    w = Witness(1023, 3, ((1, 3, 1), (1, 3, 1023), (1, 3, 1022)),
+                (1023, 0, 1023))
     monkeypatch.setattr(cuplength, "_binomial_terms", no_terms)
-    with pytest.raises(UndeterminedError, match="over the cap of 1048576"):
+    with pytest.raises(UndeterminedError, match="reaches 1048578 term "
+                       "products, over the cap of 1048576"):
         verify_witness(w)
     monkeypatch.undo()
-    fits = Witness(1023, 1025, tuple((i, 1025, 1023) for i in range(1, 1025)),
-                   (1023,) * 1024 + (0,))
-    assert cuplength._work_bound(fits) == MAX_DP_CELLS
+    # the cap is inclusive: 64 terms, then 16 live terms each tried once
+    fits = Witness(1023, 3, ((1, 3, 1000), (1, 3, 23)), (1008, 0, 15))
+    assert work_bound(fits) == 80
+    monkeypatch.setattr("zclrp.errors.MAX_DP_CELLS", 80)
     assert verify_witness(fits)
+    monkeypatch.setattr("zclrp.errors.MAX_DP_CELLS", 79)
+    with pytest.raises(UndeterminedError, match="reaches 80 term products"):
+        verify_witness(fits)
 
 
 def test_explicit_work_bound_matches_the_verifier():
-    # the closed-form bound of explicit_witness is verify_witness's bound
+    # the closed-form bound of explicit_witness is the set product's bound
     # of the witness it builds, and a shape over the cap is refused before
     # its factors exist
     shapes = [(m, s) for m in range(1, 40) for s in range(2, 40)]
@@ -637,7 +695,8 @@ def test_explicit_work_bound_matches_the_verifier():
                 explicit_witness(m, s)
             continue
         w = explicit_witness(m, s)
-        assert bound == (0 if w is None else cuplength._work_bound(w)), (m, s)
+        assert bound == (0 if w is None else set_product_work_bound(w)), \
+            (m, s)
     t0 = time.perf_counter()
     with pytest.raises(UndeterminedError) as exc:
         explicit_witness(1, 2_000_000)
@@ -735,6 +794,19 @@ def test_gap_probe_values():
     p5 = g_stabilization_probe(5, 4)
     assert p5.g_values == (3, 1, 1)
     assert p5.reached_stable and p5.stable_gap == 1
+
+
+@pytest.mark.parametrize("s_maxes", [
+    (2, 3, 5, 9, 17, 40),
+    pytest.param((2, 3, 5, 9, 17, 40, 200, 1500), marks=pytest.mark.slow)])
+def test_gap_probe_matches_the_greedy_at_every_s(s_maxes):
+    # the probe stops its greedy once the gap settles; the gaps are those
+    # of one greedy per s, for every m <= 1024
+    for m in range(1, 1025):
+        gaps = probe_gaps(m, s_maxes[-1])
+        for s_max in s_maxes:
+            probe = g_stabilization_probe(m, s_max)
+            assert probe.g_values == gaps[:s_max - 1], (m, s_max)
 
 
 def test_gap_probe_monotone():
