@@ -11,13 +11,13 @@ computed values can be persisted in an append-only JSON-lines cache.  The
 rows of one table parse each of its lines once, and every lookup
 re-verifies its entry by verify_witness, which multiplies out the factors'
 terms: a factor that alone uses a variable gives one term, the others a
-sparse product.  Every witness a row computes is checked the same way, in
-one pass, as each of its factors alone uses its x_i.  Neither check builds
-the ring, so no row is refused for the size of (m+1)^s; a row is skipped
-only when its charge, 2*(s-1) steps to build and check its witness
-(cuplength._check_cells), is over MAX_DP_CELLS, that is for s > 524289
-or m >= MAX_DP_CELLS.  Each row is charged, computed and checked on its
-own.
+sparse product.  A row's witness is held as at most L+1 runs of equal
+factors (cuplength.Witness), built and checked in one step per run: O(L)
+steps, not O(s).  Neither check builds the ring, so no row is refused for
+the size of (m+1)^s; a row is skipped only when its charge, 2*(s-1) steps
+for its witness (cuplength._check_cells), is over MAX_DP_CELLS, that is
+for s > 524289 or m >= MAX_DP_CELLS.  Each row is charged, computed and
+checked on its own.
 """
 
 from __future__ import annotations
@@ -290,9 +290,16 @@ def emit(rows: list[BoundsRow], fmt: str = "json") -> bytes:
     for row in ordered:
         row.validate()
     if fmt == "json":
-        body = "".join(json.dumps(r.as_dict(), separators=(",", ":")) + "\n"
-                       for r in ordered)
-        return body.encode()
+        # each row is the text json.dumps(r.as_dict(), separators=(",", ":"))
+        # gives, written out: json.dumps builds an encoder for every row
+        dumps = json.dumps
+        return "".join(
+            f'{{"m":{r.m},"s":{r.s},"upper":{r.upper},"zcl":{r.zcl},'
+            f'"zcl_method":{dumps(r.zcl_method)},"known_tc":'
+            f'{"null" if r.known_tc is None else r.known_tc},"tc_source":'
+            f'{"null" if r.tc_source is None else dumps(r.tc_source)},'
+            f'"equality":{"true" if r.equality else "false"}}}\n'
+            for r in ordered).encode()
     if fmt == "csv":
         lines = [CSV_HEADER]
         for r in ordered:

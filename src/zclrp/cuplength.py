@@ -53,9 +53,9 @@ So zcl(m, s) = (s-1)*m + H(s-1, m) (see _gain): p = 1 gives
 zcl(m, 2) = m + C = 2^L - 1, and every sum is a multiple of 2^e,
 e = trailing_ones(m), the lowest bit of C, so the gap s*m - zcl never
 falls below 2^e - 1, the stable gap that large s reach.  zcl_exact reads
-its witness off the greedy's digits, and is charged 2*(s-1) steps
-(MAX_DP_CELLS) up front, one to build and one to check each factor, never
-part-way through.
+its witness off the greedy's digits as at most L+1 runs of equal factors,
+which word_nonzero and verify_witness each take in one step per run.  It
+is charged 2*(s-1) steps (MAX_DP_CELLS) up front, never part-way through.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
+from itertools import chain, repeat
+from operator import mul
 
 from .errors import MAX_DP_CELLS, InvariantViolationError, Record, charge
 from .parity import trailing_ones
@@ -73,13 +75,11 @@ _REACHES = "witness({},{}): the check's work bound reaches {work} term products"
 
 
 def _check_cells(m: int, s: int) -> None:
-    """Raise unless m >= 1, s >= 2 and zcl_exact's work for (m, s) fits
-    MAX_DP_CELLS: 2*(s-1) steps, one to build each factor of its witness
-    and one to check it (each factor alone uses its x_i, so verify_witness
-    multiplies it out on its own).  For m >= MAX_DP_CELLS the charge is
-    (s-1)*(m+1), always over the cap, so the greedy never runs on a huge m.
-    Either way a shape over the cap raises UndeterminedError before any
-    work.
+    """Raise unless m >= 1, s >= 2 and zcl_exact's charge for (m, s) fits
+    MAX_DP_CELLS: 2*(s-1) steps, two per factor of its witness as printed
+    (a row builds and checks it in runs).  For m >= MAX_DP_CELLS the charge
+    is (s-1)*(m+1), always over the cap, so the greedy never runs on a huge
+    m.  Either way a shape over the cap raises UndeterminedError first.
     """
     if m < 1 or s < 2:
         raise ValueError("need m >= 1 and s >= 2")
@@ -122,49 +122,52 @@ def _gain(m: int, parts: int, budget: int) -> int:
     return sum(copies * bit for copies, bit in _digits(m, parts, budget))
 
 
-def word_nonzero(m: int, s: int,
-                 exponents: Sequence[int]) -> tuple[bool, tuple[int, ...] | None]:
+def word_nonzero(m: int, s: int, exponents: Sequence[int],
+                 counts: Sequence[int] | None = None,
+                 ) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether prod_i (x_i + x_s)^b_i is nonzero in A(m, s).
 
     exponents[i-1] is the number of copies of (x_i + x_s): s-1 of them, each
     in [0, 2m], summing to at most s*m; anything else raises ValueError.
-    Returns (True, certificate-exponent-vector) or (False, None).  The
-    certificate is the surviving basis monomial built from the minimal
-    residues, x_1^j_1 ... x_s^(total residue).
+    Given counts, exponents[k] stands for a run of counts[k] equal entries,
+    taken in one step.  Returns (True, certificate-exponent-vector) or
+    (False, None).  The certificate is the surviving basis monomial built
+    from the minimal residues, x_1^j_1 ... x_s^(total residue).
     """
     exponents = tuple(exponents)
+    counts = (1,) * len(exponents) if counts is None else tuple(counts)
     if m < 1 or s < 2:
         raise ValueError("need m >= 1 and s >= 2")
-    if len(exponents) != s - 1:
-        raise ValueError(f"expected {s - 1} exponents, got {len(exponents)}")
+    if sum(counts) != s - 1:
+        raise ValueError(f"expected {s - 1} exponents, got {sum(counts)}")
     for b in exponents:
         if not 0 <= b <= 2 * m:
             raise ValueError(f"factor exponent {b} outside [0, {2 * m}]")
-    length = sum(exponents)
+    length = sum(map(mul, exponents, counts))
     if length > s * m:
         raise ValueError(f"word length {length} exceeds the top degree {s * m}")
-    # the least residue leaves the largest submask at most m; for b <= m,
-    # that is b itself
-    residues = [b - _largest_submask(b, m) for b in exponents]
-    total = sum(residues)
+    # the least residue leaves the largest submask at most m (b if b <= m)
+    kept = [_largest_submask(b, m) for b in exponents]
+    total = length - sum(map(mul, kept, counts))
     if total > m:
         return False, None
-    certificate = tuple(b - r for b, r in zip(exponents, residues)) + (total,)
-    return True, certificate
+    return True, (*chain.from_iterable(map(repeat, kept, counts)), total)
 
 
 class Witness(Record):
     """A product of binomial factors with a surviving basis monomial.
 
     factors: multiset of (i, j, exponent) encoding (x_i + x_j)^exponent with
-    1 <= i < j <= s.  certificate: the exponent vector of a basis monomial
-    asserted to occur in the fully expanded, truncated product; checked by
-    verify_witness via plain ring arithmetic.  Both are stored as tuples
-    however they are passed in, so that equal witnesses compare equal and
-    hash alike.
+    1 <= i < j <= s, held as its maximal runs (i, j, e, n), each standing
+    for (x_i + x_j)^e ... (x_(i+n-1) + x_j)^e.  certificate: the exponent
+    vector of a basis monomial asserted to occur in the fully expanded,
+    truncated product; checked by verify_witness via plain ring arithmetic.
+    Equality, hash, repr and pickling read the factors spelled out and the
+    certificate as tuples, however they are passed in.
     """
 
-    __slots__ = ("m", "s", "factors", "certificate")
+    __slots__ = ("m", "s", "runs", "certificate")
+    _fields = ("m", "s", "factors", "certificate")
 
     def __init__(self, m: int, s: int, factors: tuple[tuple[int, int, int], ...],
                  certificate: tuple[int, ...]):
@@ -172,8 +175,8 @@ class Witness(Record):
             raise ValueError(f"m {m!r} is not an integer")
         if not isinstance(s, int):
             raise ValueError(f"s {s!r} is not an integer")
-        factors = tuple(map(tuple, factors))
-        for i, j, e in factors:
+        runs, pi, pj, pe = [], 0, 0, 0
+        for i, j, e in tuple(map(tuple, factors)):
             for index in (i, j):
                 if not isinstance(index, int):
                     raise ValueError(f"factor index {index!r} is not an integer")
@@ -183,6 +186,9 @@ class Witness(Record):
                 raise ValueError(f"factor indices ({i},{j}) need 1 <= i < j <= {s}")
             if e < 1:
                 raise ValueError(f"factor exponent {e} must be >= 1")
+            if i != pi + 1 or j != pj or e != pe:  # a new run
+                runs.append([i, j, e, 0])
+            runs[-1][3], pi, pj, pe = runs[-1][3] + 1, i, j, e
         certificate = tuple(certificate)
         if len(certificate) != s:
             raise ValueError("certificate length differs from s")
@@ -191,12 +197,16 @@ class Witness(Record):
                 raise ValueError(f"certificate exponent {e!r} is not an integer")
             if not 0 <= e <= m:
                 raise ValueError(f"certificate exponent {e} outside [0, {m}]")
-        super().__init__(m, s, factors, certificate)
+        super().__init__(m, s, tuple(map(tuple, runs)), certificate)
+
+    @property
+    def factors(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple([(i + k, j, e) for i, j, e, n in self.runs for k in range(n)])
 
     @property
     def length(self) -> int:
         """Number of zero-divisor factors counted with multiplicity."""
-        return sum(e for _, _, e in self.factors)
+        return sum(e * n for _, _, e, n in self.runs)
 
     @property
     def certificate_text(self) -> str:
@@ -232,25 +242,25 @@ def zcl_exact(m: int, s: int) -> ZclResult:
     with i < a_j.  Each x_i is a submask of C, so it is that entry's
     residue, and the x_i sum to H(s-1, m) <= m: the word is nonzero and its
     length (s-1)*m + H(s-1, m) is the value.  x_i shrinks as i grows, so
-    the word is built from the last position to the first, sorted
-    ascending, as at most L+1 runs of equal entries, after _check_cells
-    has charged 2*(s-1) steps for building and checking it.  The
-    certificate comes from one word_nonzero call on the finished word, so
-    the greedy is checked against the criterion it optimizes.
+    built from the last position to the first the word is sorted ascending
+    in at most L+1 runs of equal entries, the witness's runs: no factor is
+    spelled out.  One word_nonzero call on the runs gives the certificate,
+    so the greedy is checked against the criterion it optimizes.
     """
     _check_cells(m, s)
-    word, x, top = [], 0, s - 1
-    for copies, bit in sorted(_digits(m, s - 1, m), reverse=True):
-        word += [m | x] * (top - copies)
+    runs, x, top = [], 0, s - 1
+    for copies, bit in sorted(_digits(m, s - 1, m), reverse=True) + [(0, 0)]:
+        if top > copies:  # positions copies..top-1, from the end, take m | x
+            runs.append((s - top, s, m | x, top - copies))
         x, top = x | bit, copies
-    word += [m | x] * top
-    value = sum(word)
-    ok, certificate = word_nonzero(m, s, word)
+    _, _, word, counts = zip(*runs)
+    ok, certificate = word_nonzero(m, s, word, counts)
     if not ok:
         raise InvariantViolationError(
-            f"zcl({m},{s}): the greedy word {word} is zero; this is a bug")
-    factors = tuple((i + 1, s, e) for i, e in enumerate(word))
-    return ZclResult(m, s, value, "exact", Witness(m, s, factors, certificate))
+            f"zcl({m},{s}): the greedy's runs {runs} are zero; this is a bug")
+    witness = Witness.__new__(Witness)  # built, not parsed: no check per factor
+    Record.__init__(witness, m, s, tuple(runs), certificate)
+    return ZclResult(m, s, sum(map(mul, word, counts)), "exact", witness)
 
 
 def _binomial_terms(m: int, k: int) -> list[int]:
@@ -299,21 +309,11 @@ def _term_count(m: int, k: int) -> int:
     return at_most(min(m, k)) - at_most(max(0, k - m) - 1)
 
 
-def _uses(factors) -> tuple[dict[int, int], dict[int, int]]:
-    """For each variable: the index of the first and of the last factor
-    that uses it."""
-    first, last = {}, {}
-    for n, (i, j, _) in enumerate(factors):
-        for v in (i, j):
-            first.setdefault(v, n)
-            last[v] = n
-    return first, last
-
-
 def _work_bound(m: int, factors, target, uses) -> int:
     """verify_witness's bound on the steps of its set product over factors
     towards target, summed up to the first factor that takes it past
-    MAX_DP_CELLS (see there).  uses is _uses(factors)."""
+    MAX_DP_CELLS (see there).  uses is (first, last): for each variable,
+    the index of the first and of the last factor that uses it."""
     first, last = uses
     work, sizes = 0, {}
     for n, (i, j, e) in enumerate(factors):
@@ -349,44 +349,64 @@ def verify_witness(w: Witness) -> bool:
     k - C_v exceeds what is left of C_u, the coefficient of C is 0;
     otherwise it is the coefficient of the target with C_v cut to 0 and C_u
     lowered by k - C_v in the product of the other factors, as multiplying
-    by one monomial is injective on monomials.  Each factor of a zcl_exact
-    witness alone uses its x_i, so that check is one pass of compares.
+    by one monomial is injective on monomials.  While the runs' x_i rise,
+    a run's x_i below every x_j are each used by one factor alone: with C
+    one exponent on them, the run takes this step once for its n factors.
+    Other runs go factor by factor.  A variable no factor uses must have
+    exponent 0 in C.
 
     The factors left are multiplied as sets of exponent vectors, each new
-    term cancelling an equal one mod 2.  Only the terms that can still
-    reach the target are kept: a term must divide it, since exponents only
-    grow, and once the last factor using a variable is multiplied in, its
-    exponent on that variable must equal the target's.  So a term is kept
-    only over the open variables, those used by an earlier factor and by a
-    later one; a variable no factor uses must have exponent 0 in the
-    target.  This drops nothing the coefficient depends on.
+    term cancelling an equal one mod 2, keeping only the terms that can
+    still reach the target: a term must divide it, as exponents only grow,
+    and once the last factor using a variable is multiplied in, its
+    exponent there must be the target's.  So a term is kept over the open
+    variables alone, those used by an earlier factor and by a later one.
 
-    The peel takes one pass.  The set product's steps are bounded from the
-    factors and target left before it starts, and over MAX_DP_CELLS raise
-    UndeterminedError: every term before a factor has the same total
-    degree, so with k open variables at most the product of C_v + 1 over
-    all but the largest of them are live.  A factor that closes a variable
-    tries one exponent per live term, one that leaves both open all its
-    terms.  A factor with no term ends the product and the bound.  A
-    zcl_exact witness leaves the set product no factor, so its bound is 0.
+    The set product's steps are bounded from the factors and target left
+    before it starts, and over MAX_DP_CELLS raise UndeterminedError: every
+    term before a factor has the same total degree, so with k open
+    variables at most the product of C_v + 1 over all but the largest of
+    them are live.  A factor that closes a variable tries one exponent per
+    live term, one that leaves both open all its terms.  A factor with no
+    term ends the product and the bound.  A zcl_exact witness takes one
+    step per run and leaves the set product nothing.
     """
-    first, last = _uses(w.factors)
-    if any(c and v not in first for v, c in enumerate(w.certificate, 1)):
+    m, cert, runs = w.m, w.certificate, w.runs
+    rising = all(a[0] + a[3] <= b[0] for a, b in zip(runs, runs[1:]))
+    low = min([run[1] for run in runs]) if rising and runs else 0
+    users, target, spent, by_factor, factors = {}, {}, 0, [], []
+    for i, j, e, n in runs:
+        t = cert[i - 1]
+        if i + n <= low and cert[i - 1:i - 1 + n].count(t) == n:
+            target[j - 1] = target.get(j - 1, cert[j - 1]) - n * (e - t)
+            if e & t != t or not e - m <= t <= m or target[j - 1] < 0:
+                return False  # one step for the run's n factors
+            # spent: C on the run's x_i, n*t, and what it took off C_j
+            users[j], spent = users.get(j, 0) + n, spent + n * e
+            continue
+        for i in range(i, i + n):
+            by_factor.append((i, j, e))
+            for v in (i, j):
+                users[v] = users.get(v, 0) + 1
+                target.setdefault(v - 1, cert[v - 1])
+    if sum(target.values()) + spent != sum(cert):  # C on an unused x_v
         return False
-    target, factors = list(w.certificate), []
-    for i, j, e in w.factors:
-        v, u = (i, j) if first[i] == last[i] else (j, i)
-        if first[v] != last[v]:
+    for i, j, e in by_factor:
+        v, u = (i, j) if users[i] == 1 else (j, i)
+        if users[v] != 1:
             factors.append((i, j, e))
             continue
         t = target[v - 1]
-        if e & t != t or not e - w.m <= t <= w.m or e - t > target[u - 1]:
+        if e & t != t or not e - m <= t <= m or e - t > target[u - 1]:
             return False
         target[v - 1], target[u - 1] = 0, target[u - 1] - (e - t)
-    first, last = uses = _uses(factors)
-    if any(c and v not in first for v, c in enumerate(target, 1)):
+    if not factors:  # the product is 1
+        return not any(target.values())
+    first = {v: n for n, f in reversed([*enumerate(factors)]) for v in f[:2]}
+    last = {v: n for n, f in enumerate(factors) for v in f[:2]}
+    if any(c and v + 1 not in first for v, c in target.items()):
         return False
-    charge(_work_bound(w.m, factors, target, uses), _REACHES, w.m, w.s)
+    charge(_work_bound(m, factors, target, (first, last)), _REACHES, m, w.s)
     layout, terms = (), {()}
     for n, (i, j, e) in enumerate(factors):
         if not _term_count(w.m, e):

@@ -5,14 +5,15 @@ import re
 MAX_DP_CELLS = 1 << 20
 """Cap on the work of one command, charged from its inputs before any work
 (charge).  The charges: zcl exact, zcl probe and each report row,
-2*(s-1), one step to build and one to check each factor of the greedy's
-witness, and (s-1)*(m+1) for m >= MAX_DP_CELLS (cuplength._check_cells);
-every witness check, the steps of its set product over the factors that
-do not alone use a variable (cuplength._work_bound); verify generators,
-s*(m+1)^s (zero_divisors._check_closure); verify join,
-(samples+2^(s-1))*(k+9), the sampled points and the orbit of the first
-(join_model.sample_report); report, besides each row's charge, the number
-of rows of its grid (bounds.build_table)."""
+2*(s-1), two steps for each factor of the greedy's witness as printed (a
+row builds and checks it in runs), and (s-1)*(m+1) for m >= MAX_DP_CELLS
+(cuplength._check_cells); every witness check, the steps of its set
+product over the factors that do not alone use a variable
+(cuplength._work_bound); verify generators, s*(m+1)^s
+(zero_divisors._check_closure); verify join, (samples+2^(s-1))*(k+9), the
+sampled points and the orbit of the first (join_model.sample_report);
+report, besides each row's charge, the number of rows of its grid
+(bounds.build_table)."""
 
 
 class ZclError(Exception):
@@ -61,10 +62,15 @@ class Record:
     takes those fields as a function would, positionally or by name, and
     sets them in order.  A subclass with checks or defaults defines
     __init__ and ends it in super().__init__(...) with every field.
-    Equality, hash, repr and pickling read the fields in __slots__ order,
-    as those of a frozen dataclass do."""
+    Equality, hash, repr and pickling read the fields in _fields order, as
+    those of a frozen dataclass do; _fields is __slots__ unless a subclass
+    that stores a field in another form names its fields there."""
 
     __slots__ = ()
+
+    @property
+    def _fields(self) -> tuple[str, ...]:
+        return self.__slots__
 
     def __init__(self, *args, **kwargs):
         slots = self.__slots__
@@ -81,7 +87,7 @@ class Record:
             setattr(self, f, value)
 
     def _astuple(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__slots__])
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -92,7 +98,7 @@ class Record:
         return hash(self._astuple())
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -25,8 +25,10 @@ and that witness's work bound, which check zcl_exact and its charge; the
 residue table, which checks the residue formula against the submask
 definition; the F2 nullspace, which derives kernel bases by row reduction
 for the closed form to match; the quadratic rref, which checks the sparse
-back-substitution; and the join model over Fraction coordinates with its
-GroupElem labels, which checks the integer weights and the int labels.
+back-substitution; the witness that holds its factors one by one, as the
+package's did before it held them as runs, which checks that runs lose
+nothing; and the join model over Fraction coordinates with its GroupElem
+labels, which checks the integer weights and the int labels.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 from zclrp import (DegreeCheck, JoinReport, RingSpec, Witness, ZclError,
                    ZclResult, cuplength, monomial_from_text, monomial_to_text,
                    rank, trailing_ones, unrank, verify_witness, word_nonzero)
-from zclrp.errors import charge
+from zclrp.errors import Record, charge
 
 
 def slice_table(spec: RingSpec) -> tuple[tuple[int, ...], ...]:
@@ -652,17 +654,88 @@ def dense_verify_witness(w):
     return bool((product.bits >> rank(product.spec, w.certificate)) & 1)
 
 
+# -- the witness held factor by factor -------------------------------------
+# The package's Witness before it held its factors as runs: the same checks,
+# run on each factor in order, and the factor tuple stored as given.  Tests
+# check that a witness held as runs reads, compares, hashes, prints, pickles
+# and refuses bad input exactly as this one does.
+
+class ListedWitness(Record):
+    """A witness that stores its factors one by one (see Witness)."""
+
+    __slots__ = ("m", "s", "factors", "certificate")
+
+    def __init__(self, m, s, factors, certificate):
+        if not isinstance(m, int):
+            raise ValueError(f"m {m!r} is not an integer")
+        if not isinstance(s, int):
+            raise ValueError(f"s {s!r} is not an integer")
+        factors = tuple(map(tuple, factors))
+        for i, j, e in factors:
+            for index in (i, j):
+                if not isinstance(index, int):
+                    raise ValueError(f"factor index {index!r} is not an integer")
+            if not isinstance(e, int):
+                raise ValueError(f"factor exponent {e!r} is not an integer")
+            if not 1 <= i < j <= s:
+                raise ValueError(f"factor indices ({i},{j}) need 1 <= i < j <= {s}")
+            if e < 1:
+                raise ValueError(f"factor exponent {e} must be >= 1")
+        certificate = tuple(certificate)
+        if len(certificate) != s:
+            raise ValueError("certificate length differs from s")
+        for e in certificate:
+            if not isinstance(e, int):
+                raise ValueError(f"certificate exponent {e!r} is not an integer")
+            if not 0 <= e <= m:
+                raise ValueError(f"certificate exponent {e} outside [0, {m}]")
+        super().__init__(m, s, factors, certificate)
+
+    @property
+    def length(self) -> int:
+        return sum(e for _, _, e in self.factors)
+
+    def as_dict(self) -> dict:
+        return {"factors": [list(f) for f in self.factors],
+                "certificate": monomial_to_text(self.certificate)}
+
+
+def maximal_runs(factors) -> list[tuple[int, int, int, int]]:
+    """The factors grouped as Witness groups them, compared pairwise: a
+    factor joins the run before it when it has that run's j and exponent
+    and the i after the run's last."""
+    runs = []
+    for i, j, e in factors:
+        if runs and (runs[-1][1], runs[-1][2]) == (j, e) \
+                and runs[-1][0] + runs[-1][3] == i:
+            runs[-1][3] += 1
+        else:
+            runs.append([i, j, e, 1])
+    return [tuple(run) for run in runs]
+
+
 # -- the witness check by set products alone -------------------------------
 # The package's verify_witness before it multiplied out on their own the
 # factors that alone use a variable: every factor goes through the product
 # of term sets, and the work bound recomputes its live terms at every
 # factor.  Tests check the verifier and its bound against these.
 
+def uses_of(factors) -> tuple[dict[int, int], dict[int, int]]:
+    """For each variable: the index of the first and of the last factor
+    that uses it; the uses that verify_witness passes to _work_bound."""
+    first, last = {}, {}
+    for n, (i, j, _) in enumerate(factors):
+        for v in (i, j):
+            first.setdefault(v, n)
+            last[v] = n
+    return first, last
+
+
 def set_product_work_bound(w: Witness, uses=None) -> int:
     """verify_witness's bound on its term products, summed up to the first
     factor that takes it past MAX_DP_CELLS (see there).  uses is
-    cuplength._uses(w.factors), when the caller has it already."""
-    first, last = cuplength._uses(w.factors) if uses is None else uses
+    uses_of(w.factors), when the caller has it already."""
+    first, last = uses_of(w.factors) if uses is None else uses
     work, sizes = 0, {}
     for n, (i, j, e) in enumerate(w.factors):
         count = cuplength._term_count(w.m, e)
@@ -706,7 +779,7 @@ def set_product_verify_witness(w: Witness) -> bool:
     is the charge zcl_exact passed (see _check_cells).
     """
     target = w.certificate
-    first, last = uses = cuplength._uses(w.factors)
+    first, last = uses = uses_of(w.factors)
     if any(c and v not in first for v, c in enumerate(target, 1)):
         return False
     charge(set_product_work_bound(w, uses), cuplength._REACHES, w.m, w.s)
@@ -756,7 +829,7 @@ def peel(w: Witness) -> tuple[list, list[int]] | None:
     reduced by the others, or None when the peel decides the witness is 0
     (a factor's one term that can reach the target is missing, or too
     large, or a target exponent is on a variable no factor uses)."""
-    first, last = cuplength._uses(w.factors)
+    first, last = uses_of(w.factors)
     if any(c and v not in first for v, c in enumerate(w.certificate, 1)):
         return None
     target, factors = list(w.certificate), []
@@ -769,7 +842,7 @@ def peel(w: Witness) -> tuple[list, list[int]] | None:
         if e & t != t or not e - w.m <= t <= w.m or e - t > target[u - 1]:
             return None
         target[v - 1], target[u - 1] = 0, target[u - 1] - (e - t)
-    first, _ = cuplength._uses(factors)
+    first, _ = uses_of(factors)
     if any(c and v not in first for v, c in enumerate(target, 1)):
         return None
     return factors, target
@@ -782,7 +855,7 @@ def counted_verify_witness(w: Witness) -> tuple[bool, int]:
     if peeled is None:
         return False, 0
     factors, target = peeled
-    _, last = cuplength._uses(factors)
+    _, last = uses_of(factors)
     layout, terms, steps = (), {()}, 0
     for n, (i, j, e) in enumerate(factors):
         if not cuplength._term_count(w.m, e):

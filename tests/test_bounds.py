@@ -65,6 +65,20 @@ def test_emit_csv():
     assert body.splitlines() == [CSV_HEADER, "1,2,2,1,exact,1,hopf,false"]
 
 
+def test_emit_json_lines_are_json_dumps_of_each_row():
+    # emit writes each row out by hand; every line is the text json.dumps
+    # gives for the row's dict, over rows with every kind of value: known_tc
+    # null or a number, tc_source null, "hopf" or "even-stable", and both
+    # equality flags, and over a row whose tags need escaping
+    rows = [build_row(m, s) for m in range(1, 13) for s in range(2, 7)]
+    kinds = {(r.known_tc is None, r.tc_source, r.equality) for r in rows}
+    assert {(True, None), (False, "hopf"), (False, "even-stable")} <= {
+        k[:2] for k in kinds} and {True, False} <= {k[2] for k in kinds}
+    rows.append(BoundsRow(13, 2, 26, 25, 'ex"act\u00e9', 25, "a\\b", False))
+    assert emit(rows, "json").decode().splitlines() == [
+        json.dumps(r.as_dict(), separators=(",", ":")) for r in rows]
+
+
 def test_emit_json_and_determinism():
     rows = [build_row(m, s) for m in (1, 2) for s in (2, 3)]
     out1 = emit(rows, "json")

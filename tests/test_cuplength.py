@@ -1,23 +1,27 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zclrp import (MAX_DP_CELLS, UndeterminedError, Witness, ZclResult,
-                   g_stabilization_probe, trailing_ones, verify_witness,
-                   word_nonzero, z_of, zcl_exact)
+                   build_row, g_stabilization_probe, trailing_ones,
+                   verify_witness, word_nonzero, z_of, zcl_exact)
 from zclrp import cuplength, errors
 
 from oracles import (DENSE_RING_BITS, brute_force_zcl, counted_verify_witness,
                      dense_factor_product, dense_mul, dense_verify_witness,
                      dp_zcl, enumerate_zcl, explicit_witness, explicit_work,
-                     gain_rows, get_ring, knapsack_zcl,
-                     min_residues_by_submasks, min_residues_closed_form, peel,
+                     gain_rows, get_ring, knapsack_zcl, ListedWitness,
+                     maximal_runs, min_residues_by_submasks,
+                     min_residues_closed_form, peel,
                      probe_gaps, runs_charge, set_product_verify_witness,
-                     set_product_work_bound)
+                     set_product_work_bound, uses_of)
 
 
 def ring_word_product(m, s, exponents):
@@ -365,6 +369,134 @@ def test_witness_stores_tuples():
     assert result == zcl_exact(3, 3) and hash(result) == hash(zcl_exact(3, 3))
 
 
+def factor_list(data, m, s, exponent=None):
+    """Up to five blocks of factors (x_i + x_j)^e ... (x_(i+n-1) + x_j)^e
+    over consecutive i, e drawn from exponent (default 1..2m+2).  Each
+    block after the first goes on from the one before it, or starts right
+    after it with a new j or a new exponent, or leaves a gap in i, or
+    starts anywhere, so that neighbouring blocks join into one run or are
+    cut in every way a run can be."""
+    factors, (i, j, e, n) = [], (0, 0, 0, 0)
+    for _ in range(data.draw(st.integers(0, 5))):
+        link = data.draw(st.sampled_from(["on", "new j", "new e", "gap", "any"]))
+        after = i + n + (link == "gap")
+        if link == "any" or not 1 <= after < s or (link != "new j" and after >= j):
+            after, link = data.draw(st.integers(1, s - 1)), "any"
+        i = after
+        if link in ("new j", "any"):
+            j = data.draw(st.integers(i + 1, s))
+        if link in ("new e", "any") or not e:
+            e = data.draw(st.integers(1, 2 * m + 2) if exponent is None
+                          else exponent)
+        n = data.draw(st.integers(1, j - i))
+        factors += [(i + k, j, e) for k in range(n)]
+    return factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 7), s=st.integers(2, 9))
+def test_runs_are_lossless(data, m, s):
+    # a witness held as runs reads, compares, hashes, prints, pickles and
+    # copies as the one that holds its factors one by one, whether they
+    # are passed as tuples or as lists
+    factors = factor_list(data, m, s)
+    certificate = data.draw(st.tuples(*[st.integers(0, m)] * s))
+    if data.draw(st.booleans()):
+        args = ([list(f) for f in factors], list(certificate))
+    else:
+        args = (tuple(factors), certificate)
+    w, listed = Witness(m, s, *args), ListedWitness(m, s, *args)
+    assert w.runs == tuple(maximal_runs(factors))
+    assert w.factors == listed.factors and type(w.factors) is tuple
+    assert all(type(f) is tuple for f in w.factors)
+    assert w.length == listed.length and w.as_dict() == listed.as_dict()
+    assert hash(w) == hash(listed) == hash((m, s, tuple(factors), certificate))
+    assert repr(w) == repr(listed).replace("ListedWitness(", "Witness(")
+    other = factor_list(data, m, s)
+    assert (Witness(m, s, other, certificate) == w) == (
+        ListedWitness(m, s, other, certificate) == listed)
+    for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w),
+                 copy.deepcopy(w)):
+        assert type(twin) is Witness and twin == w and twin.runs == w.runs
+        assert twin.factors == listed.factors and hash(twin) == hash(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 7), s=st.integers(2, 9))
+def test_runs_refuse_bad_factors_as_listed_factors_did(data, m, s):
+    # one or two bad factors anywhere among good ones: the first bad one
+    # raises what a witness holding its factors one by one raised
+    bad = st.one_of(
+        st.tuples(st.sampled_from([1.0, 2.0, 1.5]), st.just(s), st.just(1)),
+        st.tuples(st.just(1), st.sampled_from([float(s), "2"]), st.just(1)),
+        st.tuples(st.integers(1, s - 1), st.just(s), st.sampled_from([1.0, 2.5])),
+        st.tuples(st.integers(1, s), st.integers(0, s), st.just(1)).filter(
+            lambda f: f[0] >= f[1]),
+        st.tuples(st.integers(1, s - 1), st.just(s + 1), st.just(1)),
+        st.tuples(st.integers(-1, 0), st.just(s), st.just(1)),
+        st.tuples(st.integers(1, s - 1), st.just(s), st.integers(-2, 0)),
+        st.just((1, s)), st.just((1, s, 1, 1)), st.just(5))
+    factors = factor_list(data, m, s)
+    for _ in range(data.draw(st.integers(1, 2))):
+        factors.insert(data.draw(st.integers(0, len(factors))), data.draw(bad))
+    with pytest.raises((ValueError, TypeError)) as listed:
+        ListedWitness(m, s, factors, (0,) * s)
+    with pytest.raises(type(listed.value)) as held:
+        Witness(m, s, factors, (0,) * s)
+    assert str(held.value) == str(listed.value)
+
+
+def test_zcl_exact_builds_maximal_runs():
+    # zcl_exact builds its runs without spelling out a factor; they are
+    # the runs Witness makes of the factors, at most L+1 of them
+    for m in range(1, 130):
+        for s in range(2, 40):
+            w = zcl_exact(m, s).witness
+            assert w.runs == Witness(m, s, w.factors, w.certificate).runs
+            assert len(w.runs) <= m.bit_length() + 1, (m, s)
+
+
+def test_word_nonzero_takes_runs():
+    # a word given as runs gives what its entries spelled out give, and
+    # is refused with the same messages
+    for m in range(1, 20):
+        for s in range(2, 8 if m <= 2 else 4):
+            for word in itertools.product(range(2 * m + 1), repeat=s - 1):
+                if sum(word) > s * m:
+                    continue
+                runs = [(b, len(list(group)))
+                        for b, group in itertools.groupby(word)]
+                exponents, counts = zip(*runs)
+                assert word_nonzero(m, s, exponents, counts) == \
+                    word_nonzero(m, s, word), (m, s, word)
+    for exponents, counts in [((3, 5), (1, 1)), ((3,), (3,)), ((4,), (2,)),
+                              ((2,), (1,))]:
+        with pytest.raises(ValueError) as held:
+            word_nonzero(2, 3, exponents, counts)
+        with pytest.raises(ValueError) as listed:
+            word_nonzero(2, 3, [b for b, n in zip(exponents, counts)
+                                for _ in range(n)])
+        assert str(held.value) == str(listed.value)
+
+
+@pytest.mark.parametrize("build, m", [(build_row, 1048575), (zcl_exact, 1),
+                                      (zcl_exact, 1048575), (build_row, 2)])
+def test_cap_shapes_build_and_check_their_witness_in_runs(build, m):
+    # at the largest admitted s the row, or the result, is made from at
+    # most L+1 runs: no list of s-1 factors or exponents is ever spelled
+    # out, so the peak is the s-entry certificate and a copy of it
+    s = 524289
+    tracemalloc.start()
+    try:
+        build(m, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    w = zcl_exact(m, s).witness
+    assert len(w.runs) <= m.bit_length() + 1 and verify_witness(w)
+
+
 def test_verify_witness_rejects_dead_factor():
     # a factor power above 2m vanishes, so the product cannot contain anything
     w = Witness(2, 3, ((1, 3, 5), (2, 3, 1)), (2, 2, 2))
@@ -446,8 +578,7 @@ def work_bound(w):
     factors, target = peeled
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cuplength, "MAX_DP_CELLS", 1 << 64)
-        return cuplength._work_bound(w.m, factors, target,
-                                     cuplength._uses(factors))
+        return cuplength._work_bound(w.m, factors, target, uses_of(factors))
 
 
 @settings(max_examples=150, deadline=None)
@@ -484,6 +615,92 @@ def test_work_bound_is_never_below_the_counted_steps(data, m, s):
             patch.setattr(cuplength, "MAX_DP_CELLS", steps - 1)
             with pytest.raises(UndeterminedError, match="over the cap"):
                 verify_witness(w)
+
+
+def runs_witness(data, m, s):
+    """A witness of up to five blocks of factors (see factor_list), often
+    all of them stars (x_i + x_s)^e as in zcl_exact's witnesses, and often
+    with exponents m, m+1 or m+2, whose least residues are small, so that
+    the product often reaches the certificate.  That takes one term
+    x_i^t x_j^(e-t) of each factor, capped at m, mostly one of the few with
+    the largest t whose C(e, t) is odd and whose exponents are at most m;
+    a run takes one t for all its factors or one per factor, so that runs come with C one exponent
+    on their x_i and with C varying there.  One witness in four has an
+    arbitrary certificate instead."""
+    factors = factor_list(data, m, s, st.one_of(
+        st.integers(1, 2 * m + 2), st.integers(m + 1, m + 2)))
+    if data.draw(st.booleans()):
+        factors = [(i, s, e) for i, _, e in factors]
+    if not data.draw(st.integers(0, 3)):
+        return Witness(m, s, factors, data.draw(st.tuples(*[st.integers(0, m)] * s)))
+    exponents = [0] * s
+    for i, j, e, n in maximal_runs(factors):
+        terms = cuplength._binomial_terms(m, e)  # the largest t first
+        exponent = st.sampled_from(terms[:data.draw(st.integers(1, 3))]) \
+            if terms and data.draw(st.integers(0, 4)) else st.integers(0, e)
+        one, t = data.draw(st.booleans()), data.draw(exponent)
+        for k in range(n):
+            t = t if one or not k else data.draw(exponent)
+            exponents[i + k - 1] += t
+            exponents[j - 1] += e - t
+    return Witness(m, s, factors, tuple(min(x, m) for x in exponents))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(1, 7), s=st.integers(2, 10))
+def test_verifier_on_runs_equals_the_set_product(data, m, s):
+    # verify_witness, which takes a run of single-use factors in one step,
+    # gives the verdict of the set product over the factors spelled out
+    # wherever that one gives one, and of the dense product where it fits
+    w = runs_witness(data, m, s)
+    got = verdict(verify_witness, w)
+    whole = verdict(set_product_verify_witness, w)
+    if isinstance(whole, bool):
+        assert got == whole
+    if (m + 1) ** s <= DENSE_RING_BITS and isinstance(got, bool):
+        assert got == dense_verify_witness(w)
+
+
+def test_verifier_on_varied_greedy_runs_equals_the_set_product():
+    # every greedy witness, and every one with the first or last factor of
+    # a run moved to another of its terms, C_s moved to match, so that C
+    # is no longer one exponent on that run's x_i: the verifier gives the
+    # set product's verdict
+    for m in range(1, 13):
+        for s in range(2, 8):
+            w = zcl_exact(m, s).witness
+            cases = [w]
+            for i, j, e, n in w.runs:
+                for v in {i, i + n - 1}:
+                    for t in cuplength._binomial_terms(m, e):
+                        c = list(w.certificate)
+                        c[j - 1] += c[v - 1] - t
+                        c[v - 1] = t
+                        if c[j - 1] <= m:
+                            cases.append(Witness(m, s, w.factors, c))
+            for x in cases:
+                assert verify_witness(x) == set_product_verify_witness(x), x
+
+
+@pytest.mark.parametrize("m, s, factors", [
+    (2, 5, ((1, 5, 3), (2, 5, 3), (3, 5, 3), (4, 5, 2))),  # rising stars
+    (2, 4, ((1, 4, 3), (2, 4, 3), (1, 4, 3))),             # runs that overlap
+    (2, 5, ((1, 3, 2), (2, 5, 3), (3, 5, 3))),             # an x_j in a run
+    (2, 5, ((3, 5, 3), (4, 5, 3), (1, 5, 3), (2, 5, 3))),  # falling runs
+    (3, 4, ((1, 4, 4), (2, 4, 4), (3, 4, 2), (1, 3, 1))),  # x_i used again
+    (2, 5, ((1, 4, 3), (2, 4, 3), (3, 5, 2), (4, 5, 1))),  # two j's
+    (2, 4, ((3, 4, 2), (3, 4, 3))),                        # one x_i, two runs
+    (5, 3, ((1, 3, 2), (2, 3, 2))),                        # C varies on a run
+])
+def test_verifier_on_run_layouts_equals_the_dense_product(m, s, factors):
+    # every certificate of (m+1)^s, against the dense product, on layouts
+    # where a run is taken in one step and where it must go factor by
+    # factor
+    product = dense_factor_product(m, s, factors)
+    present = set(product.monomials())
+    for certificate in itertools.product(range(m + 1), repeat=s):
+        w = Witness(m, s, factors, certificate)
+        assert verify_witness(w) == (certificate in present), certificate
 
 
 def test_a_factor_with_no_terms_ends_the_set_product(monkeypatch):

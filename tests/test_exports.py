@@ -45,7 +45,7 @@ REMOVED_ATTRIBUTES = [
     (ring, "graded_slices"), (gf2, "find"), (gf2, "components"),
     (zero_divisors, "_ideal_forest"), (cuplength, "explicit_witness"),
     (cuplength, "_explicit_work"), (cli, "zcl_witness_cmd"),
-    (cuplength, "_check_work"),
+    (cuplength, "_check_work"), (cuplength, "_uses"),
 ]
 
 
